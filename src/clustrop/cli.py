@@ -44,6 +44,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _read_json(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
@@ -253,23 +263,23 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("search-large-entry", help="beam search for a large frozen-column entry")
     add_matrix_source(sp)
-    sp.add_argument("--target", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=20000)
-    sp.add_argument("--beam", type=int, default=64)
+    sp.add_argument("--target", type=_positive_int, required=True)
+    sp.add_argument("--budget", type=_positive_int, default=20000)
+    sp.add_argument("--beam", type=_positive_int, default=64)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_search_large_entry)
 
     sp = sub.add_parser("class-bfs", help="exhaustive mutation-class enumeration")
     add_matrix_source(sp)
-    sp.add_argument("--node-cap", type=int, default=10000)
-    sp.add_argument("--entry-cap", type=int, default=64)
+    sp.add_argument("--node-cap", type=_positive_int, default=10000)
+    sp.add_argument("--entry-cap", type=_positive_int, default=64)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_class_bfs)
 
     sp = sub.add_parser("polytope", help="polytope operations")
     sp.add_argument("sub", choices=["hull", "dual", "qgf", "lattice-points", "slice"])
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--q", type=int, default=1)
+    sp.add_argument("--q", type=_positive_int, default=1)
     sp.add_argument("--normal", help="hyperplane normal for slice, comma-separated")
     sp.add_argument("--offset", default="0", help="hyperplane offset for slice")
     sp.add_argument("--out")

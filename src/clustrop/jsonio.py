@@ -13,11 +13,12 @@ deterministic so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction as Q
 
 from .mutation import ExtendedExchangeMatrix, MutationTrace, Quiver, exchange_matrix
 from .polytopes import RationalPolytope, hull
-from .tropical import DistinguishCertificate, FamilySpec, Stage
+from .tropical import DistinguishCertificate, FamilySpec, Stage, StageRecord
 
 
 class FormatError(ValueError):
@@ -107,7 +108,7 @@ def polytope_to_obj(P: RationalPolytope) -> dict:
     return {"vertices": [[rat_to_str(x) for x in v] for v in P.vertices]}
 
 
-def polytope_from_obj(obj: dict, full_dim: bool = True) -> RationalPolytope:
+def polytope_from_obj(obj: dict) -> RationalPolytope:
     verts = _need(obj, "vertices")
     if not isinstance(verts, list) or not verts:
         raise FormatError("polytope needs a nonempty vertex list")
@@ -115,9 +116,7 @@ def polytope_from_obj(obj: dict, full_dim: bool = True) -> RationalPolytope:
     dims = {len(p) for p in pts}
     if len(dims) != 1:
         raise FormatError("polytope vertices of mixed dimension")
-    from .polytopes import hull_any
-
-    return hull(pts) if full_dim else hull_any(pts, dims.pop())
+    return hull(pts)
 
 
 # -- families and certificates ----------------------------------------------
@@ -143,37 +142,27 @@ def family_from_obj(obj: dict) -> FamilySpec:
     return FamilySpec(eps, P, tuple(stages))
 
 
-def certificate_to_obj(c: DistinguishCertificate) -> dict:
-    return {
-        "origin_in_polytope": c.origin_ok,
-        "initial_qgf": c.initial_qgf,
-        "center": [rat_to_str(x) for x in c.center] if c.center else None,
-        "size": c.size,
-        "center_fixed": c.center_fixed,
-        "q": c.q,
-        "stages": [
-            {
-                "seq": list(st.seq),
-                "r": st.r,
-                "s": st.s,
-                "entry": st.entry,
-                "entry_nonpositive": st.entry_nonpositive,
-                "polytope_in_halfspace": st.cond_polytope,
-                "image_in_halfspace": st.cond_image,
-                "qgf": st.qgf_ok,
-                "size_preserved": st.size_ok,
-                "center_preserved": st.center_ok,
-                "a_s": rat_to_str(st.a_s) if st.a_s is not None else None,
-                "q": st.q,
-                "lower_bound": st.lower_bound,
-                "segment_count": st.segment_count,
-                "dual_count": st.dual_count,
-                "valid": st.valid,
-                "notes": list(st.notes),
-            }
-            for st in c.stages
-        ],
-        "counts_strictly_increasing": c.counts_strictly_increasing,
-        "pairwise_distinct": c.pairwise_distinct,
-        "notes": list(c.notes),
-    }
+# certificate fields whose JSON key is not the field name
+_CERT_KEYS = {
+    "origin_ok": "origin_in_polytope",
+    "cond_polytope": "polytope_in_halfspace",
+    "cond_image": "image_in_halfspace",
+    "qgf_ok": "qgf",
+    "size_ok": "size_preserved",
+    "center_ok": "center_preserved",
+}
+
+
+def _cert_value(x):
+    if isinstance(x, Q):
+        return rat_to_str(x)
+    if isinstance(x, tuple):
+        return [_cert_value(y) for y in x]
+    if isinstance(x, StageRecord):
+        return certificate_to_obj(x)
+    return x
+
+
+def certificate_to_obj(c: DistinguishCertificate | StageRecord) -> dict:
+    """One key per dataclass field (renamed by _CERT_KEYS); stage records nest."""
+    return {_CERT_KEYS.get(f.name, f.name): _cert_value(getattr(c, f.name)) for f in fields(c)}

@@ -46,15 +46,6 @@ def mat_transpose(A) -> Mat:
     return tuple(zip(*A))
 
 
-def mat_mul(A, B) -> Mat:
-    Bt = mat_transpose(B)
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
-
-
-def identity(n) -> Mat:
-    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
-
-
 def rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
     """Reduced row echelon form (in place on a copy); returns (matrix, pivot columns)."""
     M = [list(map(Q, r)) for r in rows]
@@ -99,29 +90,6 @@ def solve(A, b) -> Vec | None:
             return None
         x[c] = M[r][-1]
     return tuple(x)
-
-
-def solve_unique(A, b) -> Vec | None:
-    """Solution of A x = b if it exists and is unique, else None."""
-    n = len(A[0]) if A else 0
-    if rank(A) < n:
-        return None
-    return solve(A, b)
-
-
-def nullspace(rows) -> list[Vec]:
-    """Basis of the right nullspace of the matrix."""
-    M, pivots = rref(list(rows))
-    n = len(rows[0]) if rows else 0
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Q(0)] * n
-        v[f] = Q(1)
-        for r, c in enumerate(pivots):
-            v[c] = -M[r][f]
-        basis.append(tuple(v))
-    return basis
 
 
 def mat_inverse(A) -> Mat:

@@ -598,7 +598,7 @@ def large_entry_search(
                     continue
                 seen[child] = cseq
                 children.append((child, cseq))
-        hits = [(cseq, child, success(child)) for child, cseq in children if success(child)]
+        hits = [(cseq, child, hit) for child, cseq in children if (hit := success(child))]
         if hits:
             hits.sort(key=lambda t: t[0])
             cseq, child, (val, r, s) = hits[0]

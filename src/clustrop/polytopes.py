@@ -424,7 +424,8 @@ def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
     dual = hull(norms, m)
     cert = QGFCertificate(tuple(center), int(nu), tuple(sorted(norms)), dual)
     for n, beta in zip(norms, rhs):
-        assert dot(cert.center, n) - beta == cert.size
+        if dot(cert.center, n) - beta != cert.size:
+            raise AssertionError(f"QGF identity fails on facet normal {n}")
     return cert, "ok"
 
 

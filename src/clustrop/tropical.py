@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .linalg import dot, mat_inverse, mat_transpose, matvec, qvec
+# mat_inverse is unused here; bench/spans.py wraps tropical.mat_inverse by name
+from .linalg import mat_inverse, matvec, qvec  # noqa: F401
 from .mutation import ExtendedExchangeMatrix, FrozenIndexError, _pos
 from .polytopes import (
     Point,
@@ -102,7 +103,8 @@ def trop_mutate_graded(S: GradedPointSet, eps: ExtendedExchangeMatrix, k: int) -
             raise TropicalError("tropical image of an integer point must be integral")
         out.append((level, tuple(int(x) for x in img)))
     res = GradedPointSet.of(out)
-    assert len(res) == len(S)
+    if len(res) != len(S):
+        raise AssertionError("tropical mutation merged points of the graded set")
     return res
 
 
@@ -151,19 +153,18 @@ def branch_matrices(eps: ExtendedExchangeMatrix, k: int):
 class TropImage:
     """Image of a polytope under one tropical mutation.
 
-    convex=True carries the image polytope; otherwise both piece images are
-    returned so callers can refuse explicitly."""
+    convex=True carries only the image polytope; otherwise both piece images
+    are returned so callers can refuse explicitly."""
 
     convex: bool
-    polytope: RationalPolytope | None
-    plus_image: RationalPolytope | None
-    minus_image: RationalPolytope | None
+    polytope: RationalPolytope | None = None
+    plus_image: RationalPolytope | None = None
+    minus_image: RationalPolytope | None = None
 
     def piece_vertices(self):
-        pieces = [p for p in (self.plus_image, self.minus_image) if p is not None and not p.is_empty]
         if self.convex:
-            pieces = [self.polytope]
-        return [v for p in pieces for v in p.vertices]
+            return list(self.polytope.vertices)
+        return [v for p in (self.plus_image, self.minus_image) for v in p.vertices]
 
 
 def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytope) -> TropImage:
@@ -180,52 +181,27 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     A, B = branch_matrices(eps, k)
     vals = [wall.value(v) for v in P.vertices]
     if all(v >= 0 for v in vals):
-        img = P.linear_image(A)
-        return TropImage(True, img, img, None)
+        return TropImage(True, P.linear_image(A))
     if all(v <= 0 for v in vals):
-        img = P.linear_image(B)
-        return TropImage(True, img, None, img)
+        return TropImage(True, P.linear_image(B))
+    # crossings lie on the wall, which both branches fix
     crossings = crossing_points(P, wall)
-    plus_pts = [v for v, val in zip(P.vertices, vals) if val >= 0] + crossings
-    minus_pts = [v for v, val in zip(P.vertices, vals) if val <= 0] + crossings
-    plus_img_pts = [matvec(A, p) for p in plus_pts]
-    minus_img_pts = [matvec(B, p) for p in minus_pts]
+    plus_img_pts = [matvec(A, v) for v, val in zip(P.vertices, vals) if val >= 0] + crossings
+    minus_img_pts = [matvec(B, v) for v, val in zip(P.vertices, vals) if val <= 0] + crossings
     H = hull(plus_img_pts + minus_img_pts, m)
-    # half-space descriptions of the true piece images, by facet transform
-    in_plus_img = _image_membership(P, wall, A, keep_sign=+1)
-    in_minus_img = _image_membership(P, wall, B, keep_sign=-1)
-    # A sends {u_k >= 0} into {u_k <= 0} and B the other way around; the union
-    # is convex iff each closed half of the hull lands inside the right piece,
-    # checked on the half's vertex candidates (hull vertices plus crossings)
-    candidates = list(H.vertices) + crossing_points(H, wall)
-    convex = True
-    for c in candidates:
+
+    # A and B are involutions and A maps {u_k >= 0} onto {u_k <= 0}, so a
+    # point c of {u_k <= 0} lies in the plus image iff A c is in P, and one of
+    # {u_k >= 0} lies in the minus image iff B c is in P.  The union is convex
+    # iff it equals H, i.e. iff each closed half of H (vertices plus wall
+    # crossings) pulls back into P.
+    def pulls_back(c):
         side = wall.value(c)
-        if side <= 0 and not in_plus_img(c):
-            convex = False
-            break
-        if side >= 0 and not in_minus_img(c):
-            convex = False
-            break
-    if convex:
-        return TropImage(True, H, None, None)
-    plus_img = hull_any(plus_img_pts, m)
-    minus_img = hull_any(minus_img_pts, m)
-    return TropImage(False, None, plus_img, minus_img)
+        return P.contains(c if side == 0 else matvec(A if side < 0 else B, c))
 
-
-def _image_membership(P: RationalPolytope, wall, M, keep_sign: int):
-    """Membership test for the image under branch matrix M of the wall-bounded
-    slice of P: transform P's facets plus the side constraint by M."""
-    Minv_t = mat_transpose(mat_inverse(M))
-    halves = [(matvec(Minv_t, f.normal), f.offset) for f in P.facets]
-    side_normal = tuple(keep_sign * x for x in wall.normal)
-    halves.append((matvec(Minv_t, side_normal), Q(0)))
-
-    def contains(p):
-        return all(dot(p, n) + off >= 0 for n, off in halves)
-
-    return contains
+    if all(map(pulls_back, H.vertices)) and all(map(P.contains, crossing_points(H, wall))):
+        return TropImage(True, H)
+    return TropImage(False, None, hull_any(plus_img_pts, m), hull_any(minus_img_pts, m))
 
 
 @dataclass(frozen=True)
@@ -244,7 +220,8 @@ def center_fixedness(eps: ExtendedExchangeMatrix, u0) -> CenterReport:
     for k in eps.mutable:
         coord = u0[eps.col_index(k)]
         fixed_direct = trop_mutate_point(eps, k, u0) == u0
-        assert fixed_direct == (coord == 0), "fixed-point check disagrees with coordinate test"
+        if fixed_direct != (coord == 0):
+            raise AssertionError("fixed-point check disagrees with coordinate test")
         if coord != 0:
             violations.append((k, coord))
     return CenterReport(not violations, tuple(violations))
@@ -369,23 +346,26 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class StageRecord:
+    """Per-stage certificate data; a stage whose replay was blocked keeps only
+    its pair and a note, every check reading False."""
+
     seq: tuple[int, ...]
     r: int
     s: int
-    entry: int | None
-    entry_nonpositive: bool
-    cond_polytope: bool
-    cond_image: bool
-    qgf_ok: bool
-    size_ok: bool
-    center_ok: bool
-    a_s: Q | None
-    q: int | None
-    lower_bound: int | None
-    segment_count: int | None
-    dual_count: int | None
-    valid: bool
-    notes: tuple[str, ...]
+    entry: int | None = None
+    entry_nonpositive: bool = False
+    cond_polytope: bool = False
+    cond_image: bool = False
+    qgf_ok: bool = False
+    size_ok: bool = False
+    center_ok: bool = False
+    a_s: Q | None = None
+    q: int | None = None
+    lower_bound: int | None = None
+    segment_count: int | None = None
+    dual_count: int | None = None
+    valid: bool = False
+    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -412,21 +392,21 @@ class DistinguishCertificate:
         return all(st.valid for st in self.stages)
 
 
-def distinguish_certificate(family: FamilySpec, enumeration_cap: int = 2_000_000) -> DistinguishCertificate:
+# dual candidate cells (bounding box of the dual in (1/q)Z^J) a stage may scan
+ENUMERATION_CAP = 2_000_000
+
+
+def distinguish_certificate(family: FamilySpec) -> DistinguishCertificate:
     """Replay the family and certify the distinguishing criterion stage by stage.
 
-    Per stage: records eps_{r,s}, checks both half-space conditions, computes
-    q from size/a_s in lowest terms, verifies the dual lattice points along
-    the monitored segment, and counts all dual points in (1/q)Z^J.  Failed
-    conditions are recorded per stage; enumeration infeasibility is reported,
-    never silently skipped.
+    Stages are replayed by tropical mutation of the polytope; a non-convex
+    image blocks that stage and every later one.  Each reached stage is
+    certified by `_certify_stage`.
     """
     eps = family.matrix
     P = family.polytope
-    n = len(eps.cols)
     notes: list[str] = []
-    origin = tuple(Q(0) for _ in range(n))
-    origin_ok = P.contains(origin)
+    origin_ok = P.contains(tuple(Q(0) for _ in eps.cols))
     cert, msg = qgf_solve(P)
     initial_qgf = cert is not None
     center = cert.center if cert else None
@@ -445,7 +425,6 @@ def distinguish_certificate(family: FamilySpec, enumeration_cap: int = 2_000_000
     done: tuple[int, ...] = ()
     blocked: str | None = None
     for st in family.stages:
-        st_notes: list[str] = []
         if blocked is None:
             for k in st.seq[len(done):]:
                 img = trop_mutate_polytope(cur_eps, k, cur_P)
@@ -455,93 +434,10 @@ def distinguish_certificate(family: FamilySpec, enumeration_cap: int = 2_000_000
                 cur_P = img.polytope
                 cur_eps = cur_eps.mutate(k)
                 done = done + (k,)
-        if blocked is not None:
-            records.append(
-                StageRecord(st.seq, st.r, st.s, None, False, False, False, False, False, False,
-                            None, None, None, None, None, False, (f"replay blocked: {blocked}",))
-            )
-            continue
-
-        entry = cur_eps.entry(st.r, st.s)
-        entry_np = entry <= 0
-        if not entry_np:
-            st_notes.append(f"entry {entry} is positive; lower bound not applicable")
-        si = cur_eps.col_index(st.s)
-        hs = halfspace(_unit(n, si), 0)
-        cond2 = all(hs.contains(v) for v in cur_P.vertices)
-        img = trop_mutate_polytope(cur_eps, st.r, cur_P)
-        cond3 = all(hs.contains(v) for v in img.piece_vertices())
-        if not cond2:
-            st_notes.append(f"polytope leaves the half-space u_{st.s} >= 0")
-        if not cond3:
-            st_notes.append(f"mutated polytope leaves the half-space u_{st.s} >= 0")
-
-        scert, smsg = qgf_solve(cur_P)
-        qgf_ok = scert is not None
-        size_ok = bool(scert and cert and scert.size == cert.size)
-        center_ok = bool(scert and cert and scert.center == cert.center)
-        if not qgf_ok:
-            st_notes.append(f"stage polytope not QGF: {smsg}")
-        a_s = q = lower = seg_count = dual_count = None
-        if scert and cert:
-            if not size_ok:
-                st_notes.append(f"size changed: {cert.size} -> {scert.size}")
-            if not center_ok:
-                st_notes.append(f"center moved: {cert.center} -> {scert.center}")
-            a_s = dot(cert.center, _unit(n, si))
-            if a_s == 0:
-                st_notes.append(f"a_s = <u0, e_{st.s}> is zero; segment scaling undefined")
-            else:
-                frac = Q(cert.size) / a_s
-                p_num, q = frac.numerator, frac.denominator
-                lower = 1 - min(entry, 0)
-                e_s = _unit(n, si)
-                e_r = _unit(n, cur_eps.col_index(st.r))
-                start = tuple(frac * x for x in e_s)
-                step = tuple(Q(1, q) * x for x in e_r)
-                count_on_seg = abs(p_num) * abs(min(entry, 0))
-                sign = 1 if p_num >= 0 else -1
-                seg_pts = [
-                    tuple(a + sign * j * b for a, b in zip(start, step))
-                    for j in range(count_on_seg + 1)
-                ]
-                seg_count = sum(1 for ppt in seg_pts if scert.dual.contains(ppt))
-                if seg_count < len(seg_pts):
-                    st_notes.append(
-                        f"only {seg_count}/{len(seg_pts)} segment points inside the dual"
-                    )
-                box = scert.dual.bounding_box()
-                cells = 1
-                for lo, hi in box:
-                    cells *= int((hi - lo) * q) + 1
-                if cells > enumeration_cap:
-                    st_notes.append(
-                        f"dual enumeration infeasible: {cells} candidate cells exceed cap {enumeration_cap}"
-                    )
-                else:
-                    dual_count = len(lattice_points(scert.dual, q))
-        conditions_hold = bool(
-            entry_np and cond2 and cond3 and qgf_ok and size_ok and center_ok
-            and a_s is not None and a_s != 0
-        )
-        if conditions_hold and seg_count is not None and seg_count < lower:
-            # with every condition satisfied the dual provably contains
-            # the whole segment; a miss here is an implementation bug
-            raise AssertionError(
-                f"segment verification failed on a condition-satisfying stage: {seg_count} < {lower}"
-            )
-        valid = bool(
-            conditions_hold
-            and dual_count is not None
-            and lower is not None
-            and seg_count is not None
-            and seg_count >= lower
-            and dual_count >= lower
-        )
-        records.append(
-            StageRecord(st.seq, st.r, st.s, entry, entry_np, cond2, cond3, qgf_ok, size_ok,
-                        center_ok, a_s, q, lower, seg_count, dual_count, valid, tuple(st_notes))
-        )
+        if blocked is None:
+            records.append(_certify_stage(st, cur_eps, cur_P, cert))
+        else:
+            records.append(StageRecord(st.seq, st.r, st.s, notes=(f"replay blocked: {blocked}",)))
 
     qs = {rec.q for rec in records if rec.q is not None}
     global_q = qs.pop() if len(qs) == 1 else None
@@ -558,4 +454,82 @@ def distinguish_certificate(family: FamilySpec, enumeration_cap: int = 2_000_000
     return DistinguishCertificate(
         origin_ok, initial_qgf, center, size, center_fixed, global_q,
         tuple(records), increasing, distinct, tuple(notes),
+    )
+
+
+def _certify_stage(
+    st: Stage, eps: ExtendedExchangeMatrix, P: RationalPolytope, cert: QGFCertificate | None
+) -> StageRecord:
+    """Certify one replayed stage: eps and P are the matrix and polytope after
+    st.seq, cert the initial polytope's QGF certificate (None if it has none).
+
+    Records eps_{r,s}, checks both half-space conditions, computes q from
+    size/a_s in lowest terms, verifies the dual lattice points along the
+    monitored segment, and counts all dual points in (1/q)Z^J.  Failed
+    conditions are noted; enumeration infeasibility is reported, never
+    silently skipped.
+    """
+    notes: list[str] = []
+    n = len(eps.cols)
+    entry = eps.entry(st.r, st.s)
+    entry_np = entry <= 0
+    if not entry_np:
+        notes.append(f"entry {entry} is positive; lower bound not applicable")
+    si = eps.col_index(st.s)
+    hs = halfspace(_unit(n, si), 0)
+    cond2 = all(hs.contains(v) for v in P.vertices)
+    img = trop_mutate_polytope(eps, st.r, P)
+    cond3 = all(hs.contains(v) for v in img.piece_vertices())
+    if not cond2:
+        notes.append(f"polytope leaves the half-space u_{st.s} >= 0")
+    if not cond3:
+        notes.append(f"mutated polytope leaves the half-space u_{st.s} >= 0")
+
+    scert, smsg = qgf_solve(P)
+    qgf_ok = scert is not None
+    size_ok = bool(scert and cert and scert.size == cert.size)
+    center_ok = bool(scert and cert and scert.center == cert.center)
+    if not qgf_ok:
+        notes.append(f"stage polytope not QGF: {smsg}")
+    checks = (entry, entry_np, cond2, cond3, qgf_ok, size_ok, center_ok)
+    if not (scert and cert):
+        return StageRecord(st.seq, st.r, st.s, *checks, notes=tuple(notes))
+    if not size_ok:
+        notes.append(f"size changed: {cert.size} -> {scert.size}")
+    if not center_ok:
+        notes.append(f"center moved: {cert.center} -> {scert.center}")
+    a_s = cert.center[si]
+    if a_s == 0:
+        notes.append(f"a_s = <u0, e_{st.s}> is zero; segment scaling undefined")
+        return StageRecord(st.seq, st.r, st.s, *checks, a_s, notes=tuple(notes))
+
+    frac = Q(cert.size) / a_s
+    p_num, q = frac.numerator, frac.denominator
+    lower = 1 - min(entry, 0)
+    start = tuple(frac * x for x in _unit(n, si))
+    step = tuple(Q(1, q) * x for x in _unit(n, eps.col_index(st.r)))
+    count_on_seg = abs(p_num) * abs(min(entry, 0))
+    sign = 1 if p_num >= 0 else -1
+    seg_pts = [tuple(a + sign * j * b for a, b in zip(start, step)) for j in range(count_on_seg + 1)]
+    seg_count = sum(1 for ppt in seg_pts if scert.dual.contains(ppt))
+    if seg_count < len(seg_pts):
+        notes.append(f"only {seg_count}/{len(seg_pts)} segment points inside the dual")
+    cells = 1
+    for lo, hi in scert.dual.bounding_box():
+        cells *= int((hi - lo) * q) + 1
+    dual_count = None
+    if cells > ENUMERATION_CAP:
+        notes.append(f"dual enumeration infeasible: {cells} candidate cells exceed cap {ENUMERATION_CAP}")
+    else:
+        dual_count = len(lattice_points(scert.dual, q))
+    conditions_hold = entry_np and cond2 and cond3 and qgf_ok and size_ok and center_ok
+    if conditions_hold and seg_count < lower:
+        # with every condition satisfied the dual provably contains
+        # the whole segment; a miss here is an implementation bug
+        raise AssertionError(
+            f"segment verification failed on a condition-satisfying stage: {seg_count} < {lower}"
+        )
+    valid = conditions_hold and dual_count is not None and seg_count >= lower and dual_count >= lower
+    return StageRecord(
+        st.seq, st.r, st.s, *checks, a_s, q, lower, seg_count, dual_count, valid, tuple(notes)
     )

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from clustrop.glsseed import gls_exchange_matrix
 from clustrop.rootsys import cartan_matrix
 
 NINE = "3,2,3,2,1,2,3,2,1"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -112,6 +114,27 @@ def test_class_bfs_exit_codes(capsys, tmp_path):
     assert json.loads(stdout)["status"] in ("finite", "cap_exhausted")
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--q", ["polytope", "lattice-points", "--in", "{poly}", "--q", "0"]),
+        ("--node-cap", ["class-bfs", "--in", "{matrix}", "--node-cap", "0"]),
+        ("--entry-cap", ["class-bfs", "--in", "{matrix}", "--entry-cap", "0"]),
+        ("--target", ["search-large-entry", "--in", "{matrix}", "--target", "0"]),
+        ("--budget", ["search-large-entry", "--in", "{matrix}", "--target", "2", "--budget", "0"]),
+        ("--beam", ["search-large-entry", "--in", "{matrix}", "--target", "2", "--beam", "-1"]),
+    ],
+)
+def test_non_positive_numbers_are_usage_errors(capsys, tmp_path, flag, argv):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"cols": [1, 2, 3], "frozen": [3], "d": [1, 1, 1], "rows": {"1": [0, 1, -1], "2": [-1, 0, 1]}}))
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"vertices": [["1", "0"], ["0", "1"], ["-1", "-1"]]}))
+    code, stdout, err = run(capsys, *[a.format(poly=p, matrix=m) for a in argv])
+    assert code == 1 and stdout == ""
+    assert f"argument {flag}: must be a positive integer" in err
+
+
 def test_certify_distinct_command(capsys, tmp_path):
     fam = json.loads((resources.files("clustrop") / "fixtures" / "family_2stage.json").read_text())["family"]
     f = tmp_path / "f.json"
@@ -165,3 +188,45 @@ def test_rational_parse_rejects_garbage():
         jsonio.rat_from_str("1/0")
     with pytest.raises(jsonio.FormatError):
         jsonio.rat_from_str("pi")
+
+
+def _family_2stage():
+    return json.loads((resources.files("clustrop") / "fixtures" / "family_2stage.json").read_text())["family"]
+
+
+def _golden_inputs(tmp_path, case):
+    """Argv for one pinned CLI case; input files are written to tmp_path."""
+    fam = _family_2stage()
+    if case == "certify_blocked":
+        # two valid stages, a zero a_s, a positive entry, then a replay that
+        # hits a non-convex image at direction 2
+        fam["stages"] = [
+            {"seq": [], "r": 1, "s": 3},
+            {"seq": [], "r": 1, "s": 1},
+            {"seq": [1], "r": 2, "s": 3},
+            {"seq": [1], "r": 1, "s": 3},
+            {"seq": [1, 2], "r": 2, "s": 3},
+        ]
+    if case == "trop_nonconvex":
+        fam["matrix"] = {"cols": [1, 2], "frozen": [2], "d": [1, 1], "rows": {"1": [0, -2]}}
+        fam["polytope"] = {"vertices": [["2", "2"], ["2", "-2"], ["-2", "2"], ["-2", "-2"]]}
+    paths = {}
+    for name in ("family", "matrix", "polytope"):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(fam if name == "family" else fam[name]))
+    if case.startswith("certify"):
+        return ["certify-distinct", "--family", str(paths["family"])]
+    k = "2" if case == "trop_k2" else "1"
+    return ["trop-mutate", "--in", str(paths["polytope"]), "--matrix", str(paths["matrix"]), "--k", k]
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("certify_2stage", 0), ("certify_blocked", 2), ("trop_k1", 0), ("trop_k2", 0), ("trop_nonconvex", 2)],
+)
+def test_golden_stdout(capsys, tmp_path, case, code):
+    """Exact stdout bytes against tests/golden; change a golden file only
+    with an intended change of the output format or of the mathematics."""
+    got, stdout, _ = run(capsys, *_golden_inputs(tmp_path, case))
+    assert got == code
+    assert stdout == (GOLDEN / f"{case}.json").read_text()

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from genutil import random_exchange, random_polytope_with_interior_origin
 
 from clustrop.mutation import FrozenIndexError, exchange_matrix
-from clustrop.polytopes import hull, qgf_certificate
+from clustrop.polytopes import halfspace, hull, hull_any, qgf_certificate, slice_polytope, volume
 from clustrop.tropical import (
     FamilySpec,
     GradedPointSet,
@@ -136,6 +137,34 @@ def test_polytope_nonconvex_image_returns_pieces():
     # the two pieces sit on opposite sides of the wall
     assert all(v[0] <= 0 for v in img.plus_image.vertices)
     assert all(v[0] >= 0 for v in img.minus_image.vertices)
+
+
+def test_polytope_convexity_matches_volume_oracle():
+    """The piece images meet only on the wall, so their union is convex iff
+    its hull has exactly the sum of their volumes (exact, m <= 3)."""
+    rng = random.Random(109)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        m = rng.choice([2, 3])
+        P = random_polytope_with_interior_origin(rng, m)
+        P = P.translate(tuple(Q(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(m)))
+        n_mut = rng.randint(1, m)
+        eps = random_exchange(rng, n_mut=n_mut, n_frozen=m - n_mut)
+        k = rng.choice(eps.mutable)
+        wall = halfspace([1 if c == k else 0 for c in eps.cols], 0)
+        pieces = slice_polytope(P, wall)
+        plus = hull_any([trop_mutate_point(eps, k, v) for v in pieces.plus.vertices], m)
+        minus = hull_any([trop_mutate_point(eps, k, v) for v in pieces.minus.vertices], m)
+        H = hull(plus.vertices + minus.vertices, m)
+        convex = volume(H) == volume(plus) + volume(minus)
+        img = trop_mutate_polytope(eps, k, P)
+        assert img.convex == convex
+        if convex:
+            assert img.polytope == H
+        else:
+            assert (img.plus_image, img.minus_image) == (plus, minus)
+        seen[convex] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_center_fixedness_conditions():
