@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/parse error, 2 mathematical negative
-(e.g. no certificate), 3 search budget exhausted.  Outputs are deterministic:
+(e.g. no certificate), 3 search stopped without a witness (budget spent or
+beam emptied; never a nonexistence claim).  Outputs are deterministic:
 identical inputs and budgets give byte-identical files.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import jsonio
@@ -65,11 +67,19 @@ def _read_json(path: str, what: str) -> dict:
 
 
 def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+    """Write text to stdout, or atomically to out: a temporary file beside it
+    is written in full, then renamed over it."""
+    if not out:
         sys.stdout.write(text)
+        return
+    tmp = os.path.join(os.path.dirname(os.path.abspath(out)), f".{os.path.basename(out)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _load_matrix(args):

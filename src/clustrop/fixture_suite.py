@@ -42,23 +42,13 @@ def _matrix_diff(actual, expected_obj) -> str:
     return "; ".join(lines) or "matrices differ"
 
 
-def _run_gls_matrix(fx):
-    C = parse_cartan_type(fx["type"])
-    eps = glsseed.gls_exchange_matrix(C, tuple(fx["word"]))
-    return _matrix_diff(eps, fx["expected"])
-
-
-def _run_restrict(fx):
-    C = parse_cartan_type(fx["type"])
-    eps = glsseed.gls_exchange_matrix(C, tuple(fx["word"])).restrict(fx["keep"])
-    return _matrix_diff(eps, fx["expected"])
-
-
-def _run_mutate(fx):
-    C = parse_cartan_type(fx["type"])
-    eps = glsseed.gls_exchange_matrix(C, tuple(fx["word"]))
-    eps = eps.restrict(fx["keep"]).mutate_seq(fx["seq"])
-    return _matrix_diff(eps, fx["expected"])
+def _run_matrix(fx):
+    """gls_matrix, restrict and mutate fixtures: the seed matrix of the word,
+    restricted to fx["keep"] and mutated along fx["seq"] where given."""
+    eps = glsseed.gls_exchange_matrix(parse_cartan_type(fx["type"]), tuple(fx["word"]))
+    if "keep" in fx:
+        eps = eps.restrict(fx["keep"])
+    return _matrix_diff(eps.mutate_seq(fx.get("seq", ())), fx["expected"])
 
 
 def _run_gls_quiver(fx):
@@ -138,9 +128,9 @@ def _run_family(fx):
 
 
 _RUNNERS = {
-    "gls_matrix": _run_gls_matrix,
-    "restrict": _run_restrict,
-    "mutate": _run_mutate,
+    "gls_matrix": _run_matrix,
+    "restrict": _run_matrix,
+    "mutate": _run_matrix,
     "gls_quiver": _run_gls_quiver,
     "qgf_pair": _run_qgf_pair,
     "ft_witness": _run_ft_witness,

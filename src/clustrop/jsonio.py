@@ -1,8 +1,7 @@
-"""JSON (de)serialization for matrices, traces, polytopes, families, certificates.
+"""JSON (de)serialization for matrices, quivers, polytopes, families, certificates.
 
 Formats:
   matrix    {"cols": [labels], "frozen": [labels], "d": [ints], "rows": {"label": [ints]}}
-  trace     {"seq": [label, ...]}
   polytope  {"vertices": [["p/q", ...], ...]}
   family    {"matrix": ..., "polytope": ..., "stages": [{"seq": [...], "r": k, "s": k}]}
 
@@ -16,7 +15,7 @@ import json
 from dataclasses import fields
 from fractions import Fraction as Q
 
-from .mutation import ExtendedExchangeMatrix, MutationTrace, Quiver, exchange_matrix
+from .mutation import ExtendedExchangeMatrix, Quiver, exchange_matrix
 from .polytopes import RationalPolytope, hull
 from .tropical import DistinguishCertificate, FamilySpec, Stage, StageRecord
 
@@ -76,17 +75,6 @@ def matrix_from_obj(obj: dict) -> ExtendedExchangeMatrix:
         raise FormatError(f"rows keys {sorted(rows_map)} do not match mutable labels {mutable}")
     rows = [rows_map[r] for r in mutable]
     return exchange_matrix(cols, frozen, d, rows)
-
-
-def trace_to_obj(trace: MutationTrace) -> dict:
-    return {"seq": list(trace.seq)}
-
-
-def seq_from_obj(obj: dict) -> tuple[int, ...]:
-    try:
-        return tuple(int(k) for k in _need(obj, "seq"))
-    except (TypeError, ValueError):
-        raise FormatError("malformed trace object") from None
 
 
 # -- quivers ----------------------------------------------------------------

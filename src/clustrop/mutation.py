@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
+from typing import NamedTuple
 
 
 class MutationError(ValueError):
@@ -20,12 +22,26 @@ class FrozenIndexError(MutationError):
     pass
 
 
-def _sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _pos(x):
     return x if x > 0 else 0
+
+
+class _Labels(NamedTuple):
+    """Read-only label record shared by every matrix with the same (cols, frozen)."""
+
+    ci: dict[int, int]  # column label -> column index
+    mutable: tuple[int, ...]  # mutable labels in column order
+    ri: dict[int, int]  # mutable label -> row index
+    mcols: tuple[int, ...]  # column index of each row's label
+    fcols: tuple[tuple[int, int], ...]  # (label, column index) per frozen label, sorted
+
+
+@lru_cache(maxsize=32)
+def _labels(cols: tuple[int, ...], frozen: frozenset[int]) -> _Labels:
+    ci = {c: i for i, c in enumerate(cols)}
+    mutable = tuple(c for c in cols if c not in frozen)
+    ri = {r: i for i, r in enumerate(mutable)}
+    return _Labels(ci, mutable, ri, tuple(map(ci.get, mutable)), tuple((s, ci[s]) for s in sorted(frozen)))
 
 
 @dataclass(frozen=True)
@@ -36,6 +52,9 @@ class ExtendedExchangeMatrix:
     frozen: subset of J (no rows stored for these)
     d:      positive integer per column, aligned with cols
     rows:   one integer row per mutable label, aligned with cols
+
+    Every instance, mutated ones included, is validated on construction; the
+    label lookups read a record shared through `_labels`, not a field.
     """
 
     cols: tuple[int, ...]
@@ -44,36 +63,49 @@ class ExtendedExchangeMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(set(self.cols)) != len(self.cols):
+        cols, d, rows = self.cols, self.d, self.rows
+        colset = set(cols)
+        if len(colset) != len(cols):
             raise MutationError("duplicate column labels")
-        if not self.frozen <= set(self.cols):
+        if not self.frozen <= colset:
             raise MutationError("frozen labels must be columns")
-        if any(x <= 0 for x in self.d) or len(self.d) != len(self.cols):
+        lab = _labels(cols, frozenset(self.frozen))
+        object.__setattr__(self, "_lab", lab)
+        if any(x <= 0 for x in d) or len(d) != len(cols):
             raise MutationError("d must be positive, one entry per column")
-        if len(self.rows) != len(self.mutable):
+        if len(rows) != len(lab.mutable):
             raise MutationError("need one row per mutable label")
-        for row in self.rows:
-            if len(row) != len(self.cols):
+        for row in rows:
+            if len(row) != len(cols):
                 raise MutationError("row length must match column count")
-        for r in self.mutable:
-            for s in self.mutable:
-                if self.entry(r, s) * self.dcol(r) + self.entry(s, r) * self.dcol(s) != 0:
-                    raise MutationError(f"not skew-symmetrizable at ({r},{s})")
+        # eps_rs d_r + eps_sr d_s == 0 is symmetric in (r, s), so scanning
+        # b >= a reports the same first failing pair as the full square
+        mc = lab.mcols
+        for a, row_a in enumerate(rows):
+            ca = mc[a]
+            da = d[ca]
+            for b in range(a, len(rows)):
+                cb = mc[b]
+                if row_a[cb] * da + rows[b][ca] * d[cb] != 0:
+                    raise MutationError(f"not skew-symmetrizable at ({lab.mutable[a]},{lab.mutable[b]})")
 
     @property
     def mutable(self) -> tuple[int, ...]:
-        return tuple(c for c in self.cols if c not in self.frozen)
+        return self._lab.mutable
 
     def col_index(self, s: int) -> int:
         try:
-            return self.cols.index(s)
-        except ValueError:
+            return self._lab.ci[s]
+        except KeyError:
             raise MutationError(f"unknown label {s}") from None
 
     def row_index(self, r: int) -> int:
         if r in self.frozen:
             raise FrozenIndexError(f"label {r} is frozen")
-        return self.mutable.index(r)
+        try:
+            return self._lab.ri[r]
+        except KeyError:
+            raise MutationError(f"unknown label {r}") from None
 
     def dcol(self, s: int) -> int:
         return self.d[self.col_index(s)]
@@ -96,24 +128,25 @@ class ExtendedExchangeMatrix:
         return int(val)
 
     def mutate(self, k: int) -> "ExtendedExchangeMatrix":
-        """Matrix mutation in direction k (a mutable label); involutive, keeps d."""
+        """Matrix mutation in direction k (a mutable label); involutive, keeps d.
+
+        eps_rs + sgn(eps_ks)[eps_rk eps_ks]_+ is eps_rs + eps_rk [±eps_ks]_+ with
+        the sign of eps_rk; row and column k change sign."""
         if k in self.frozen:
             raise FrozenIndexError(f"cannot mutate at frozen label {k}")
         ki = self.col_index(k)
-        krow = self.rows[self.row_index(k)]
+        kr = self._lab.ri[k]
+        krow = self.rows[kr]
+        kpos = [x if x > 0 else 0 for x in krow]
+        kneg = [-x if x < 0 else 0 for x in krow]
         new_rows = []
-        for r, row in zip(self.mutable, self.rows):
-            if r == k:
+        for r, row in enumerate(self.rows):
+            if r == kr:
                 new_rows.append(tuple(-x for x in row))
                 continue
             e_rk = row[ki]
-            new = []
-            for si, e_rs in enumerate(row):
-                if si == ki:
-                    new.append(-e_rs)
-                else:
-                    e_ks = krow[si]
-                    new.append(e_rs + _sgn(e_ks) * _pos(e_rk * e_ks))
+            new = [a + e_rk * b for a, b in zip(row, kpos if e_rk > 0 else kneg)] if e_rk else list(row)
+            new[ki] = -e_rk  # kpos and kneg vanish at k
             new_rows.append(tuple(new))
         return ExtendedExchangeMatrix(self.cols, self.frozen, self.d, tuple(new_rows))
 
@@ -130,11 +163,7 @@ class ExtendedExchangeMatrix:
         idx = [self.col_index(c) for c in cols]
         frozen = frozenset(c for c in cols if c in self.frozen)
         d = tuple(self.d[i] for i in idx)
-        rows = tuple(
-            tuple(row[i] for i in idx)
-            for r, row in zip(self.mutable, self.rows)
-            if r in keep
-        )
+        rows = tuple(tuple(row[i] for i in idx) for r, row in zip(self.mutable, self.rows) if r in keep)
         return ExtendedExchangeMatrix(cols, frozen, d, rows)
 
     def mutable_part(self) -> "ExtendedExchangeMatrix":
@@ -144,14 +173,8 @@ class ExtendedExchangeMatrix:
         return max((abs(x) for row in self.rows for x in row), default=0)
 
     def max_frozen_drop(self) -> int:
-        """max of -entry over mutable rows and frozen columns (0 if none)."""
-        best = 0
-        fidx = [self.col_index(s) for s in self.cols if s in self.frozen]
-        for row in self.rows:
-            for i in fidx:
-                if -row[i] > best:
-                    best = -row[i]
-        return best
+        """max of -entry over mutable rows and frozen columns, and 0."""
+        return max([0] + [-row[i] for row in self.rows for _, i in self._lab.fcols])
 
     def is_skew_symmetric(self) -> bool:
         mut = self.mutable
@@ -159,12 +182,8 @@ class ExtendedExchangeMatrix:
 
 
 def exchange_matrix(cols, frozen, d, rows) -> ExtendedExchangeMatrix:
-    return ExtendedExchangeMatrix(
-        tuple(cols),
-        frozenset(frozen),
-        tuple(int(x) for x in d),
-        tuple(tuple(int(x) for x in row) for row in rows),
-    )
+    rows = tuple(tuple(int(x) for x in row) for row in rows)
+    return ExtendedExchangeMatrix(tuple(cols), frozenset(frozen), tuple(int(x) for x in d), rows)
 
 
 @dataclass(frozen=True)
@@ -261,12 +280,6 @@ class Quiver:
     frozen_entries: tuple[tuple[int, int, int], ...]
     matrix: ExtendedExchangeMatrix
 
-    def arrow_count(self, i: int, j: int) -> int:
-        for a, b, m in self.arrows:
-            if (a, b) == (i, j):
-                return m
-        return 0
-
     def arrow_dict(self) -> dict[tuple[int, int], int]:
         return {(a, b): m for a, b, m in self.arrows}
 
@@ -285,15 +298,11 @@ def to_quiver(eps: ExtendedExchangeMatrix) -> Quiver:
             if s == r:
                 continue
             e = eps.entry(r, s)
-            if s in muts:
-                if e > 0:
-                    arrows[(s, r)] = e
-            else:
+            if e > 0:
+                arrows[(s, r)] = e
+            elif e < 0 and s not in muts:
                 # skew-symmetric extension decides the frozen-incident arrows
-                if e > 0:
-                    arrows[(s, r)] = e
-                elif e < 0:
-                    arrows[(r, s)] = -e
+                arrows[(r, s)] = -e
     fz = tuple(
         (r, s, eps.entry(r, s))
         for r in mut
@@ -528,10 +537,9 @@ def mutable_finiteness(eps: ExtendedExchangeMatrix, node_cap: int = 4096) -> str
     res = mutation_class_bfs(part, node_cap=node_cap, entry_cap=max(3, part.max_abs_entry()))
     if res.status == "finite":
         return "finite"
-    if res.status == "entry_exceeded":
-        if skew and len(part.cols) >= 3 and res.trace.result.max_abs_entry() >= 3:
-            return "infinite"
-        return "unknown"
+    exceeded = res.status == "entry_exceeded"
+    if exceeded and skew and len(part.cols) >= 3 and res.trace.result.max_abs_entry() >= 3:
+        return "infinite"
     return "unknown"
 
 
@@ -547,9 +555,10 @@ class LargeEntryWitness:
 
 def _best_frozen_drop(eps: ExtendedExchangeMatrix):
     best = None
-    for r in eps.mutable:
-        for s in sorted(eps.frozen):
-            v = -eps.entry(r, s)
+    fcols = eps._lab.fcols
+    for r, row in zip(eps.mutable, eps.rows):
+        for s, i in fcols:
+            v = -row[i]
             if best is None or v > best[0]:
                 best = (v, r, s)
     return best
@@ -565,8 +574,11 @@ def large_entry_search(
     frozen-column entry -eps_{r,s} >= target.
 
     States are scored by the largest frozen-column magnitude; ties break
-    lexicographically on the mutation sequence.  Returns None only when the
-    expansion budget is exhausted (never a nonexistence claim).
+    lexicographically on the mutation sequence.  Returns None when the search
+    stops without a witness: the expansion budget is spent, or the beam
+    empties because every child was already reached by a sequence no longer
+    than its own.  The beam keeps only beam_width states per layer, so None is
+    never a nonexistence claim.
     """
     if target < 1:
         raise MutationError("target must be >= 1")

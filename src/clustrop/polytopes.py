@@ -76,11 +76,6 @@ def halfspace(normal, offset) -> HalfSpace:
 # Double description on cones
 
 
-def _tight_rank_ok(constraints, zset, d):
-    rows = [constraints[i] for i in zset]
-    return rank(rows) >= d - 1 if rows else d <= 1
-
-
 def _dd_extreme_rays(constraints: list[tuple[Q, ...]], d: int) -> list[tuple[int, ...]]:
     """Extreme rays of {x in R^d : a.x >= 0 for all a}, for pointed cones.
 

@@ -55,15 +55,9 @@ def trop_mutate_point(eps: ExtendedExchangeMatrix, k: int, u) -> Point:
         raise TropicalError("point dimension does not match column count")
     ki = eps.col_index(k)
     uk = u[ki]
-    row = eps.row(k)
-    out = []
-    for j, (label, uj) in enumerate(zip(eps.cols, u)):
-        if j == ki:
-            out.append(-uk)
-        elif uk >= 0:
-            out.append(uj + _pos(row[j]) * uk)
-        else:
-            out.append(uj + _pos(-row[j]) * uk)
+    sign = 1 if uk >= 0 else -1
+    out = [uj + _pos(sign * e) * uk for uj, e in zip(u, eps.row(k))]
+    out[ki] = -uk
     return tuple(out)
 
 
@@ -401,7 +395,8 @@ def distinguish_certificate(family: FamilySpec) -> DistinguishCertificate:
 
     Stages are replayed by tropical mutation of the polytope; a non-convex
     image blocks that stage and every later one.  Each reached stage is
-    certified by `_certify_stage`.
+    certified by `_certify_stage`, which reuses the initial QGF solve and
+    the replay's images where the polytope is the same.
     """
     eps = family.matrix
     P = family.polytope
@@ -422,20 +417,23 @@ def distinguish_certificate(family: FamilySpec) -> DistinguishCertificate:
 
     records: list[StageRecord] = []
     cur_eps, cur_P = eps, P
+    images: dict[int, TropImage] = {}  # direction -> image of cur_P under cur_eps
     done: tuple[int, ...] = ()
     blocked: str | None = None
     for st in family.stages:
         if blocked is None:
             for k in st.seq[len(done):]:
-                img = trop_mutate_polytope(cur_eps, k, cur_P)
+                img = images[k] if k in images else trop_mutate_polytope(cur_eps, k, cur_P)
                 if not img.convex:
                     blocked = f"non-convex tropical image at direction {k} after {done}"
                     break
                 cur_P = img.polytope
                 cur_eps = cur_eps.mutate(k)
                 done = done + (k,)
+                images = {}
         if blocked is None:
-            records.append(_certify_stage(st, cur_eps, cur_P, cert))
+            solved = (cert, msg) if cur_P is P else None
+            records.append(_certify_stage(st, cur_eps, cur_P, cert, solved, images))
         else:
             records.append(StageRecord(st.seq, st.r, st.s, notes=(f"replay blocked: {blocked}",)))
 
@@ -458,10 +456,12 @@ def distinguish_certificate(family: FamilySpec) -> DistinguishCertificate:
 
 
 def _certify_stage(
-    st: Stage, eps: ExtendedExchangeMatrix, P: RationalPolytope, cert: QGFCertificate | None
+    st: Stage, eps: ExtendedExchangeMatrix, P: RationalPolytope, cert: QGFCertificate | None,
+    solved: tuple | None, images: dict[int, TropImage],
 ) -> StageRecord:
     """Certify one replayed stage: eps and P are the matrix and polytope after
-    st.seq, cert the initial polytope's QGF certificate (None if it has none).
+    st.seq, cert the initial polytope's QGF certificate (None if it has none),
+    solved qgf_solve(P) if known, images a direction -> image memo for (eps, P).
 
     Records eps_{r,s}, checks both half-space conditions, computes q from
     size/a_s in lowest terms, verifies the dual lattice points along the
@@ -478,14 +478,16 @@ def _certify_stage(
     si = eps.col_index(st.s)
     hs = halfspace(_unit(n, si), 0)
     cond2 = all(hs.contains(v) for v in P.vertices)
-    img = trop_mutate_polytope(eps, st.r, P)
+    if st.r not in images:
+        images[st.r] = trop_mutate_polytope(eps, st.r, P)
+    img = images[st.r]
     cond3 = all(hs.contains(v) for v in img.piece_vertices())
     if not cond2:
         notes.append(f"polytope leaves the half-space u_{st.s} >= 0")
     if not cond3:
         notes.append(f"mutated polytope leaves the half-space u_{st.s} >= 0")
 
-    scert, smsg = qgf_solve(P)
+    scert, smsg = solved or qgf_solve(P)
     qgf_ok = scert is not None
     size_ok = bool(scert and cert and scert.size == cert.size)
     center_ok = bool(scert and cert and scert.center == cert.center)

@@ -105,6 +105,63 @@ def test_search_budget_exit_code(capsys, tmp_path):
     assert code == 3 and json.loads(stdout)["found"] is False
 
 
+def test_search_stops_when_beam_empties(capsys, tmp_path, monkeypatch):
+    """A2 with one frozen column: every child repeats a shorter sequence after
+    28 expansions, far inside the budget; the CLI still reports exit 3 and
+    the same {"budget", "found"} object as a spent budget."""
+    from clustrop.mutation import ExtendedExchangeMatrix
+
+    calls = []
+    mutate = ExtendedExchangeMatrix.mutate
+    monkeypatch.setattr(ExtendedExchangeMatrix, "mutate", lambda self, k: calls.append(k) or mutate(self, k))
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"cols": [1, 2, 3], "frozen": [3], "d": [1, 1, 1], "rows": {"1": [0, 1, -1], "2": [-1, 0, 1]}}))
+    code, stdout, _ = run(capsys, "search-large-entry", "--in", str(m), "--target", "100")
+    assert code == 3
+    assert stdout == '{"budget":20000,"found":false}\n'
+    assert len(calls) == 28
+
+
+def test_out_file_bytes_match_stdout(capsys, tmp_path):
+    out = tmp_path / "m.json"
+    argv = ["seed", "--type", "C3", "--word", NINE]
+    _, stdout, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    assert out.read_bytes() == stdout.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+def test_failed_out_write_keeps_existing_file(capsys, tmp_path, monkeypatch):
+    """A write that fails part-way leaves the old file and no temporary file."""
+    import builtins
+
+    from clustrop import cli
+
+    out = tmp_path / "m.json"
+    out.write_text("old contents\n")
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **kw: HalfWriter(builtins.open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="no space left"):
+        main(["seed", "--type", "C3", "--word", NINE, "--out", str(out)])
+    assert out.read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
 def test_class_bfs_exit_codes(capsys, tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps({"cols": [1, 2], "frozen": [], "d": [1, 1], "rows": {"1": [0, 1], "2": [-1, 0]}}))
@@ -196,6 +253,16 @@ def _family_2stage():
 
 def _golden_inputs(tmp_path, case):
     """Argv for one pinned CLI case; input files are written to tmp_path."""
+    if case == "class_bfs_ft_a22":
+        m = tmp_path / "m.json"
+        fx = json.loads((resources.files("clustrop") / "fixtures" / "ft_a22.json").read_text())
+        m.write_text(json.dumps(fx["matrix"]))
+        return ["class-bfs", "--in", str(m), "--node-cap", "2000"]
+    if case == "search_c3_target8":
+        m = tmp_path / "m.json"
+        c3 = gls_exchange_matrix(cartan_matrix("C", 3), (3, 2, 3, 2, 1, 2, 3, 2, 1)).restrict({1, 2, 3, 6, 8})
+        m.write_text(jsonio.dumps(jsonio.matrix_to_obj(c3)))
+        return ["search-large-entry", "--in", str(m), "--target", "8"]
     fam = _family_2stage()
     if case == "certify_blocked":
         # two valid stages, a zero a_s, a positive entry, then a replay that
@@ -222,7 +289,15 @@ def _golden_inputs(tmp_path, case):
 
 @pytest.mark.parametrize(
     "case, code",
-    [("certify_2stage", 0), ("certify_blocked", 2), ("trop_k1", 0), ("trop_k2", 0), ("trop_nonconvex", 2)],
+    [
+        ("certify_2stage", 0),
+        ("certify_blocked", 2),
+        ("trop_k1", 0),
+        ("trop_k2", 0),
+        ("trop_nonconvex", 2),
+        ("class_bfs_ft_a22", 3),
+        ("search_c3_target8", 0),
+    ],
 )
 def test_golden_stdout(capsys, tmp_path, case, code):
     """Exact stdout bytes against tests/golden; change a golden file only

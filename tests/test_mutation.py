@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as Q
@@ -195,3 +196,126 @@ def test_seed_basis_rejects_frozen_direction():
     b = SeedBasis.initial(eps.cols, eps.d)
     with pytest.raises(FrozenIndexError):
         mutate_seed_basis(b, eps, 2)
+
+
+# -- differential and rejection checks against the pairwise rules ---------------
+
+
+def oracle_mutate_rows(eps, k):
+    """Rows of mu_k(eps) by eps'_rs = eps_rs + sgn(eps_ks)[eps_rk eps_ks]_+ with
+    row and column k negated, read entry by entry through the label API."""
+    rows = []
+    for r in eps.mutable:
+        row = []
+        for s in eps.cols:
+            if r == k or s == k:
+                row.append(-eps.entry(r, s))
+            else:
+                e_rk, e_ks = eps.entry(r, k), eps.entry(k, s)
+                row.append(eps.entry(r, s) + ((e_ks > 0) - (e_ks < 0)) * max(e_rk * e_ks, 0))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def oracle_skew_violation(cols, frozen, d, rows):
+    """First (r, s) over the full square of mutable labels, in label order,
+    with eps_rs d_r + eps_sr d_s != 0; None if there is none."""
+    mut = [c for c in cols if c not in frozen]
+
+    def entry(r, s):
+        return rows[mut.index(r)][cols.index(s)]
+
+    for r in mut:
+        for s in mut:
+            if entry(r, s) * d[cols.index(r)] + entry(s, r) * d[cols.index(s)] != 0:
+                return (r, s)
+    return None
+
+
+def differential_start_matrices(rng):
+    """Restrictions of the GLS seeds (each keeps a mutable label) and random
+    skew-symmetrizable matrices with frozen columns."""
+    seeds = [
+        gls_exchange_matrix(cartan_matrix("C", 3), NINE),
+        gls_exchange_matrix(cartan_matrix("B", 3), NINE),
+        gls_exchange_matrix(cartan_matrix("G", 2), (1, 2, 1, 2, 1, 2)),
+        gls_exchange_matrix(cartan_matrix("A", 4), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)),
+    ]
+    out = []
+    for i in range(120):
+        eps = seeds[i % len(seeds)]
+        keep = set(rng.sample(eps.cols, rng.randint(2, len(eps.cols))))
+        keep.add(rng.choice(eps.mutable))
+        out.append(eps.restrict(keep))
+    for _ in range(120):
+        out.append(random_matrix(rng, n_mut=rng.randint(1, 5), n_frozen=rng.randint(1, 3)))
+    return out
+
+
+def test_mutate_matches_sign_rule_oracle():
+    rng = random.Random(20250)
+    cases = 0
+    for eps in differential_start_matrices(rng):
+        for _ in range(6):
+            k = rng.choice(eps.mutable)
+            child = eps.mutate(k)
+            assert child.rows == oracle_mutate_rows(eps, k)
+            eps = child
+            cases += 1
+    assert cases >= 1000
+
+
+def test_skew_check_reports_the_oracles_first_failing_pair():
+    rng = random.Random(20251)
+    bad = 0
+    for eps in differential_start_matrices(rng):
+        rows = [list(row) for row in eps.rows]
+        for _ in range(rng.randint(1, 2)):
+            rows[rng.randrange(len(rows))][rng.randrange(len(eps.cols))] += rng.choice([-1, 1])
+        want = oracle_skew_violation(eps.cols, eps.frozen, eps.d, rows)
+        if want is None:
+            assert exchange_matrix(eps.cols, eps.frozen, eps.d, rows).rows == tuple(map(tuple, rows))
+            continue
+        bad += 1
+        with pytest.raises(MutationError) as exc:
+            exchange_matrix(eps.cols, eps.frozen, eps.d, rows)
+        assert str(exc.value) == f"not skew-symmetrizable at ({want[0]},{want[1]})"
+    assert bad >= 100
+
+
+@pytest.mark.parametrize(
+    "cols, frozen, d, rows, message",
+    [
+        ([1, 1], [], [1, 1], [[0, 0], [0, 0]], "duplicate column labels"),
+        ([1, 2], [3], [1, 1], [[0, 0], [0, 0]], "frozen labels must be columns"),
+        ([1, 2], [], [1, 0], [[0, 0], [0, 0]], "d must be positive, one entry per column"),
+        ([1, 2], [], [1], [[0, 0], [0, 0]], "d must be positive, one entry per column"),
+        ([1, 2], [2], [1, 1], [[0, 1], [-1, 0]], "need one row per mutable label"),
+        ([1, 2], [], [1, 1], [[0, 1], [-1]], "row length must match column count"),
+        ([1, 2, 3], [], [1, 1, 1], [[0, 1, 0], [-1, 0, 2], [0, -1, 0]], "not skew-symmetrizable at (2,3)"),
+        ([1, 2], [], [2, 1], [[0, 1], [-1, 0]], "not skew-symmetrizable at (1,2)"),
+        ([1, 2], [], [1, 1], [[0, 1], [-1, 1]], "not skew-symmetrizable at (2,2)"),
+    ],
+)
+def test_constructor_rejection_messages(cols, frozen, d, rows, message):
+    with pytest.raises(MutationError) as exc:
+        exchange_matrix(cols, frozen, d, rows)
+    assert type(exc.value) is MutationError
+    assert str(exc.value) == message
+
+
+def test_label_record_is_not_a_field():
+    a = gls_exchange_matrix(cartan_matrix("C", 3), NINE).restrict({1, 2, 3, 6, 8})
+    b = exchange_matrix(a.cols, a.frozen, a.d, a.rows)
+    assert a == b and hash(a) == hash(b)
+    assert a.mutate(3) == b.mutate(3) and hash(a.mutate(3)) == hash(b.mutate(3))
+    assert [f.name for f in dataclasses.fields(ExtendedExchangeMatrix)] == ["cols", "frozen", "d", "rows"]
+
+
+def test_unknown_labels_raise_mutation_errors():
+    eps = gls_exchange_matrix(cartan_matrix("C", 3), NINE)
+    for call in (lambda: eps.entry(99, 1), lambda: eps.entry(1, 99), lambda: eps.row(99), lambda: eps.mutate(99)):
+        with pytest.raises(MutationError, match="unknown label 99"):
+            call()
+    with pytest.raises(FrozenIndexError):
+        eps.entry(7, 1)
