@@ -7,14 +7,14 @@ floating point.  Matrices are tuples of row tuples.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple[Q, ...]
 Mat = tuple[Vec, ...]
 
 
 def qvec(v) -> Vec:
-    return tuple(Q(x) for x in v)
+    return tuple(x if type(x) is Q else Q(x) for x in v)
 
 
 def dot(x, y) -> Q:
@@ -72,23 +72,50 @@ def rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
     return M, pivots
 
 
+def _clear(row, den: int = 0) -> list[int]:
+    """The row times den, by default the lcm of its denominators: a positive
+    scale, so the row's span, its solutions and its signs stay the same."""
+    den = den or lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _bareiss(M: list[list[int]], jordan: bool = False) -> list[int]:
+    """Fraction-free (Bareiss 1968) elimination of an integer matrix in place;
+    returns the pivot columns.  Every entry stays a minor of the input, so
+    each division is exact.  With jordan the entries above each pivot are
+    cleared too, and every pivot row ends with the last pivot on its pivot."""
+    pivots: list[int] = []
+    prev, r, n = 1, 0, len(M)
+    for c in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(r, n) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        row, p = M[r], M[r][c]
+        for i in range(0 if jordan else r + 1, n):
+            if i != r:
+                a = M[i][c]
+                M[i] = [(p * x - a * y) // prev for x, y in zip(M[i], row)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def rank(rows) -> int:
-    return len(rref(list(rows))[1])
+    return len(_bareiss([_clear(r) for r in rows]))
 
 
 def solve(A, b) -> Vec | None:
-    """One exact solution of A x = b, or None if inconsistent."""
+    """One exact solution of A x = b (free variables 0), or None if inconsistent."""
     n = len(A[0]) if A else 0
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    M, pivots = rref(aug)
-    for row in M:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    M = [_clear(tuple(row) + (bv,)) for row, bv in zip(A, b)]
+    pivots = _bareiss(M, jordan=True)
+    if pivots and pivots[-1] == n:
+        return None
     x = [Q(0)] * n
-    for r, c in enumerate(pivots):
-        if c == n:
-            return None
-        x[c] = M[r][-1]
+    for row, c in zip(M, pivots):
+        x[c] = Q(row[n], row[c])
     return tuple(x)
 
 
@@ -101,20 +128,10 @@ def mat_inverse(A) -> Mat:
     return tuple(tuple(M[i][n:]) for i in range(n))
 
 
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // gcd(a, b) if a and b else abs(a or b)
-
-
 def primitive(v) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector, keeping direction."""
-    v = qvec(v)
-    if is_zero(v):
+    ints = v if all(type(x) is int for x in v) else _clear(qvec(v))
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    den = 1
-    for x in v:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
     return tuple(x // g for x in ints)

@@ -172,10 +172,6 @@ class ExtendedExchangeMatrix:
     def max_abs_entry(self) -> int:
         return max((abs(x) for row in self.rows for x in row), default=0)
 
-    def max_frozen_drop(self) -> int:
-        """max of -entry over mutable rows and frozen columns, and 0."""
-        return max([0] + [-row[i] for row in self.rows for _, i in self._lab.fcols])
-
     def is_skew_symmetric(self) -> bool:
         mut = self.mutable
         return all(self.entry(r, s) == -self.entry(s, r) for r in mut for s in mut)
@@ -585,14 +581,8 @@ def large_entry_search(
     if not eps.frozen:
         raise MutationError("matrix has no frozen column")
 
-    def success(m):
-        best = _best_frozen_drop(m)
-        if best and best[0] >= target:
-            return best
-        return None
-
-    hit = success(eps)
-    if hit:
+    hit = _best_frozen_drop(eps)
+    if hit and hit[0] >= target:
         return LargeEntryWitness(MutationTrace(eps, (), eps), hit[1], hit[2], hit[0])
 
     beam = [(eps, ())]
@@ -609,12 +599,12 @@ def large_entry_search(
                 if prev is not None and prev <= cseq:
                     continue
                 seen[child] = cseq
-                children.append((child, cseq))
-        hits = [(cseq, child, hit) for child, cseq in children if (hit := success(child))]
+                # one scan of the frozen columns gives both the hit test and the beam key
+                children.append((child, cseq, _best_frozen_drop(child)))
+        hits = [(cseq, child, best) for child, cseq, best in children if best[0] >= target]
         if hits:
-            hits.sort(key=lambda t: t[0])
-            cseq, child, (val, r, s) = hits[0]
+            cseq, child, (val, r, s) = min(hits, key=lambda t: t[0])
             return LargeEntryWitness(MutationTrace(eps, cseq, child), r, s, val)
-        children.sort(key=lambda t: (-t[0].max_frozen_drop(), t[1]))
-        beam = children[:beam_width]
+        children.sort(key=lambda t: (-max(0, t[2][0]), t[1]))
+        beam = [(child, cseq) for child, cseq, _ in children[:beam_width]]
     return None

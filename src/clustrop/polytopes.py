@@ -1,10 +1,12 @@
 """Exact rational polytopes: hulls, facets, duals, lattice points, QGF certificates.
 
-All arithmetic is over Fraction; there is no floating point anywhere in this
-module.  Facet normals are stored as primitive integer vectors with the
-offset carrying the scale.  Vertex/facet conversion runs the double
-description method on the homogenization cone, which is practical for the
-dense low-dimensional polytopes handled here (roughly m <= 6).
+The kernel is integer: the double description, incidence tests and lattice
+enumeration clear denominators once and run on int, and Fraction stays only
+at the API boundary (vertices, offsets, centers).  There is no floating point
+anywhere in this module.  Facet normals are stored as primitive integer
+vectors with the offset carrying the scale.  Vertex/facet conversion runs the
+double description method on the homogenization cone, which is practical for
+the dense low-dimensional polytopes handled here (roughly m <= 6).
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from operator import mul
 
 from .linalg import (
+    _bareiss,
+    _clear,
     dot,
     is_zero,
     mat_inverse,
@@ -23,7 +28,7 @@ from .linalg import (
     primitive,
     qvec,
     rank,
-    rref,
+    rref,  # noqa: F401  unused here; bench/spans.py wraps polytopes.rref by name
     solve,
     vadd,
     vscale,
@@ -79,63 +84,43 @@ def halfspace(normal, offset) -> HalfSpace:
 def _dd_extreme_rays(constraints: list[tuple[Q, ...]], d: int) -> list[tuple[int, ...]]:
     """Extreme rays of {x in R^d : a.x >= 0 for all a}, for pointed cones.
 
-    Starts from a simplicial subcone on d independent constraints and adds the
-    rest incrementally; adjacency is decided combinatorially on tight sets.
+    Each constraint is scaled once to a primitive integer row (a positive scale
+    leaves the cone unchanged), so all arithmetic stays in int.  Starts from the
+    simplicial subcone on the first d independent constraints and adds the rest
+    incrementally; adjacency is decided combinatorially on tight sets (bitsets).
     """
-    M, pivots = rref([list(c) for c in constraints])
-    if len(pivots) < d:
+    rows = [primitive(c) for c in constraints]
+    # pivot columns of the transpose: each constraint independent of those before it
+    chosen = _bareiss([list(col) for col in zip(*rows)])
+    if len(chosen) < d:
         raise DegenerateError("constraint normals do not span; cone is not pointed")
-    # pick d rows forming an invertible matrix
-    chosen: list[int] = []
-    for i, c in enumerate(constraints):
-        if len(chosen) == d:
-            break
-        if rank([constraints[j] for j in chosen] + [c]) > len(chosen):
-            chosen.append(i)
-    A = [constraints[i] for i in chosen]
-    Ainv = mat_inverse(A)
-    rays = []
-    for j in range(d):
-        col = tuple(Ainv[i][j] for i in range(d))
-        rays.append(primitive(col))
-    tight = []
-    for r in rays:
-        tight.append({i for i in chosen if dot(constraints[i], r) == 0})
-    processed = set(chosen)
-    for idx, a in enumerate(constraints):
-        if idx in processed:
+    # [A | I] -> [D I | D A^-1], so D times column j of D A^-1 is a positive multiple of ray j
+    M = [list(rows[i]) + [int(i == j) for j in chosen] for i in chosen]
+    _bareiss(M, jordan=True)
+    rays = [primitive(tuple(M[0][0] * row[d + j] for row in M)) for j in range(d)]
+    full = sum(1 << i for i in chosen)
+    tight = [full ^ (1 << i) for i in chosen]
+    for idx, a in enumerate(rows):
+        if (full >> idx) & 1:
             continue
-        vals = [dot(a, r) for r in rays]
+        bit = 1 << idx
+        vals = [sum(map(mul, a, r)) for r in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
-        if not neg:
-            for i in zero:
-                tight[i].add(idx)
-            processed.add(idx)
-            continue
-        new_rays = []
-        new_tight = []
+        new: dict[tuple[int, ...], int] = {}
         for ip in pos:
             for im in neg:
                 common = tight[ip] & tight[im]
-                adjacent = True
-                for k in range(len(rays)):
-                    if k != ip and k != im and common <= tight[k]:
-                        adjacent = False
-                        break
-                if not adjacent:
+                # adjacent rays share at least d - 2 tight constraints
+                if common.bit_count() < d - 2:
                     continue
-                vec = vsub(vscale(vals[ip], rays[im]), vscale(vals[im], rays[ip]))
-                vec = primitive(vec)
-                if vec not in new_rays:
-                    new_rays.append(vec)
-                    new_tight.append(common | {idx})
-        keep_rays = [rays[i] for i in pos] + [rays[i] for i in zero]
-        keep_tight = [set(tight[i]) for i in pos] + [tight[i] | {idx} for i in zero]
-        rays = keep_rays + new_rays
-        tight = keep_tight + new_tight
-        processed.add(idx)
+                if any(k != ip and k != im and common & t == common for k, t in enumerate(tight)):
+                    continue
+                vec = tuple(vals[ip] * x - vals[im] * y for x, y in zip(rays[im], rays[ip]))
+                new.setdefault(primitive(vec), common | bit)
+        rays = [rays[i] for i in pos] + [rays[i] for i in zero] + list(new)
+        tight = [tight[i] for i in pos] + [tight[i] | bit for i in zero] + list(new.values())
     return rays
 
 
@@ -154,18 +139,25 @@ def vertices_from_facets(halves: list[HalfSpace], m: int) -> list[Point]:
 
 
 def facets_from_points(points: list[Point], m: int) -> list[HalfSpace]:
-    """Facet half-spaces (primitive integer inward normals) of conv(points)."""
-    c = vscale(Q(1, len(points)), tuple(sum(col, Q(0)) for col in zip(*points)))
+    """Facet half-spaces (primitive integer inward normals) of conv(points).
+
+    Each vertex y of the polar dual about the centroid c = S / (N den), where
+    den * p is integral, gives the facet <u - c, y> + 1 >= 0; the dual
+    constraint <p - c, y> + 1 >= 0 is scaled to (N den p - S, N den)."""
+    N = len(points)
+    den = math.lcm(*(x.denominator for p in points for x in p))
+    ipts = [_clear(p, den) for p in points]
+    S = [sum(col) for col in zip(*ipts)]
+    rows = [[N * x - s for x, s in zip(p, S)] for p in ipts]
     # a point equal to the centroid is interior and adds no dual constraint
-    dual_halves = [HalfSpace(vsub(p, c), Q(1)) for p in points if not is_zero(vsub(p, c))]
-    dual_verts = vertices_from_facets(dual_halves, m)
+    dual_verts = vertices_from_facets([HalfSpace(r, N * den) for r in rows if any(r)], m)
     facets = []
     for y in dual_verts:
         n = primitive(y)
-        scale = next(a / b for a, b in zip(y, n) if b != 0)
-        beta = (dot(c, y) - 1) / scale
-        facets.append(HalfSpace(qvec(n), -beta))
-    return sorted(set(facets), key=lambda h: (h.normal, h.offset))
+        # y = (t/g) n, so the facet is <u, n> + t/g - <c, n> >= 0
+        t_g = next(b / a for a, b in zip(y, n) if b != 0)
+        facets.append((n, t_g - Q(sum(map(mul, S, n)), N * den)))
+    return [HalfSpace(n, offset) for n, offset in sorted(facets)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +267,14 @@ def _affine_coords(p0, basis, p):
     return solve(A, diff)
 
 
+def _tight_sets(facets: list[HalfSpace], points) -> list[int]:
+    """For each point, the bitset of facets whose boundary holds it, in integers."""
+    den = math.lcm(*(x.denominator for p in points for x in p), *(f.offset.denominator for f in facets))
+    rows = [(tuple(map(int, f.normal)), int(f.offset * den)) for f in facets]
+    ipts = [_clear(p, den) for p in points]
+    return [sum(1 << j for j, (n, b) in enumerate(rows) if sum(map(mul, n, ip)) + b == 0) for ip in ipts]
+
+
 def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
     """Convex hull of full-dimension-spanning points: minimal V-rep plus facets."""
     pts = sorted({qvec(p) for p in points})
@@ -286,12 +286,10 @@ def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
     if rank([vsub(p, pts[0]) for p in pts[1:]]) < m:
         raise DegenerateError("points do not span the full dimension")
     facets = facets_from_points(pts, m)
-    # a point is a vertex exactly when its tight facet normals span everything
-    verts = []
-    for p in pts:
-        tight = [f.normal for f in facets if f.value(p) == 0]
-        if len(tight) >= m and rank(tight) == m:
-            verts.append(p)
+    tight = _tight_sets(facets, pts)
+    # a non-vertex lies inside a face whose vertices are among the points, and
+    # each of those is tight wherever it is; a vertex's tight facets meet only there
+    verts = [p for i, (p, t) in enumerate(zip(pts, tight)) if all(t & u != t for u in tight[:i] + tight[i + 1:])]
     return RationalPolytope(tuple(verts), m, m, tuple(facets))
 
 
@@ -353,19 +351,46 @@ def is_supporting(h: HalfSpace, P: RationalPolytope) -> bool:
 
 
 def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
-    """All points of (1/q)Z^m inside P, by exact bounding-box enumeration."""
+    """All points of (1/q)Z^m inside P, in lexicographic order, by fibers.
+
+    Walks the bounding box of the first m - 1 coordinates carrying each facet's
+    partial sum; for each prefix the last coordinate runs over its exact
+    interval, got from the facets as integer rows by floor and ceiling
+    division, so empty cells are never visited.  A lower-dimensional P has no
+    facets: each last coordinate in its box range is tested by membership.
+    """
     if q < 1:
         raise PolytopeError("q must be a positive integer")
     if P.is_empty:
         return []
-    ranges = []
-    for lo, hi in P.bounding_box():
-        ranges.append(range(math.ceil(lo * q), math.floor(hi * q) + 1))
+    *box, last = [range(math.ceil(lo * q), math.floor(hi * q) + 1) for lo, hi in P.bounding_box()]
+    # <n, k/q> + offset >= 0  <=>  <den n, k> + num >= 0 where q offset = num/den; sorted by the
+    # last coefficient: upper bounds on the last coordinate, rows free of it, lower bounds
+    rows = sorted(
+        (([int(x) * b.denominator for x in f.normal], b.numerator) for f in P.facets or () for b in [f.offset * q]),
+        key=lambda r: r[0][-1],
+    )
+    tail = [n[-1] for n, _ in rows]
+    up, down = sum(a < 0 for a in tail), len(tail) - sum(a > 0 for a in tail)
     out = []
-    for combo in itertools.product(*ranges):
-        p = tuple(Q(k, q) for k in combo)
-        if P.contains(p):
-            out.append(p)
+
+    def walk(prefix, sums):
+        j = len(prefix)
+        if j < len(box):
+            col = [n[j] for n, _ in rows]
+            for k in box[j]:
+                walk(prefix + (k,), [x + k * a for x, a in zip(sums, col)])
+            return
+        if any(x < 0 for x in sums[up:down]):
+            return
+        lo = max([last.start] + [-(x // a) for x, a in zip(sums[down:], tail[down:])])
+        hi = min([last.stop - 1] + [x // -a for x, a in zip(sums, tail[:up])])
+        for k in range(lo, hi + 1):
+            p = tuple(Q(x, q) for x in prefix + (k,))
+            if rows or P.contains(p):
+                out.append(p)
+
+    walk((), [b for _, b in rows])
     return out
 
 
@@ -452,11 +477,7 @@ def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
     """
     vals = {v: h.value(v) for v in P.vertices}
     use_edges = P.is_full_dim
-    tightsets = {}
-    if use_edges:
-        tightsets = {
-            v: frozenset(i for i, f in enumerate(P.facets) if f.value(v) == 0) for v in P.vertices
-        }
+    tightsets = dict(zip(P.vertices, _tight_sets(P.facets, P.vertices))) if use_edges else {}
     out = []
     m = P.ambient_dim
     for u, v in itertools.combinations(P.vertices, 2):
@@ -465,7 +486,8 @@ def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
             continue
         if use_edges:
             common = tightsets[u] & tightsets[v]
-            if len(common) < m - 1 or rank([P.facets[i].normal for i in common]) != m - 1:
+            normals = [f.normal for i, f in enumerate(P.facets) if common >> i & 1]
+            if len(normals) < m - 1 or rank(normals) != m - 1:
                 continue
         t = a / (a - b)
         out.append(vadd(u, vscale(t, vsub(v, u))))

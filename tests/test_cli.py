@@ -251,8 +251,26 @@ def _family_2stage():
     return json.loads((resources.files("clustrop") / "fixtures" / "family_2stage.json").read_text())["family"]
 
 
+# the polar dual of conv of seven primitive normals around the origin (a QGF
+# polytope of size 1 with rational vertices), plus an interior point, an edge
+# midpoint and a point inside the facet u1 = -1
+POLYTOPE_4D = [
+    ["-1", "-1", "-1", "-1"], ["-1", "-1", "-1", "0"], ["-1", "-1", "0", "-1"], ["-1", "1/3", "-1", "4/3"],
+    ["-1", "3/2", "5/2", "-1"], ["-1", "5", "-1", "-1"], ["-1/3", "-1/3", "-1", "4/3"], ["1", "-1", "1", "0"],
+    ["3/2", "-1", "5/2", "-1"], ["2", "-1", "2", "-1"], ["2", "2", "-1", "-1"],
+    ["0", "0", "0", "0"], ["-1", "-1", "-1", "-1/2"], ["-1", "1", "-2/3", "-1"],
+]
+
+
 def _golden_inputs(tmp_path, case):
     """Argv for one pinned CLI case; input files are written to tmp_path."""
+    if case.startswith("polytope_"):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"vertices": POLYTOPE_4D}))
+        sub = case.removeprefix("polytope_")
+        if sub == "lattice_q2":
+            return ["polytope", "lattice-points", "--in", str(p), "--q", "2"]
+        return ["polytope", sub, "--in", str(p)]
     if case == "class_bfs_ft_a22":
         m = tmp_path / "m.json"
         fx = json.loads((resources.files("clustrop") / "fixtures" / "ft_a22.json").read_text())
@@ -297,6 +315,10 @@ def _golden_inputs(tmp_path, case):
         ("trop_nonconvex", 2),
         ("class_bfs_ft_a22", 3),
         ("search_c3_target8", 0),
+        ("polytope_hull", 0),
+        ("polytope_dual", 0),
+        ("polytope_qgf", 0),
+        ("polytope_lattice_q2", 0),
     ],
 )
 def test_golden_stdout(capsys, tmp_path, case, code):
