@@ -11,6 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import chain, islice, repeat
+from operator import add, mul, neg
 from typing import NamedTuple
 
 
@@ -27,21 +29,35 @@ def _pos(x):
 
 
 class _Labels(NamedTuple):
-    """Read-only label record shared by every matrix with the same (cols, frozen)."""
+    """Read-only record shared by every matrix with the same (cols, frozen, d)."""
 
     ci: dict[int, int]  # column label -> column index
     mutable: tuple[int, ...]  # mutable labels in column order
     ri: dict[int, int]  # mutable label -> row index
     mcols: tuple[int, ...]  # column index of each row's label
     fcols: tuple[tuple[int, int], ...]  # (label, column index) per frozen label, sorted
+    pairs: tuple[tuple[int, int, int, int, int, int], ...]  # (a, b, col_a, col_b, d_a, d_b) per row pair b >= a
 
 
 @lru_cache(maxsize=32)
-def _labels(cols: tuple[int, ...], frozen: frozenset[int]) -> _Labels:
+def _labels(cols: tuple[int, ...], frozen: frozenset[int], d: tuple[int, ...]) -> _Labels:
+    """The checks that read only (cols, frozen, d), then the shared record.
+    lru_cache keeps no exception, so an invalid triple raises on every call."""
+    colset = set(cols)
+    if len(colset) != len(cols):
+        raise MutationError("duplicate column labels")
+    if not frozen <= colset:
+        raise MutationError("frozen labels must be columns")
+    if any(x <= 0 for x in d) or len(d) != len(cols):
+        raise MutationError("d must be positive, one entry per column")
     ci = {c: i for i, c in enumerate(cols)}
     mutable = tuple(c for c in cols if c not in frozen)
     ri = {r: i for i, r in enumerate(mutable)}
-    return _Labels(ci, mutable, ri, tuple(map(ci.get, mutable)), tuple((s, ci[s]) for s in sorted(frozen)))
+    mcols = tuple(map(ci.get, mutable))
+    # eps_rs d_r + eps_sr d_s == 0 is symmetric in (r, s), so the pairs b >= a
+    # report the same first failing pair as the full square
+    pairs = tuple((a, b, ca, cb, d[ca], d[cb]) for a, ca in enumerate(mcols) for b, cb in enumerate(mcols[a:], a))
+    return _Labels(ci, mutable, ri, mcols, tuple((s, ci[s]) for s in sorted(frozen)), pairs)
 
 
 @dataclass(frozen=True)
@@ -53,8 +69,9 @@ class ExtendedExchangeMatrix:
     d:      positive integer per column, aligned with cols
     rows:   one integer row per mutable label, aligned with cols
 
-    Every instance, mutated ones included, is validated on construction; the
-    label lookups read a record shared through `_labels`, not a field.
+    Every instance, mutated ones included, is validated on construction:
+    `_labels` checks (cols, frozen, d) and shares its record (label lookups and
+    skew pairs), not a field; each matrix checks its row count, row lengths and skew.
     """
 
     cols: tuple[int, ...]
@@ -63,31 +80,18 @@ class ExtendedExchangeMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        cols, d, rows = self.cols, self.d, self.rows
-        colset = set(cols)
-        if len(colset) != len(cols):
-            raise MutationError("duplicate column labels")
-        if not self.frozen <= colset:
-            raise MutationError("frozen labels must be columns")
-        lab = _labels(cols, frozenset(self.frozen))
+        lab = _labels(tuple(self.cols), frozenset(self.frozen), tuple(self.d))
         object.__setattr__(self, "_lab", lab)
-        if any(x <= 0 for x in d) or len(d) != len(cols):
-            raise MutationError("d must be positive, one entry per column")
+        rows = self.rows
         if len(rows) != len(lab.mutable):
             raise MutationError("need one row per mutable label")
+        n = len(self.cols)
         for row in rows:
-            if len(row) != len(cols):
+            if len(row) != n:
                 raise MutationError("row length must match column count")
-        # eps_rs d_r + eps_sr d_s == 0 is symmetric in (r, s), so scanning
-        # b >= a reports the same first failing pair as the full square
-        mc = lab.mcols
-        for a, row_a in enumerate(rows):
-            ca = mc[a]
-            da = d[ca]
-            for b in range(a, len(rows)):
-                cb = mc[b]
-                if row_a[cb] * da + rows[b][ca] * d[cb] != 0:
-                    raise MutationError(f"not skew-symmetrizable at ({lab.mutable[a]},{lab.mutable[b]})")
+        for a, b, ca, cb, da, db in lab.pairs:
+            if rows[a][cb] * da + rows[b][ca] * db != 0:
+                raise MutationError(f"not skew-symmetrizable at ({lab.mutable[a]},{lab.mutable[b]})")
 
     @property
     def mutable(self) -> tuple[int, ...]:
@@ -141,13 +145,15 @@ class ExtendedExchangeMatrix:
         kneg = [-x if x < 0 else 0 for x in krow]
         new_rows = []
         for r, row in enumerate(self.rows):
-            if r == kr:
-                new_rows.append(tuple(-x for x in row))
-                continue
             e_rk = row[ki]
-            new = [a + e_rk * b for a, b in zip(row, kpos if e_rk > 0 else kneg)] if e_rk else list(row)
-            new[ki] = -e_rk  # kpos and kneg vanish at k
-            new_rows.append(tuple(new))
+            if r == kr:
+                new_rows.append(tuple(map(neg, row)))
+            elif e_rk:
+                new = list(map(add, row, map(mul, kpos if e_rk > 0 else kneg, repeat(e_rk))))
+                new[ki] = -e_rk  # kpos and kneg vanish at k
+                new_rows.append(tuple(new))
+            else:
+                new_rows.append(row)  # eps_rk == 0 leaves the row as it is
         return ExtendedExchangeMatrix(self.cols, self.frozen, self.d, tuple(new_rows))
 
     def mutate_seq(self, seq) -> "ExtendedExchangeMatrix":
@@ -197,6 +203,33 @@ class MutationTrace:
 def make_trace(eps: ExtendedExchangeMatrix, seq) -> MutationTrace:
     seq = tuple(seq)
     return MutationTrace(eps, seq, eps.mutate_seq(seq))
+
+
+def _bfs(root: ExtendedExchangeMatrix, parents: dict, labels):
+    """Breadth-first walk from root (parents = {root: (None, None)}) mutating
+    along labels, with exact labeled dedup: each new matrix is recorded as
+    matrix -> (parent, label) and yielded in discovery order, the order the
+    queue serves it.  Mutation is an involution, so a node is never mutated
+    back along the label it was reached by: that gives its parent."""
+    queue = deque([(root, None)])
+    while queue:
+        cur, last = queue.popleft()
+        for k in labels:
+            if k != last:
+                child = cur.mutate(k)
+                if child not in parents:
+                    parents[child] = (cur, k)
+                    yield child
+                    queue.append((child, k))
+
+
+def _path(parents: dict, node) -> tuple[int, ...]:
+    """Mutation sequence from the root of a `_bfs` to node."""
+    seq = []
+    while parents[node][0] is not None:
+        node, k = parents[node]
+        seq.append(k)
+    return tuple(reversed(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +406,8 @@ def affine_a_type(q: Quiver) -> tuple[int, int] | None:
 
 def apq_normalize(q: Quiver, a: int) -> MutationTrace:
     """Shortest mutation sequence avoiding `a` whose result has a double arrow
-    out of `a`.  Input must be an acyclically oriented cycle type."""
+    out of `a`.  Input must be an acyclically oriented cycle type.  The BFS
+    (`_bfs`) never mutates a node back along the label it was reached by."""
     if affine_a_type(q) is None:
         raise MutationError("quiver is not an acyclically oriented cycle with both orientations")
     mut = [v for v in q.vertices if v not in q.frozen]
@@ -387,17 +421,10 @@ def apq_normalize(q: Quiver, a: int) -> MutationTrace:
             eps.entry(v, a) >= 2 for v in eps.mutable if v != a
         )
 
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        eps, seq = queue.popleft()
+    parents = {start: (None, None)}
+    for eps in chain([start], _bfs(start, parents, directions)):
         if has_double_out(eps):
-            return MutationTrace(start, seq, eps)
-        for k in directions:
-            child = eps.mutate(k)
-            if child not in seen:
-                seen.add(child)
-                queue.append((child, seq + (k,)))
+            return MutationTrace(start, _path(parents, eps), eps)
     raise MutationError("mutation class exhausted without a double arrow (not affine A?)")
 
 
@@ -440,7 +467,8 @@ def ft_infinite_witness(eps: ExtendedExchangeMatrix, budget: int = 4096) -> FTWi
 
     Witnesses shaped like the constructive one (b2 = 0 with b1 > 0) are
     preferred: the search keeps scanning for one and only falls back to the
-    first other qualifying witness when the budget ends without it."""
+    first other qualifying witness when the budget ends without it.  The BFS
+    (`_bfs`) never mutates a node back along the label it was reached by."""
     if len(eps.frozen) != 1:
         raise MutationError("criterion needs exactly one frozen column")
     if not eps.is_skew_symmetric():
@@ -449,26 +477,18 @@ def ft_infinite_witness(eps: ExtendedExchangeMatrix, budget: int = 4096) -> FTWi
     if fin == "infinite":
         raise MutationError("mutable part is already mutation infinite")
     (f,) = tuple(eps.frozen)
-    seen = {eps}
-    queue = deque([(eps, ())])
-    nodes = 0
+    parents = {eps: (None, None)}
     fallback = None
-    while queue and nodes < budget:
-        cur, seq = queue.popleft()
-        nodes += 1
+    for cur in islice(chain([eps], _bfs(eps, parents, eps.mutable)), budget):
         cand = _ft_candidates(cur, f)
         if cand:
             v1, v2, b1, b2 = cand[0]
-            wit = FTWitness(MutationTrace(eps, seq, cur), v1, v2, b1, b2)
-            if b2 == 0 and b1 > 0:
-                return wit
-            if fallback is None:
+            clean = b2 == 0 and b1 > 0
+            if clean or fallback is None:
+                wit = FTWitness(MutationTrace(eps, _path(parents, cur), cur), v1, v2, b1, b2)
+                if clean:
+                    return wit
                 fallback = wit
-        for k in cur.mutable:
-            child = cur.mutate(k)
-            if child not in seen:
-                seen.add(child)
-                queue.append((child, seq + (k,)))
     return fallback
 
 
@@ -492,30 +512,20 @@ def mutation_class_bfs(eps: ExtendedExchangeMatrix, node_cap: int, entry_cap: in
     finite          the class closed under all mutations within node_cap
     entry_exceeded  first trace reaching |entry| > entry_cap
     cap_exhausted   node_cap hit first (no claim either way)
+
+    The BFS (`_bfs`) never mutates a node back along the label it was reached by.
     """
     if node_cap <= 0 or entry_cap <= 0:
         raise MutationError("caps must be positive")
     if eps.max_abs_entry() > entry_cap:
         return BFSResult("entry_exceeded", 1, (), MutationTrace(eps, (), eps))
-    seen = {eps}
-    queue = deque([(eps, ())])
-    explored = 0
-    while queue:
-        cur, seq = queue.popleft()
-        explored += 1
-        for k in cur.mutable:
-            child = cur.mutate(k)
-            if child in seen:
-                continue
-            if child.max_abs_entry() > entry_cap:
-                return BFSResult(
-                    "entry_exceeded", len(seen), (), MutationTrace(eps, seq + (k,), child)
-                )
-            seen.add(child)
-            if len(seen) > node_cap:
-                return BFSResult("cap_exhausted", len(seen), (), None)
-            queue.append((child, seq + (k,)))
-    return BFSResult("finite", len(seen), tuple(sorted(seen, key=lambda m: m.rows)), None)
+    parents = {eps: (None, None)}
+    for child in _bfs(eps, parents, eps.mutable):
+        if child.max_abs_entry() > entry_cap:  # the class size leaves this child out
+            return BFSResult("entry_exceeded", len(parents) - 1, (), MutationTrace(eps, _path(parents, child), child))
+        if len(parents) > node_cap:
+            return BFSResult("cap_exhausted", len(parents), (), None)
+    return BFSResult("finite", len(parents), tuple(sorted(parents, key=lambda m: m.rows)), None)
 
 
 def mutable_finiteness(eps: ExtendedExchangeMatrix, node_cap: int = 4096) -> str:
@@ -575,6 +585,10 @@ def large_entry_search(
     empties because every child was already reached by a sequence no longer
     than its own.  The beam keeps only beam_width states per layer, so None is
     never a nonexistence claim.
+
+    A state is not mutated back along the last label of its sequence (that
+    gives its parent, reached by a strict prefix), but the skipped move still
+    counts against the budget, so the search stops where it always did.
     """
     if target < 1:
         raise MutationError("target must be >= 1")
@@ -591,8 +605,11 @@ def large_entry_search(
     while beam and expanded < budget:
         children = []
         for cur, seq in beam:
+            last = seq[-1] if seq else None
             for k in cur.mutable:
                 expanded += 1
+                if k == last:
+                    continue
                 child = cur.mutate(k)
                 cseq = seq + (k,)
                 prev = seen.get(child)

@@ -336,7 +336,7 @@ def polar_dual(P: RationalPolytope) -> RationalPolytope:
     intersection of half-spaces {<u, v_i> + 1 >= 0}.
     """
     P.require_full_dim()
-    if not P.contains_strictly([Q(0)] * P.ambient_dim):
+    if not all(f.offset > 0 for f in P.facets):  # a facet's value at the origin is its offset
         raise PolytopeError("polar dual needs the origin strictly inside")
     duals = [vscale(Q(1) / f.offset, f.normal) for f in P.facets]
     return hull(duals, P.ambient_dim)

@@ -107,8 +107,10 @@ def test_search_budget_exit_code(capsys, tmp_path):
 
 def test_search_stops_when_beam_empties(capsys, tmp_path, monkeypatch):
     """A2 with one frozen column: every child repeats a shorter sequence after
-    28 expansions, far inside the budget; the CLI still reports exit 3 and
-    the same {"budget", "found"} object as a spent budget."""
+    28 budget-counted expansions, far inside the budget; the CLI still reports
+    exit 3 and the same {"budget", "found"} object as a spent budget.  Only 15
+    of the 28 expansions call mutate: the other 13 would mutate a state back
+    along its last label, which gives its parent, so the search skips them."""
     from clustrop.mutation import ExtendedExchangeMatrix
 
     calls = []
@@ -119,7 +121,7 @@ def test_search_stops_when_beam_empties(capsys, tmp_path, monkeypatch):
     code, stdout, _ = run(capsys, "search-large-entry", "--in", str(m), "--target", "100")
     assert code == 3
     assert stdout == '{"budget":20000,"found":false}\n'
-    assert len(calls) == 28
+    assert len(calls) == 15
 
 
 def test_out_file_bytes_match_stdout(capsys, tmp_path):

@@ -1,10 +1,12 @@
-"""Source checks: no runtime `assert` statements in the package, and every
-module attribute the benchmark tracer wraps still exists.
+"""Source checks: no runtime `assert` statements in the package, every
+module attribute the benchmark tracer wraps still exists, and the
+benchmark's self-checks pass.
 
 `python -O` strips `assert`, so invariants the package checks at run time
 raise AssertionError explicitly instead."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +42,11 @@ def test_bench_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert polytopes.hull is hull
+
+
+def test_bench_selftest_passes():
+    """The benchmark's own checks (traced counts and digests repeat, each
+    workload calls the layers it measures) run against the package here, so
+    a change to `mutation` or `polytopes` that breaks them fails pytest."""
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "selftest.py")], cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -312,6 +312,38 @@ def test_label_record_is_not_a_field():
     assert [f.name for f in dataclasses.fields(ExtendedExchangeMatrix)] == ["cols", "frozen", "d", "rows"]
 
 
+def test_label_record_is_keyed_by_d():
+    """Matrices sharing (cols, frozen) but not d get their own records, and
+    each is checked against its own d, whichever was built first."""
+    unit = exchange_matrix([1, 2, 3], [3], [1, 1, 1], [[0, 1, 2], [-1, 0, 1]])
+    skew = exchange_matrix([1, 2, 3], [3], [2, 1, 1], [[0, 1, 2], [-2, 0, 1]])
+    assert unit._lab is not skew._lab
+    assert [p[4:] for p in unit._lab.pairs] == [(1, 1), (1, 1), (1, 1)]
+    assert [p[4:] for p in skew._lab.pairs] == [(2, 2), (2, 1), (1, 1)]
+    for d, rows in [([2, 1, 1], unit.rows), ([1, 1, 1], skew.rows), ([2, 1, 1], unit.rows)]:
+        with pytest.raises(MutationError, match=r"not skew-symmetrizable at \(1,2\)"):
+            exchange_matrix([1, 2, 3], [3], d, rows)
+    assert unit.mutate(1).mutate(1) == unit and skew.mutate(2).mutate(2) == skew
+
+
+@pytest.mark.parametrize(
+    "cols, frozen, d, message",
+    [
+        ([1, 1], [], [1, 1], "duplicate column labels"),
+        ([1, 2], [3], [1, 1], "frozen labels must be columns"),
+        ([1, 2], [], [1, 0], "d must be positive, one entry per column"),
+        ([1, 2], [], [1, 1, 1], "d must be positive, one entry per column"),
+    ],
+)
+def test_invalid_label_triple_raises_on_every_construction(cols, frozen, d, message):
+    """The record is cached, but an exception is not: the same invalid matrix
+    raises the same message every time it is built."""
+    for _ in range(2):
+        with pytest.raises(MutationError) as exc:
+            exchange_matrix(cols, frozen, d, [[0, 0], [0, 0]])
+        assert type(exc.value) is MutationError and str(exc.value) == message
+
+
 def test_unknown_labels_raise_mutation_errors():
     eps = gls_exchange_matrix(cartan_matrix("C", 3), NINE)
     for call in (lambda: eps.entry(99, 1), lambda: eps.entry(1, 99), lambda: eps.row(99), lambda: eps.mutate(99)):

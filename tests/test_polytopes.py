@@ -73,6 +73,11 @@ def test_polar_dual_needs_interior_origin():
         polar_dual(hull([(0, 0), (1, 0), (0, 1)]))
 
 
+def test_polar_dual_rejects_origin_outside():
+    with pytest.raises(PolytopeError, match="^polar dual needs the origin strictly inside$"):
+        polar_dual(hull([(1, 1), (3, 1), (1, 2)]))
+
+
 def test_is_supporting():
     P = square()
     assert is_supporting(halfspace((-1, 0), 1), P)  # facet x <= 1

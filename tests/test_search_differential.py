@@ -1,0 +1,184 @@
+"""Differential tests of the mutation-class searches against `search_oracle`.
+
+The searches never mutate a node back along the label it was reached by, and
+the BFS searches rebuild sequences from parent pointers.  Both must leave
+every result unchanged: status, class size, matrix list, trace sequences and
+witnesses.  They must also call `mutate` strictly less often once the oracle
+has expanded a node other than the start, since that expansion includes the
+move back to its parent.
+"""
+
+import random
+from itertools import permutations
+
+import pytest
+
+import search_oracle as oracle
+from clustrop import mutation
+from clustrop.glsseed import gls_exchange_matrix
+from clustrop.jsonio import matrix_from_obj
+from clustrop.mutation import ExtendedExchangeMatrix, MutationError, exchange_matrix, to_quiver
+from clustrop.rootsys import cartan_matrix
+from test_quivers import A12, A21, A22, cycle_matrix, load_fixture
+
+NINE = (3, 2, 3, 2, 1, 2, 3, 2, 1)
+GLS_SEEDS = {
+    "B3": (("B", 3), NINE),
+    "C3": (("C", 3), NINE),
+    "G2": (("G", 2), (1, 2, 1, 2, 1, 2)),
+    "D4": (("D", 4), (2, 4, 1, 2, 4, 3, 2, 4, 1, 2, 3, 4)),
+    "A5": (("A", 5), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1)),
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts `mutate` calls; read and reset it between the two sides."""
+    log = []
+    mutate = ExtendedExchangeMatrix.mutate
+    monkeypatch.setattr(ExtendedExchangeMatrix, "mutate", lambda self, k: log.append(k) or mutate(self, k))
+    return log
+
+
+def counted(log, fn, *args, **kwargs):
+    """(outcome, mutate calls) of one search; a MutationError is an outcome."""
+    del log[:]
+    try:
+        out = fn(*args, **kwargs)
+    except MutationError as exc:
+        out = ("MutationError", str(exc))
+    return out, len(log)
+
+
+def check_fewer_calls(new, old, n_labels):
+    """Never more calls; strictly fewer once the oracle went past the start
+    node and its first child (more than 2 * n_labels calls), which it expands
+    in full, its involution move included.  Returns whether that applied."""
+    assert new <= old
+    if n_labels >= 2 and old > 2 * n_labels:
+        assert new < old
+        return True
+    return False
+
+
+def restrictions(rng, name, count, n_mut_range=(2, 4)):
+    """Seeded restrictions of a GLS seed: a connected piece of the mutable
+    diagram plus one or two frozen labels."""
+    eps = gls_exchange_matrix(cartan_matrix(*GLS_SEEDS[name][0]), GLS_SEEDS[name][1])
+    mut = list(eps.mutable)
+    out = []
+    for _ in range(count):
+        keep = [rng.choice(mut)]
+        while len(keep) < min(rng.randint(*n_mut_range), len(mut)):
+            nbrs = sorted({s for r in keep for s in mut if s not in keep and eps.entry(r, s) != 0})
+            keep.append(rng.choice(nbrs or [s for s in mut if s not in keep]))
+        frozen = rng.sample(sorted(eps.frozen), rng.randint(1, min(2, len(eps.frozen))))
+        out.append(eps.restrict(keep + frozen))
+    return out
+
+
+def bfs_view(res):
+    trace = res.trace and (res.trace.seq, res.trace.result)
+    return res.status, res.class_size, res.matrices, trace
+
+
+def test_class_bfs_matches_oracle(calls):
+    rng = random.Random(20261)
+    statuses = set()
+    strict = 0
+    for eps in (eps for name in GLS_SEEDS for eps in restrictions(rng, name, 10)):
+        for part in (eps, eps.mutable_part()):
+            for node_cap, entry_cap in [(2000, 4), (2000, 12), (40, 12), (3, 12), (500, 1)]:
+                new, n_new = counted(calls, mutation.mutation_class_bfs, part, node_cap, entry_cap)
+                old, n_old = counted(calls, oracle.mutation_class_bfs, part, node_cap, entry_cap)
+                assert bfs_view(new) == bfs_view(old)
+                assert new.trace is None or new.trace.verify()
+                statuses.add(new.status)
+                strict += check_fewer_calls(n_new, n_old, len(part.mutable))
+    assert statuses == {"finite", "entry_exceeded", "cap_exhausted"}
+    assert strict >= 200
+
+
+def witness_view(wit):
+    if wit is None or isinstance(wit, tuple):
+        return wit
+    fields = {k: v for k, v in vars(wit).items() if k != "trace"}
+    return wit.trace.seq, wit.trace.result, fields
+
+
+def test_large_entry_search_matches_oracle(calls):
+    rng = random.Random(20262)
+    found = missed = strict = 0
+    for eps in (eps for name in GLS_SEEDS for eps in restrictions(rng, name, 6, (2, 5))):
+        for target, budget, width in [(2, 300, 8), (4, 600, 16), (8, 1500, 64), (30, 400, 4)]:
+            new, n_new = counted(calls, mutation.large_entry_search, eps, target, budget, width)
+            old, n_old = counted(calls, oracle.large_entry_search, eps, target, budget, width)
+            assert witness_view(new) == witness_view(old)
+            found += new is not None
+            missed += new is None
+            strict += check_fewer_calls(n_new, n_old, len(eps.mutable))
+    assert found >= 10 and missed >= 10 and strict >= 40
+
+
+def test_large_entry_search_beam_empties_like_oracle(calls):
+    eps = exchange_matrix([1, 2, 3], [3], [1, 1, 1], [[0, 1, -1], [-1, 0, 1]])
+    new, n_new = counted(calls, mutation.large_entry_search, eps, 100)
+    old, n_old = counted(calls, oracle.large_entry_search, eps, 100)
+    assert new is old is None
+    assert (n_new, n_old) == (15, 28)
+
+
+def one_frozen_cycles():
+    """Affine-A cycles and finite-type pieces with one frozen column whose raw
+    entries are seeded, so the FT search meets clean witnesses, fallback
+    witnesses and none at all."""
+    rng = random.Random("ft-cycles")
+    shapes = [(A12, 3), (A21, 3), (A22, 4), ([(1, 2), (2, 3), (3, 4), (1, 4)], 4), ([(1, 2), (2, 3)], 3)]
+    out = []
+    for arrows, n in shapes:
+        for _ in range(6):
+            entries = [(r, n + 1, rng.randint(-2, 2)) for r in range(1, n + 1)]
+            out.append(cycle_matrix(arrows, n + 1, frozen=(n + 1,), frozen_entries=entries))
+    return out
+
+
+def test_ft_infinite_witness_matches_oracle(calls):
+    cases = [matrix_from_obj(load_fixture("ft_a22.json")["matrix"])]
+    cases += one_frozen_cycles()
+    cases.append(exchange_matrix([1, 2, 3], [3], [1, 1, 1], [[0, 1, -1], [-1, 0, -1]]))
+    rng = random.Random("ft-gls")
+    for name in ("B3", "C3", "D4", "A5"):
+        cases += [eps.restrict({*eps.mutable, min(eps.frozen)}) for eps in restrictions(rng, name, 3)]
+    kinds = set()
+    strict = 0
+    for eps in cases:
+        for budget in (512, 40):
+            new, n_new = counted(calls, mutation.ft_infinite_witness, eps, budget)
+            old, n_old = counted(calls, oracle.ft_infinite_witness, eps, budget)
+            assert witness_view(new) == witness_view(old)
+            if new is None or isinstance(new, tuple):
+                kinds.add("none" if new is None else "error")
+            else:
+                assert new.trace.verify()
+                kinds.add("clean" if new.b2 == 0 and new.b1 > 0 else "fallback")
+            strict += check_fewer_calls(n_new, n_old, len(eps.mutable))
+    assert kinds == {"clean", "fallback", "none", "error"}
+    assert strict >= 40
+
+
+@pytest.mark.parametrize(
+    "arrows, n",
+    [(A12, 3), (A21, 3), (A22, 4), ([(1, 2), (2, 3), (3, 4), (1, 4)], 4), ([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 5)],
+)
+def test_apq_normalize_matches_oracle(arrows, n, calls):
+    runs = strict = 0
+    for perm in list(permutations(range(1, n + 1)))[:6]:
+        relabeled = [(perm[i - 1], perm[j - 1]) for i, j in arrows]
+        q = to_quiver(cycle_matrix(relabeled, n))
+        for a in q.matrix.mutable:
+            new, n_new = counted(calls, mutation.apq_normalize, q, a)
+            old, n_old = counted(calls, oracle.apq_normalize, q, a)
+            assert (new.seq, new.result) == (old.seq, old.result)
+            runs += 1
+            strict += check_fewer_calls(n_new, n_old, n - 1)
+    assert 2 * strict >= runs
