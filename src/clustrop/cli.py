@@ -191,6 +191,10 @@ def cmd_polytope(args):
         if not args.normal:
             raise UsageError("slice needs --normal (and optionally --offset)")
         normal = [jsonio.rat_from_str(x) for x in args.normal.split(",")]
+        if len(normal) != P.ambient_dim:
+            raise UsageError(f"slice --normal has {len(normal)} entries, polytope is in R^{P.ambient_dim}")
+        if not any(normal):
+            raise UsageError("slice --normal must be nonzero")
         h = halfspace(normal, jsonio.rat_from_str(args.offset))
         res = slice_polytope(P, h)
         obj = {

@@ -3,10 +3,13 @@
 The kernel is integer: the double description, incidence tests and lattice
 enumeration clear denominators once and run on int, and Fraction stays only
 at the API boundary (vertices, offsets, centers).  There is no floating point
-anywhere in this module.  Facet normals are stored as primitive integer
-vectors with the offset carrying the scale.  Vertex/facet conversion runs the
-double description method on the homogenization cone, which is practical for
-the dense low-dimensional polytopes handled here (roughly m <= 6).
+anywhere in this module.  `HalfSpace` alone fixes the facet format: its
+normal is a primitive integer tuple and its Fraction offset carries the
+scale, so every consumer reads integer normals as they are.  Two vertices
+span an edge, and a double-description ray pair is adjacent, by one
+combinatorial rule (`_adjacent`).  Vertex/facet conversion runs the double
+description method on the homogenization cone, which is practical for the
+dense low-dimensional polytopes handled here (roughly m <= 6).
 """
 
 from __future__ import annotations
@@ -46,22 +49,29 @@ class DegenerateError(PolytopeError):
     """Input does not span the full ambient dimension."""
 
 
-def point(coords) -> Point:
-    return qvec(coords)
-
-
 @dataclass(frozen=True)
 class HalfSpace:
-    """Closed half-space {u : <u, normal> + offset >= 0}."""
+    """Closed half-space {u : <u, normal> + offset >= 0}.
 
-    normal: tuple[Q, ...]
+    The normal is stored as the primitive integer vector of its direction and
+    the offset divided by the positive factor dropped, so the half-space is
+    the same set, `value` shrinks by that factor and keeps its sign, and equal
+    half-spaces compare and hash equal however they were written.
+    """
+
+    normal: tuple[int, ...]
     offset: Q
 
     def __post_init__(self):
         if is_zero(self.normal):
             raise PolytopeError("half-space normal must be nonzero")
-        object.__setattr__(self, "normal", qvec(self.normal))
-        object.__setattr__(self, "offset", Q(self.offset))
+        given = tuple(self.normal)
+        normal = primitive(given)
+        offset = Q(self.offset)
+        if normal != given:
+            offset /= next(Q(a, b) for a, b in zip(given, normal) if b)
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset)
 
     def value(self, p) -> Q:
         return dot(p, self.normal) + self.offset
@@ -74,7 +84,7 @@ class HalfSpace:
 
 
 def halfspace(normal, offset) -> HalfSpace:
-    return HalfSpace(qvec(normal), Q(offset))
+    return HalfSpace(normal, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +97,8 @@ def _dd_extreme_rays(constraints: list[tuple[Q, ...]], d: int) -> list[tuple[int
     Each constraint is scaled once to a primitive integer row (a positive scale
     leaves the cone unchanged), so all arithmetic stays in int.  Starts from the
     simplicial subcone on the first d independent constraints and adds the rest
-    incrementally; adjacency is decided combinatorially on tight sets (bitsets).
+    incrementally; adjacency is decided combinatorially on tight sets (bitsets)
+    by `_adjacent`.
     """
     rows = [primitive(c) for c in constraints]
     # pivot columns of the transpose: each constraint independent of those before it
@@ -113,9 +124,7 @@ def _dd_extreme_rays(constraints: list[tuple[Q, ...]], d: int) -> list[tuple[int
             for im in neg:
                 common = tight[ip] & tight[im]
                 # adjacent rays share at least d - 2 tight constraints
-                if common.bit_count() < d - 2:
-                    continue
-                if any(k != ip and k != im and common & t == common for k, t in enumerate(tight)):
+                if common.bit_count() < d - 2 or not _adjacent(tight, ip, im):
                     continue
                 vec = tuple(vals[ip] * x - vals[im] * y for x, y in zip(rays[im], rays[ip]))
                 new.setdefault(primitive(vec), common | bit)
@@ -124,10 +133,21 @@ def _dd_extreme_rays(constraints: list[tuple[Q, ...]], d: int) -> list[tuple[int
     return rays
 
 
+def _adjacent(tight: list[int], i: int, j: int) -> bool:
+    """True iff no third member of `tight` is tight wherever i and j both are.
+
+    Over the tight bitsets of a polytope's vertices this says that i and j
+    span an edge; over the rays of a double-description step, that the two
+    rays are adjacent."""
+    common = tight[i] & tight[j]
+    return not any(k != i and k != j and common & t == common for k, t in enumerate(tight))
+
+
 def vertices_from_facets(halves: list[HalfSpace], m: int) -> list[Point]:
     """Vertex set of a bounded intersection of half-spaces (exact)."""
-    constraints = [tuple(h.normal) + (h.offset,) for h in halves]
-    constraints.append(tuple([Q(0)] * m + [Q(1)]))
+    # <u, n> + num/den >= 0 is the integer row (den n, num) on (u, 1)
+    constraints = [tuple(x * h.offset.denominator for x in h.normal) + (h.offset.numerator,) for h in halves]
+    constraints.append((0,) * m + (1,))
     rays = _dd_extreme_rays(constraints, m + 1)
     verts = []
     for r in rays:
@@ -235,12 +255,7 @@ class RationalPolytope:
         if not self.is_full_dim:
             return hull_any(verts, self.ambient_dim)
         Ainv_t = mat_transpose(mat_inverse(A))
-        facets = []
-        for f in self.facets:
-            n = matvec(Ainv_t, f.normal)
-            prim = primitive(n)
-            c = next(a / b for a, b in zip(n, prim) if b != 0)
-            facets.append(HalfSpace(qvec(prim), f.offset / c))
+        facets = [HalfSpace(matvec(Ainv_t, f.normal), f.offset) for f in self.facets]
         facets.sort(key=lambda h: (h.normal, h.offset))
         return RationalPolytope(verts, self.ambient_dim, self.dim, tuple(facets))
 
@@ -270,7 +285,7 @@ def _affine_coords(p0, basis, p):
 def _tight_sets(facets: list[HalfSpace], points) -> list[int]:
     """For each point, the bitset of facets whose boundary holds it, in integers."""
     den = math.lcm(*(x.denominator for p in points for x in p), *(f.offset.denominator for f in facets))
-    rows = [(tuple(map(int, f.normal)), int(f.offset * den)) for f in facets]
+    rows = [(f.normal, f.offset.numerator * (den // f.offset.denominator)) for f in facets]
     ipts = [_clear(p, den) for p in points]
     return [sum(1 << j for j, (n, b) in enumerate(rows) if sum(map(mul, n, ip)) + b == 0) for ip in ipts]
 
@@ -300,26 +315,17 @@ def hull_any(points, ambient_dim: int) -> RationalPolytope:
         return RationalPolytope((), ambient_dim, -1, None)
     p0 = pts[0]
     diffs = [vsub(p, p0) for p in pts[1:]]
-    dim = rank(diffs) if diffs else 0
+    # pivot columns of the transpose: each difference independent of those before it
+    basis = [diffs[j] for j in _bareiss([_clear(row) for row in zip(*diffs)])] if diffs else []
+    dim = len(basis)
     if dim == ambient_dim:
         return hull(pts, ambient_dim)
     if dim == 0:
         return RationalPolytope((p0,), ambient_dim, 0, None)
-    basis = _independent_subset(diffs, dim)
     inner_pts = [_affine_coords(p0, basis, p) for p in pts]
     inner = hull(inner_pts, dim)
     verts = tuple(sorted(vadd(p0, _combine(basis, c)) for c in inner.vertices))
     return RationalPolytope(verts, ambient_dim, dim, None, _chart=(p0, basis, inner))
-
-
-def _independent_subset(vecs, target):
-    basis = []
-    for v in vecs:
-        if rank(basis + [v]) > len(basis):
-            basis.append(v)
-        if len(basis) == target:
-            break
-    return basis
 
 
 def _combine(basis, coeffs):
@@ -367,7 +373,7 @@ def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
     # <n, k/q> + offset >= 0  <=>  <den n, k> + num >= 0 where q offset = num/den; sorted by the
     # last coefficient: upper bounds on the last coordinate, rows free of it, lower bounds
     rows = sorted(
-        (([int(x) * b.denominator for x in f.normal], b.numerator) for f in P.facets or () for b in [f.offset * q]),
+        (([x * b.denominator for x in f.normal], b.numerator) for f in P.facets or () for b in [f.offset * q]),
         key=lambda r: r[0][-1],
     )
     tail = [n[-1] for n, _ in rows]
@@ -422,15 +428,9 @@ def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
     """
     P.require_full_dim()
     m = P.ambient_dim
-    rows = []
-    rhs = []
-    norms = []
-    for f in P.facets:
-        n = tuple(int(x) for x in f.normal)
-        beta = -f.offset
-        rows.append(qvec(n) + (Q(-1),))
-        rhs.append(beta)
-        norms.append(n)
+    rows = [f.normal + (-1,) for f in P.facets]
+    rhs = [-f.offset for f in P.facets]
+    norms = [f.normal for f in P.facets]
     if rank(rows) < m + 1:
         return None, "facet normals do not pin a unique center and size"
     sol = solve(rows, rhs)
@@ -471,24 +471,23 @@ def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
     """Points where the boundary hyperplane of h meets segments between
     vertices of P on strictly opposite sides.
 
-    For full-dimensional P only true edges are used (pairs whose common tight
-    facet normals have rank m-1); otherwise all pairs, whose extra interior
-    crossings are harmless to downstream hulls and membership tests.
+    For full-dimensional P only true edges are used: pairs with no third
+    vertex on every facet that holds both (`_adjacent`, the double
+    description's rule).  Otherwise all pairs are used, whose extra interior
+    crossings are harmless to downstream hulls and membership tests.  The
+    crossings come in the order of the vertex pairs.
     """
-    vals = {v: h.value(v) for v in P.vertices}
-    use_edges = P.is_full_dim
-    tightsets = dict(zip(P.vertices, _tight_sets(P.facets, P.vertices))) if use_edges else {}
+    verts = P.vertices
+    vals = [h.value(v) for v in verts]
+    tight = _tight_sets(P.facets, verts) if P.is_full_dim else None
     out = []
-    m = P.ambient_dim
-    for u, v in itertools.combinations(P.vertices, 2):
-        a, b = vals[u], vals[v]
+    for i, j in itertools.combinations(range(len(verts)), 2):
+        a, b = vals[i], vals[j]
         if not ((a > 0 > b) or (b > 0 > a)):
             continue
-        if use_edges:
-            common = tightsets[u] & tightsets[v]
-            normals = [f.normal for i, f in enumerate(P.facets) if common >> i & 1]
-            if len(normals) < m - 1 or rank(normals) != m - 1:
-                continue
+        if tight is not None and not _adjacent(tight, i, j):
+            continue
+        u, v = verts[i], verts[j]
         t = a / (a - b)
         out.append(vadd(u, vscale(t, vsub(v, u))))
     return out
@@ -501,6 +500,8 @@ def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:
     edge-hyperplane crossing points.
     """
     m = P.ambient_dim
+    if len(h.normal) != m:
+        raise PolytopeError(f"hyperplane normal has {len(h.normal)} entries, polytope is in R^{m}")
     if P.is_empty:
         empty = RationalPolytope((), m, -1, None)
         return SliceResult(empty, empty, empty)

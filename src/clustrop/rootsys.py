@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import gcd, lcm
 
 Root = tuple[int, ...]
 Word = tuple[int, ...]
@@ -132,17 +133,9 @@ def _symmetrizer(a) -> tuple[int, ...]:
                 if i != j and a[i][j] != 0 and d[j] is None:
                     d[j] = d[i] * a[j][i] / a[i][j]
                     stack.append(j)
-    from .linalg import lcm
-
-    den = 1
-    for x in d:
-        den = lcm(den, x.denominator)
+    den = lcm(*(x.denominator for x in d))
     ints = [int(x * den) for x in d]
-    from math import gcd
-
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 

@@ -7,6 +7,13 @@ with its `primitive`, and the bounding-box `lattice_points`.  They live
 only here, as the oracle of the differential tests in
 `test_integer_kernel.py`.  They use `rref` and `mat_inverse`, which still
 run on Fraction in `clustrop.linalg`.
+
+`crossing_points` (true edges by the rank of the common tight facet
+normals) and `hull_any` with its `_independent_subset` (an affine basis
+grown one rank test at a time) are the versions that `clustrop.polytopes`
+used before both rules moved to the double description's own: tight-set
+adjacency and the pivot columns of one Bareiss pass.  Their tight sets
+come from Fraction values here.
 """
 
 from __future__ import annotations
@@ -16,8 +23,16 @@ import math
 from fractions import Fraction as Q
 from math import gcd
 
-from clustrop.linalg import dot, is_zero, mat_inverse, qvec, rref, vscale, vsub
-from clustrop.polytopes import DegenerateError, PolytopeError, RationalPolytope
+from clustrop.linalg import dot, is_zero, mat_inverse, qvec, rref, vadd, vscale, vsub
+from clustrop.polytopes import (
+    DegenerateError,
+    HalfSpace,
+    PolytopeError,
+    RationalPolytope,
+    _affine_coords,
+    _combine,
+    hull,
+)
 
 Vec = tuple[Q, ...]
 Point = tuple[Q, ...]
@@ -140,3 +155,64 @@ def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
         if P.contains(p):
             out.append(p)
     return out
+
+
+def _tight_sets(facets: list[HalfSpace], points) -> list[int]:
+    """For each point, the bitset of facets whose boundary holds it."""
+    return [sum(1 << j for j, f in enumerate(facets) if f.on_boundary(p)) for p in points]
+
+
+def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
+    """Points where the boundary hyperplane of h meets segments between
+    vertices of P on strictly opposite sides.
+
+    For full-dimensional P only true edges are used (pairs whose common tight
+    facet normals have rank m-1); otherwise all pairs, whose extra interior
+    crossings are harmless to downstream hulls and membership tests.
+    """
+    vals = {v: h.value(v) for v in P.vertices}
+    use_edges = P.is_full_dim
+    tightsets = dict(zip(P.vertices, _tight_sets(P.facets, P.vertices))) if use_edges else {}
+    out = []
+    m = P.ambient_dim
+    for u, v in itertools.combinations(P.vertices, 2):
+        a, b = vals[u], vals[v]
+        if not ((a > 0 > b) or (b > 0 > a)):
+            continue
+        if use_edges:
+            common = tightsets[u] & tightsets[v]
+            normals = [f.normal for i, f in enumerate(P.facets) if common >> i & 1]
+            if len(normals) < m - 1 or rank(normals) != m - 1:
+                continue
+        t = a / (a - b)
+        out.append(vadd(u, vscale(t, vsub(v, u))))
+    return out
+
+
+def hull_any(points, ambient_dim: int) -> RationalPolytope:
+    """Hull that tolerates lower-dimensional and empty input (dim tag set)."""
+    pts = sorted({qvec(p) for p in points})
+    if not pts:
+        return RationalPolytope((), ambient_dim, -1, None)
+    p0 = pts[0]
+    diffs = [vsub(p, p0) for p in pts[1:]]
+    dim = rank(diffs) if diffs else 0
+    if dim == ambient_dim:
+        return hull(pts, ambient_dim)
+    if dim == 0:
+        return RationalPolytope((p0,), ambient_dim, 0, None)
+    basis = _independent_subset(diffs, dim)
+    inner_pts = [_affine_coords(p0, basis, p) for p in pts]
+    inner = hull(inner_pts, dim)
+    verts = tuple(sorted(vadd(p0, _combine(basis, c)) for c in inner.vertices))
+    return RationalPolytope(verts, ambient_dim, dim, None, _chart=(p0, basis, inner))
+
+
+def _independent_subset(vecs, target):
+    basis = []
+    for v in vecs:
+        if rank(basis + [v]) > len(basis):
+            basis.append(v)
+        if len(basis) == target:
+            break
+    return basis

@@ -87,6 +87,15 @@ def test_polytope_slice(capsys, tmp_path):
     assert obj["section"]["dim"] == 1 and obj["plus"]["dim"] == 2
 
 
+@pytest.mark.parametrize("normal", ["1,0,5", "1", "0,0"])
+def test_polytope_slice_rejects_bad_normal(capsys, tmp_path, normal):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"vertices": [["1", "1"], ["1", "-1"], ["-1", "1"], ["-1", "-1"]]}))
+    code, stdout, err = run(capsys, "polytope", "slice", "--in", str(p), "--normal", normal)
+    assert code == 1 and stdout == ""
+    assert "usage error" in err and "--normal" in err
+
+
 def test_trop_mutate_command(capsys, tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps({"cols": [1, 2], "frozen": [2], "d": [1, 1], "rows": {"1": [0, -2]}}))
@@ -266,6 +275,11 @@ POLYTOPE_4D = [
 
 def _golden_inputs(tmp_path, case):
     """Argv for one pinned CLI case; input files are written to tmp_path."""
+    if case == "polytope_slice":
+        # a 2-dimensional polytope from another golden file, cut by a non-primitive normal
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(json.loads((GOLDEN / "trop_nonconvex.json").read_text())["minus_image"]))
+        return ["polytope", "slice", "--in", str(p), "--normal", "2,4", "--offset", "1/2"]
     if case.startswith("polytope_"):
         p = tmp_path / "p.json"
         p.write_text(json.dumps({"vertices": POLYTOPE_4D}))
@@ -321,6 +335,7 @@ def _golden_inputs(tmp_path, case):
         ("polytope_dual", 0),
         ("polytope_qgf", 0),
         ("polytope_lattice_q2", 0),
+        ("polytope_slice", 0),
     ],
 )
 def test_golden_stdout(capsys, tmp_path, case, code):

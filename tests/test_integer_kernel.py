@@ -1,6 +1,7 @@
 """Differential tests of the integer polytope kernel against the Fraction
 oracle in fraction_oracle.py: double description, Bareiss rank and solve,
-and fiber-wise lattice enumeration."""
+fiber-wise lattice enumeration, and the edge and affine-basis rules of
+`crossing_points` and `hull_any`."""
 
 import itertools
 import math
@@ -10,14 +11,16 @@ from fractions import Fraction as Q
 import fraction_oracle as oracle
 import pytest
 
-from clustrop.linalg import rank, solve
+from clustrop.linalg import rank, solve, vadd, vsub
 from clustrop.polytopes import (
     DegenerateError,
     _dd_extreme_rays,
+    crossing_points,
     halfspace,
     hull,
     hull_any,
     lattice_points,
+    slice_polytope,
     vertices_from_facets,
 )
 from genutil import random_polytope_with_interior_origin
@@ -203,3 +206,96 @@ def test_lattice_points_of_lower_dimensional_polytopes_match_box_scan():
     for P in cases:
         for q in (1, 2, 3):
             assert lattice_points(P, q) == oracle.lattice_points(P, q)
+
+
+# ---------------------------------------------------------------------------
+# (d) edges and affine bases
+
+
+def _edges(P):
+    """Vertex pairs of P whose common tight facet normals have rank m - 1."""
+    tight = oracle._tight_sets(P.facets, P.vertices)
+    return [
+        (u, v)
+        for (u, tu), (v, tv) in itertools.combinations(zip(P.vertices, tight), 2)
+        if oracle.rank([f.normal for i, f in enumerate(P.facets) if (tu & tv) >> i & 1]) == P.ambient_dim - 1
+    ]
+
+
+def _hyperplanes(rng, P):
+    """A generic cut, one through a vertex and one containing an edge."""
+    m = P.ambient_dim
+
+    def normal():
+        while True:
+            n = tuple(rng.randint(-3, 3) for _ in range(m))
+            if any(n):
+                return n
+
+    n = normal()
+    center = tuple(sum(c) / len(P.vertices) for c in zip(*P.vertices))
+    yield halfspace(n, -oracle.dot(n, center) + rat(rng, 1, (2, 3, 5)))
+    n = normal()
+    yield halfspace(n, -oracle.dot(n, rng.choice(P.vertices)))
+    u, v = rng.choice(_edges(P))
+    d = vsub(v, u)
+    while True:
+        n = normal()
+        # the component of n orthogonal to the edge, scaled by <d, d>
+        n = tuple(x * oracle.dot(d, d) - oracle.dot(n, d) * y for x, y in zip(n, d))
+        if any(n):
+            yield halfspace(n, -oracle.dot(n, u))
+            return
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_crossing_points_match_rank_edge_test(m):
+    rng = random.Random(440 + m)
+    cuts = crossed = sections = 0
+    for case in range(30 if m < 4 else 10 if m == 4 else 5):
+        if case % 5 == 4:
+            P = hull(list(itertools.product((-1, 1), repeat=m)), m)
+        else:
+            P = random_polytope_with_interior_origin(rng, m)
+        for h in _hyperplanes(rng, P):
+            got = crossing_points(P, h)
+            assert got == oracle.crossing_points(P, h)
+            cuts += 1
+            crossed += len(got) > 0
+            # a section has no facets, so every straddling vertex pair is used
+            S = slice_polytope(P, h).section
+            if S.dim > 0:
+                g = next(_hyperplanes(rng, S))
+                assert crossing_points(S, g) == oracle.crossing_points(S, g)
+                sections += 1
+    # in the plane a line through an edge supports the polygon, so a third of the cuts cross nothing
+    assert crossed > cuts // 3 and sections > 0
+
+
+def _affine_cloud(rng, m, k):
+    """Points p0 + sum t_i b_i for k random directions, some with zero entries."""
+    p0 = tuple(rat(rng) for _ in range(m))
+    basis = [tuple(rat(rng, 2) if rng.random() < 0.7 else Q(0) for _ in range(m)) for _ in range(k)]
+    return [vadd(p0, tuple(sum(rat(rng, 2) * b[i] for b in basis) for i in range(m))) for _ in range(rng.randint(1, 7))]
+
+
+def test_hull_any_matches_rank_basis():
+    rng = random.Random(450)
+    shapes = []
+    for case in range(200):
+        if case % 40 == 0:
+            pts, m = [], rng.randint(1, 4)
+        elif case % 40 == 1:
+            m = rng.randint(1, 4)
+            pts = [tuple(rat(rng) for _ in range(m))] * rng.randint(1, 3)
+        elif case % 2:
+            m = rng.randint(2, 4)
+            pts = _affine_cloud(rng, m, 1)  # collinear
+        else:
+            m = 3
+            pts = _affine_cloud(rng, m, 2)  # coplanar in R^3
+        got, want = hull_any(pts, m), oracle.hull_any(pts, m)
+        assert (got.vertices, got.dim) == (want.vertices, want.dim)
+        assert (got._chart or (None, None))[:2] == (want._chart or (None, None))[:2]
+        shapes.append(want.dim)
+    assert {-1, 0, 1, 2} <= set(shapes)

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+from clustrop.linalg import dot
 from clustrop.polytopes import (
     DegenerateError,
+    HalfSpace,
     PolytopeError,
     halfspace,
     hull,
@@ -16,6 +19,7 @@ from clustrop.polytopes import (
     slice_polytope,
     volume,
 )
+from genutil import random_polytope_with_interior_origin
 
 
 def square(r=1):
@@ -168,3 +172,81 @@ def test_hrep_vrep_round_trip():
     from clustrop.polytopes import vertices_from_facets
 
     assert tuple(vertices_from_facets(list(P.facets), 2)) == P.vertices
+
+
+def test_slice_rejects_normal_of_wrong_dimension():
+    for n in [(1, 0, 5), (1,)]:
+        with pytest.raises(PolytopeError, match="^hyperplane normal has"):
+            slice_polytope(square(), halfspace(n, 0))
+
+
+# ---------------------------------------------------------------------------
+# The facet format: HalfSpace stores the primitive integer normal
+
+
+@pytest.mark.parametrize(
+    "normal, offset, want_normal, want_offset",
+    [
+        ((2, 0), 1, (1, 0), Q(1, 2)),  # non-primitive integer
+        ((6, -4, 2), Q(3, 5), (3, -2, 1), Q(3, 10)),
+        ((Q(1, 2), Q(-1, 3)), 1, (3, -2), 6),  # rational: x/2 - y/3 + 1 >= 0 is 3x - 2y + 6 >= 0
+        ((-4, -6), 2, (-2, -3), 1),  # negative entries keep their sign
+        ((0, Q(-3, 2)), Q(-3, 4), (0, -1), Q(-1, 2)),
+        ((Q(3), Q(-1), Q(0)), Q(5, 2), (3, -1, 0), Q(5, 2)),  # integer-valued Fractions
+    ],
+)
+def test_halfspace_stores_primitive_integer_normal(normal, offset, want_normal, want_offset):
+    h = halfspace(normal, offset)
+    assert h.normal == want_normal and all(type(x) is int for x in h.normal)
+    assert h.offset == want_offset
+    assert h == HalfSpace(want_normal, want_offset) and hash(h) == hash(HalfSpace(want_normal, want_offset))
+
+
+def test_halfspace_zero_normal_rejected():
+    for n in [(0, 0), (Q(0), 0), [0, 0, 0]]:
+        with pytest.raises(PolytopeError, match="^half-space normal must be nonzero$"):
+            HalfSpace(n, 1)
+        with pytest.raises(PolytopeError, match="^half-space normal must be nonzero$"):
+            halfspace(n, 1)
+
+
+def test_halfspace_value_is_a_positive_multiple_of_the_given_form():
+    rng = random.Random(460)
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        n = [Q(rng.randint(-6, 6), rng.choice([1, 2, 3, 4])) for _ in range(m)]
+        if not any(n):
+            continue
+        b = Q(rng.randint(-6, 6), rng.choice([1, 2, 5]))
+        h = HalfSpace(n, b)
+        ratios = set()
+        for _ in range(5):
+            p = tuple(Q(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(m))
+            given, got = dot(p, n) + b, h.value(p)
+            assert (given > 0) == (got > 0) and (given < 0) == (got < 0)
+            if given:
+                ratios.add(got / given)
+        assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
+def _unimodular(rng, m):
+    """A random product of elementary integer matrices, with row swaps and sign flips."""
+    A = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(2 * m + 2):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+    rng.shuffle(A)
+    return [[-a for a in row] if rng.random() < 0.5 else row for row in A]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_linear_image_facets_match_hull_of_image(m):
+    rng = random.Random(470 + m)
+    for _ in range(12 if m < 4 else 5):
+        P = random_polytope_with_interior_origin(rng, m)
+        A = _unimodular(rng, m)
+        img = P.linear_image(A)
+        H = hull(img.vertices, m)
+        assert img.vertices == H.vertices
+        assert img.facets == H.facets

@@ -65,6 +65,30 @@ def test_symmetrizer_relation():
                 assert C.entry(i, j) * C.d(j) == C.entry(j, i) * C.d(i)
 
 
+@pytest.mark.parametrize(
+    "label, rank, diag",
+    [
+        ("A", 1, (1,)),
+        ("A", 4, (1, 1, 1, 1)),
+        ("B", 2, (1, 2)),
+        ("B", 3, (1, 1, 2)),
+        ("B", 4, (1, 1, 1, 2)),
+        ("C", 2, (2, 1)),
+        ("C", 3, (2, 2, 1)),
+        ("C", 4, (2, 2, 2, 1)),
+        ("D", 4, (1, 1, 1, 1)),
+        ("D", 5, (1, 1, 1, 1, 1)),
+        ("E", 6, (1,) * 6),
+        ("E", 7, (1,) * 7),
+        ("E", 8, (1,) * 8),
+        ("F", 4, (1, 1, 2, 2)),
+        ("G", 2, (3, 1)),
+    ],
+)
+def test_symmetrizer_values(label, rank, diag):
+    assert cartan_matrix(label, rank).diag == diag
+
+
 @pytest.mark.parametrize("label,rank", [("A", 0), ("B", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("X", 2)])
 def test_invalid_types_rejected(label, rank):
     with pytest.raises(CartanError):
