@@ -294,8 +294,8 @@ def build_parser() -> _Parser:
     sp.add_argument("sub", choices=["hull", "dual", "qgf", "lattice-points", "slice"])
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--q", type=_positive_int, default=1)
-    sp.add_argument("--normal", help="hyperplane normal for slice, comma-separated")
-    sp.add_argument("--offset", default="0", help="hyperplane offset for slice")
+    sp.add_argument("--normal", help="hyperplane normal for slice, comma-separated (--normal=-1,0 if negative)")
+    sp.add_argument("--offset", default="0", help="hyperplane offset for slice (--offset=-1/2 if negative)")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_polytope)
 

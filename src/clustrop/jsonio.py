@@ -25,9 +25,17 @@ class FormatError(ValueError):
 
 
 def _need(obj: dict, key: str):
-    if key not in obj:
+    if not isinstance(obj, dict) or key not in obj:
         raise FormatError(f"missing field {key!r}")
     return obj[key]
+
+
+def _array(obj: dict, key: str) -> list:
+    """A list field: a JSON string is not read as a list of its characters."""
+    val = _need(obj, key)
+    if not isinstance(val, list):
+        raise FormatError(f"field {key!r} must be a JSON array")
+    return val
 
 
 def dumps(obj) -> str:
@@ -62,10 +70,11 @@ def matrix_to_obj(eps: ExtendedExchangeMatrix) -> dict:
 
 def matrix_from_obj(obj: dict) -> ExtendedExchangeMatrix:
     try:
-        cols = [int(c) for c in _need(obj, "cols")]
-        frozen = [int(c) for c in _need(obj, "frozen")]
-        d = [int(x) for x in _need(obj, "d")]
-        rows_map = {int(k): [int(x) for x in v] for k, v in _need(obj, "rows").items()}
+        cols = [int(c) for c in _array(obj, "cols")]
+        frozen = [int(c) for c in _array(obj, "frozen")]
+        d = [int(x) for x in _array(obj, "d")]
+        rows = _need(obj, "rows")
+        rows_map = {int(k): [int(x) for x in _array(rows, k)] for k in rows.keys()}
     except FormatError:
         raise
     except (TypeError, ValueError, AttributeError):
@@ -97,9 +106,11 @@ def polytope_to_obj(P: RationalPolytope) -> dict:
 
 
 def polytope_from_obj(obj: dict) -> RationalPolytope:
-    verts = _need(obj, "vertices")
-    if not isinstance(verts, list) or not verts:
+    verts = _array(obj, "vertices")
+    if not verts:
         raise FormatError("polytope needs a nonempty vertex list")
+    if not all(isinstance(v, list) and v for v in verts):
+        raise FormatError("polytope vertices must be JSON arrays of at least one coordinate")
     pts = [tuple(rat_from_str(x) for x in v) for v in verts]
     dims = {len(p) for p in pts}
     if len(dims) != 1:
@@ -122,9 +133,9 @@ def family_from_obj(obj: dict) -> FamilySpec:
     eps = matrix_from_obj(_need(obj, "matrix"))
     P = polytope_from_obj(_need(obj, "polytope"))
     stages = []
-    for raw in _need(obj, "stages"):
+    for raw in _array(obj, "stages"):
         try:
-            stages.append(Stage(tuple(int(k) for k in _need(raw, "seq")), int(_need(raw, "r")), int(_need(raw, "s"))))
+            stages.append(Stage(tuple(int(k) for k in _array(raw, "seq")), int(_need(raw, "r")), int(_need(raw, "s"))))
         except (TypeError, ValueError):
             raise FormatError("malformed stage entry") from None
     return FamilySpec(eps, P, tuple(stages))

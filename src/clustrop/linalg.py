@@ -38,14 +38,6 @@ def is_zero(x) -> bool:
     return all(a == 0 for a in x)
 
 
-def matvec(A, x) -> Vec:
-    return tuple(dot(row, x) for row in A)
-
-
-def mat_transpose(A) -> Mat:
-    return tuple(zip(*A))
-
-
 def rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
     """Reduced row echelon form (in place on a copy); returns (matrix, pivot columns)."""
     M = [list(map(Q, r)) for r in rows]

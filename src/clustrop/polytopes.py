@@ -7,9 +7,12 @@ anywhere in this module.  `HalfSpace` alone fixes the facet format: its
 normal is a primitive integer tuple and its Fraction offset carries the
 scale, so every consumer reads integer normals as they are.  Two vertices
 span an edge, and a double-description ray pair is adjacent, by one
-combinatorial rule (`_adjacent`).  Vertex/facet conversion runs the double
-description method on the homogenization cone, which is practical for the
-dense low-dimensional polytopes handled here (roughly m <= 6).
+combinatorial rule (`_adjacent`).  Both conversions run the double
+description method on a homogenization cone of integer rows
+(`_bounded_rays`): `vertices_from_facets` on the facets, and
+`facets_from_points` on the polar dual about the centroid, reading each facet
+straight off an integer ray.  This is practical for the dense
+low-dimensional polytopes handled here (roughly m <= 6).
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ from .linalg import (
     _clear,
     dot,
     is_zero,
-    mat_inverse,
-    mat_transpose,
-    matvec,
+    mat_inverse,  # noqa: F401  unused here; bench/spans.py wraps polytopes.mat_inverse by name
     primitive,
     qvec,
     rank,
@@ -143,40 +144,40 @@ def _adjacent(tight: list[int], i: int, j: int) -> bool:
     return not any(k != i and k != j and common & t == common for k, t in enumerate(tight))
 
 
+def _bounded_rays(constraints, m: int) -> list[tuple[int, ...]]:
+    """Integer rays (x, t), t > 0, of the homogenization cone of the integer
+    rows (a, b) for <u, a> + b >= 0, on (u, 1); raises if the set is unbounded."""
+    rays = _dd_extreme_rays(constraints + [(0,) * m + (1,)], m + 1)
+    if any(r[m] == 0 for r in rays):
+        raise PolytopeError("half-space intersection is unbounded")
+    return rays
+
+
 def vertices_from_facets(halves: list[HalfSpace], m: int) -> list[Point]:
     """Vertex set of a bounded intersection of half-spaces (exact)."""
     # <u, n> + num/den >= 0 is the integer row (den n, num) on (u, 1)
-    constraints = [tuple(x * h.offset.denominator for x in h.normal) + (h.offset.numerator,) for h in halves]
-    constraints.append((0,) * m + (1,))
-    rays = _dd_extreme_rays(constraints, m + 1)
-    verts = []
-    for r in rays:
-        t = r[m]
-        if t == 0:
-            raise PolytopeError("half-space intersection is unbounded")
-        verts.append(tuple(Q(x, t) for x in r[:m]))
-    return sorted(set(verts))
+    rows = [tuple(x * h.offset.denominator for x in h.normal) + (h.offset.numerator,) for h in halves]
+    return sorted({tuple(Q(x, r[m]) for x in r[:m]) for r in _bounded_rays(rows, m)})
 
 
 def facets_from_points(points: list[Point], m: int) -> list[HalfSpace]:
     """Facet half-spaces (primitive integer inward normals) of conv(points).
 
-    Each vertex y of the polar dual about the centroid c = S / (N den), where
-    den * p is integral, gives the facet <u - c, y> + 1 >= 0; the dual
-    constraint <p - c, y> + 1 >= 0 is scaled to (N den p - S, N den)."""
+    Each vertex y/t of the polar dual about the centroid c = S / (N den),
+    where den * p is integral, gives the facet <u - c, y> + t >= 0; the dual
+    constraint <p - c, y> + 1 >= 0 is the integer row (N den p - S, N den).
+    With g = gcd(y) the facet has normal y/g and offset
+    (t N den - <S, y>) / (g N den), read straight off the integer ray (y, t)."""
     N = len(points)
     den = math.lcm(*(x.denominator for p in points for x in p))
     ipts = [_clear(p, den) for p in points]
     S = [sum(col) for col in zip(*ipts)]
-    rows = [[N * x - s for x, s in zip(p, S)] for p in ipts]
+    rows = [tuple(N * x - s for x, s in zip(p, S)) + (N * den,) for p in ipts]
     # a point equal to the centroid is interior and adds no dual constraint
-    dual_verts = vertices_from_facets([HalfSpace(r, N * den) for r in rows if any(r)], m)
     facets = []
-    for y in dual_verts:
-        n = primitive(y)
-        # y = (t/g) n, so the facet is <u, n> + t/g - <c, n> >= 0
-        t_g = next(b / a for a, b in zip(y, n) if b != 0)
-        facets.append((n, t_g - Q(sum(map(mul, S, n)), N * den)))
+    for *y, t in _bounded_rays([r for r in rows if any(r[:m])], m):
+        g = math.gcd(*y)
+        facets.append((tuple(x // g for x in y), Q(t * N * den - sum(map(mul, S, y)), g * N * den)))
     return [HalfSpace(n, offset) for n, offset in sorted(facets)]
 
 
@@ -248,17 +249,6 @@ class RationalPolytope:
             return RationalPolytope(verts, self.ambient_dim, self.dim, facets)
         return hull_any(verts, self.ambient_dim)
 
-    def linear_image(self, A) -> "RationalPolytope":
-        """Image under an invertible linear map; vertices and facets transform
-        directly (normals by the inverse transpose), no hull recomputation."""
-        verts = tuple(sorted(matvec(A, v) for v in self.vertices))
-        if not self.is_full_dim:
-            return hull_any(verts, self.ambient_dim)
-        Ainv_t = mat_transpose(mat_inverse(A))
-        facets = [HalfSpace(matvec(Ainv_t, f.normal), f.offset) for f in self.facets]
-        facets.sort(key=lambda h: (h.normal, h.offset))
-        return RationalPolytope(verts, self.ambient_dim, self.dim, tuple(facets))
-
     def bounding_box(self) -> list[tuple[Q, Q]]:
         return [(min(v[i] for v in self.vertices), max(v[i] for v in self.vertices)) for i in range(self.ambient_dim)]
 
@@ -298,9 +288,11 @@ def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
     m = ambient_dim if ambient_dim is not None else len(pts[0])
     if any(len(p) != m for p in pts):
         raise PolytopeError("points of mixed dimension")
-    if rank([vsub(p, pts[0]) for p in pts[1:]]) < m:
-        raise DegenerateError("points do not span the full dimension")
-    facets = facets_from_points(pts, m)
+    try:
+        facets = facets_from_points(pts, m)
+    except DegenerateError:
+        # the DD's pivot check: the dual rows span iff the points do
+        raise DegenerateError("points do not span the full dimension") from None
     tight = _tight_sets(facets, pts)
     # a non-vertex lies inside a face whose vertices are among the points, and
     # each of those is tight wherever it is; a vertex's tight facets meet only there

@@ -2,8 +2,10 @@
 plus the distinguishing-certificate pipeline built on them.
 
 The tropical map in direction k fixes the hyperplane u_k = 0 and acts by one
-unimodular linear map on each side; images of polytopes are therefore checked
-for convexity rather than assumed.
+unimodular linear map on each side.  One point map (`_trop`) serves points
+and polytope vertices, and the map of the negated row is its inverse, so an
+image is pulled back by that map to be checked for convexity rather than
+assumed.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 # mat_inverse is unused here; bench/spans.py wraps tropical.mat_inverse by name
-from .linalg import mat_inverse, matvec, qvec  # noqa: F401
+from .linalg import mat_inverse, qvec  # noqa: F401
 from .mutation import ExtendedExchangeMatrix, FrozenIndexError, _pos
 from .polytopes import (
     Point,
@@ -53,10 +55,15 @@ def trop_mutate_point(eps: ExtendedExchangeMatrix, k: int, u) -> Point:
     u = qvec(u)
     if len(u) != len(eps.cols):
         raise TropicalError("point dimension does not match column count")
-    ki = eps.col_index(k)
+    return _trop(eps.row(k), eps.col_index(k), u)
+
+
+def _trop(row, ki: int, u) -> Point:
+    """The point map of exchange row `row` at column ki; the negated row gives
+    its inverse."""
     uk = u[ki]
     sign = 1 if uk >= 0 else -1
-    out = [uj + _pos(sign * e) * uk for uj, e in zip(u, eps.row(k))]
+    out = [uj + _pos(sign * e) * uk for uj, e in zip(u, row)]
     out[ki] = -uk
     return tuple(out)
 
@@ -124,25 +131,6 @@ def saturation_probe(S: GradedPointSet, window: int = 8) -> list[tuple[int, tupl
 # Polytope mutation
 
 
-def branch_matrices(eps: ExtendedExchangeMatrix, k: int):
-    """The two linear maps of the tropical mutation: A on {u_k >= 0}, B on
-    {u_k <= 0}.  Both are unimodular and agree on the wall u_k = 0."""
-    _check_direction(eps, k)
-    n = len(eps.cols)
-    ki = eps.col_index(k)
-    row = eps.row(k)
-    A = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-    B = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-    for j in range(n):
-        if j == ki:
-            A[j][ki] = Q(-1)
-            B[j][ki] = Q(-1)
-        else:
-            A[j][ki] = Q(_pos(row[j]))
-            B[j][ki] = Q(_pos(-row[j]))
-    return tuple(map(tuple, A)), tuple(map(tuple, B))
-
-
 @dataclass(frozen=True)
 class TropImage:
     """Image of a polytope under one tropical mutation.
@@ -162,38 +150,28 @@ class TropImage:
 
 
 def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytope) -> TropImage:
-    """Map the two slices of P at u_k = 0 by the matching linear branches; if
-    the union of the images is convex (union equals hull, decided exactly)
-    return the hull, otherwise both pieces with the non-convexity flag."""
+    """Map the two closed halves of P at u_k = 0 (vertices plus wall
+    crossings) by the point map; if the union of the images is convex (union
+    equals hull, decided exactly) return the hull, otherwise both pieces with
+    the non-convexity flag.  A P on one side has no crossings and its image
+    is the hull."""
     _check_direction(eps, k)
     P.require_full_dim()
     m = P.ambient_dim
     if m != len(eps.cols):
         raise TropicalError("polytope ambient dimension does not match column count")
-    ki = eps.col_index(k)
+    ki, row = eps.col_index(k), eps.row(k)
     wall = halfspace([1 if i == ki else 0 for i in range(m)], 0)
-    A, B = branch_matrices(eps, k)
-    vals = [wall.value(v) for v in P.vertices]
-    if all(v >= 0 for v in vals):
-        return TropImage(True, P.linear_image(A))
-    if all(v <= 0 for v in vals):
-        return TropImage(True, P.linear_image(B))
-    # crossings lie on the wall, which both branches fix
+    # crossings lie on the wall, which the map fixes
     crossings = crossing_points(P, wall)
-    plus_img_pts = [matvec(A, v) for v, val in zip(P.vertices, vals) if val >= 0] + crossings
-    minus_img_pts = [matvec(B, v) for v, val in zip(P.vertices, vals) if val <= 0] + crossings
+    plus_img_pts = [_trop(row, ki, v) for v in P.vertices if v[ki] >= 0] + crossings
+    minus_img_pts = [_trop(row, ki, v) for v in P.vertices if v[ki] <= 0] + crossings
     H = hull(plus_img_pts + minus_img_pts, m)
-
-    # A and B are involutions and A maps {u_k >= 0} onto {u_k <= 0}, so a
-    # point c of {u_k <= 0} lies in the plus image iff A c is in P, and one of
-    # {u_k >= 0} lies in the minus image iff B c is in P.  The union is convex
-    # iff it equals H, i.e. iff each closed half of H (vertices plus wall
-    # crossings) pulls back into P.
-    def pulls_back(c):
-        side = wall.value(c)
-        return P.contains(c if side == 0 else matvec(A if side < 0 else B, c))
-
-    if all(map(pulls_back, H.vertices)) and all(map(P.contains, crossing_points(H, wall))):
+    # the map is a bijection whose inverse is the map of the negated row, so
+    # the union of the images is convex iff it equals H, i.e. iff each closed
+    # half of H (vertices plus wall crossings) pulls back into P
+    inverse = tuple(-e for e in row)
+    if all(P.contains(_trop(inverse, ki, c)) for c in H.vertices) and all(map(P.contains, crossing_points(H, wall))):
         return TropImage(True, H)
     return TropImage(False, None, hull_any(plus_img_pts, m), hull_any(minus_img_pts, m))
 
@@ -280,14 +258,13 @@ def supporting_halfspace_lemma(
     origin = tuple(Q(0) for _ in range(n))
     if not P.contains(origin):
         raise PreconditionError("origin", "0 not in the polytope")
-    hs = halfspace(_unit(n, si), 0)
-    if not all(hs.contains(v) for v in P.vertices):
+    if not all(v[si] >= 0 for v in P.vertices):
         raise PreconditionError("halfspace", f"polytope not contained in u_{s} >= 0")
     entry = eps.entry(r, s)
     if entry > 0:
         raise PreconditionError("entry_sign", f"eps_({r},{s}) = {entry} > 0")
     image = trop_mutate_polytope(eps, r, P)
-    if not all(hs.contains(v) for v in image.piece_vertices()):
+    if not all(v[si] >= 0 for v in image.piece_vertices()):
         raise PreconditionError("image_halfspace", f"mutated polytope not contained in u_{s} >= 0")
     normal = [Q(0)] * n
     normal[si] = Q(1)
@@ -476,12 +453,11 @@ def _certify_stage(
     if not entry_np:
         notes.append(f"entry {entry} is positive; lower bound not applicable")
     si = eps.col_index(st.s)
-    hs = halfspace(_unit(n, si), 0)
-    cond2 = all(hs.contains(v) for v in P.vertices)
+    cond2 = all(v[si] >= 0 for v in P.vertices)
     if st.r not in images:
         images[st.r] = trop_mutate_polytope(eps, st.r, P)
     img = images[st.r]
-    cond3 = all(hs.contains(v) for v in img.piece_vertices())
+    cond3 = all(v[si] >= 0 for v in img.piece_vertices())
     if not cond2:
         notes.append(f"polytope leaves the half-space u_{st.s} >= 0")
     if not cond3:

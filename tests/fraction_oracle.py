@@ -14,6 +14,16 @@ grown one rank test at a time) are the versions that `clustrop.polytopes`
 used before both rules moved to the double description's own: tight-set
 adjacency and the pivot columns of one Bareiss pass.  Their tight sets
 come from Fraction values here.
+
+`vertices_from_facets`, `facets_from_points` and `hull` are the route that
+`clustrop.polytopes` took before `hull` read its facets straight off the
+integer rays of the dual cone: dual vertices as Fraction points, turned into
+primitive normals again, after a separate `rank` check that the points
+span.  Here they run on the Fraction double description above, and
+this module's `hull_any` builds on them.  `trop_mutate_polytope` is the version that
+`clustrop.tropical` used before one point map replaced the two branch
+matrices: each side of the wall maps by its own linear map, and a polytope
+on one side by `linear_image` (normals by the inverse transpose).
 """
 
 from __future__ import annotations
@@ -22,8 +32,10 @@ import itertools
 import math
 from fractions import Fraction as Q
 from math import gcd
+from operator import mul
 
-from clustrop.linalg import dot, is_zero, mat_inverse, qvec, rref, vadd, vscale, vsub
+from clustrop.linalg import _clear, dot, is_zero, mat_inverse, qvec, rref, vadd, vscale, vsub
+from clustrop.mutation import ExtendedExchangeMatrix, _pos
 from clustrop.polytopes import (
     DegenerateError,
     HalfSpace,
@@ -31,8 +43,9 @@ from clustrop.polytopes import (
     RationalPolytope,
     _affine_coords,
     _combine,
-    hull,
+    halfspace,
 )
+from clustrop.tropical import TropicalError, TropImage, _check_direction
 
 Vec = tuple[Q, ...]
 Point = tuple[Q, ...]
@@ -216,3 +229,134 @@ def _independent_subset(vecs, target):
         if len(basis) == target:
             break
     return basis
+
+
+def vertices_from_facets(halves: list[HalfSpace], m: int) -> list[Point]:
+    """Vertex set of a bounded intersection of half-spaces (exact)."""
+    # <u, n> + num/den >= 0 is the integer row (den n, num) on (u, 1)
+    constraints = [tuple(x * h.offset.denominator for x in h.normal) + (h.offset.numerator,) for h in halves]
+    constraints.append((0,) * m + (1,))
+    rays = _dd_extreme_rays(constraints, m + 1)
+    verts = []
+    for r in rays:
+        t = r[m]
+        if t == 0:
+            raise PolytopeError("half-space intersection is unbounded")
+        verts.append(tuple(Q(x, t) for x in r[:m]))
+    return sorted(set(verts))
+
+
+def facets_from_points(points: list[Point], m: int) -> list[HalfSpace]:
+    """Facet half-spaces (primitive integer inward normals) of conv(points).
+
+    Each vertex y of the polar dual about the centroid c = S / (N den), where
+    den * p is integral, gives the facet <u - c, y> + 1 >= 0; the dual
+    constraint <p - c, y> + 1 >= 0 is scaled to (N den p - S, N den)."""
+    N = len(points)
+    den = math.lcm(*(x.denominator for p in points for x in p))
+    ipts = [_clear(p, den) for p in points]
+    S = [sum(col) for col in zip(*ipts)]
+    rows = [[N * x - s for x, s in zip(p, S)] for p in ipts]
+    # a point equal to the centroid is interior and adds no dual constraint
+    dual_verts = vertices_from_facets([HalfSpace(r, N * den) for r in rows if any(r)], m)
+    facets = []
+    for y in dual_verts:
+        n = primitive(y)
+        # y = (t/g) n, so the facet is <u, n> + t/g - <c, n> >= 0
+        t_g = next(b / a for a, b in zip(y, n) if b != 0)
+        facets.append((n, t_g - Q(sum(map(mul, S, n)), N * den)))
+    return [HalfSpace(n, offset) for n, offset in sorted(facets)]
+
+
+def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
+    """Convex hull of full-dimension-spanning points: minimal V-rep plus facets."""
+    pts = sorted({qvec(p) for p in points})
+    if not pts:
+        raise DegenerateError("no points given")
+    m = ambient_dim if ambient_dim is not None else len(pts[0])
+    if any(len(p) != m for p in pts):
+        raise PolytopeError("points of mixed dimension")
+    if rank([vsub(p, pts[0]) for p in pts[1:]]) < m:
+        raise DegenerateError("points do not span the full dimension")
+    facets = facets_from_points(pts, m)
+    tight = _tight_sets(facets, pts)
+    # a non-vertex lies inside a face whose vertices are among the points, and
+    # each of those is tight wherever it is; a vertex's tight facets meet only there
+    verts = [p for i, (p, t) in enumerate(zip(pts, tight)) if all(t & u != t for u in tight[:i] + tight[i + 1:])]
+    return RationalPolytope(tuple(verts), m, m, tuple(facets))
+
+
+def matvec(A, x) -> Vec:
+    return tuple(dot(row, x) for row in A)
+
+
+def mat_transpose(A):
+    return tuple(zip(*A))
+
+
+def linear_image(P: RationalPolytope, A) -> RationalPolytope:
+    """Image under an invertible linear map; vertices and facets transform
+    directly (normals by the inverse transpose), no hull recomputation."""
+    verts = tuple(sorted(matvec(A, v) for v in P.vertices))
+    if not P.is_full_dim:
+        return hull_any(verts, P.ambient_dim)
+    Ainv_t = mat_transpose(mat_inverse(A))
+    facets = [HalfSpace(matvec(Ainv_t, f.normal), f.offset) for f in P.facets]
+    facets.sort(key=lambda h: (h.normal, h.offset))
+    return RationalPolytope(verts, P.ambient_dim, P.dim, tuple(facets))
+
+
+def branch_matrices(eps: ExtendedExchangeMatrix, k: int):
+    """The two linear maps of the tropical mutation: A on {u_k >= 0}, B on
+    {u_k <= 0}.  Both are unimodular and agree on the wall u_k = 0."""
+    _check_direction(eps, k)
+    n = len(eps.cols)
+    ki = eps.col_index(k)
+    row = eps.row(k)
+    A = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+    B = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        if j == ki:
+            A[j][ki] = Q(-1)
+            B[j][ki] = Q(-1)
+        else:
+            A[j][ki] = Q(_pos(row[j]))
+            B[j][ki] = Q(_pos(-row[j]))
+    return tuple(map(tuple, A)), tuple(map(tuple, B))
+
+
+def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytope) -> TropImage:
+    """Map the two slices of P at u_k = 0 by the matching linear branches; if
+    the union of the images is convex (union equals hull, decided exactly)
+    return the hull, otherwise both pieces with the non-convexity flag."""
+    _check_direction(eps, k)
+    P.require_full_dim()
+    m = P.ambient_dim
+    if m != len(eps.cols):
+        raise TropicalError("polytope ambient dimension does not match column count")
+    ki = eps.col_index(k)
+    wall = halfspace([1 if i == ki else 0 for i in range(m)], 0)
+    A, B = branch_matrices(eps, k)
+    vals = [wall.value(v) for v in P.vertices]
+    if all(v >= 0 for v in vals):
+        return TropImage(True, linear_image(P, A))
+    if all(v <= 0 for v in vals):
+        return TropImage(True, linear_image(P, B))
+    # crossings lie on the wall, which both branches fix
+    crossings = crossing_points(P, wall)
+    plus_img_pts = [matvec(A, v) for v, val in zip(P.vertices, vals) if val >= 0] + crossings
+    minus_img_pts = [matvec(B, v) for v, val in zip(P.vertices, vals) if val <= 0] + crossings
+    H = hull(plus_img_pts + minus_img_pts, m)
+
+    # A and B are involutions and A maps {u_k >= 0} onto {u_k <= 0}, so a
+    # point c of {u_k <= 0} lies in the plus image iff A c is in P, and one of
+    # {u_k >= 0} lies in the minus image iff B c is in P.  The union is convex
+    # iff it equals H, i.e. iff each closed half of H (vertices plus wall
+    # crossings) pulls back into P.
+    def pulls_back(c):
+        side = wall.value(c)
+        return P.contains(c if side == 0 else matvec(A if side < 0 else B, c))
+
+    if all(map(pulls_back, H.vertices)) and all(map(P.contains, crossing_points(H, wall))):
+        return TropImage(True, H)
+    return TropImage(False, None, hull_any(plus_img_pts, m), hull_any(minus_img_pts, m))

@@ -96,6 +96,49 @@ def test_polytope_slice_rejects_bad_normal(capsys, tmp_path, normal):
     assert "usage error" in err and "--normal" in err
 
 
+def test_polytope_slice_negative_arguments_need_equals_form(capsys, tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"vertices": [["1", "1"], ["1", "-1"], ["-1", "1"], ["-1", "-1"]]}))
+    code, stdout, _ = run(capsys, "polytope", "slice", "--in", str(p), "--normal=-1,0", "--offset=-1/2")
+    assert code == 0
+    # -x - 1/2 >= 0 keeps x <= -1/2
+    assert json.loads(stdout)["plus"]["vertices"] == [["-1", "-1"], ["-1", "1"], ["-1/2", "-1"], ["-1/2", "1"]]
+    for argv in (["--normal", "-1,0"], ["--normal", "1,0", "--offset", "-1/2"]):
+        code, stdout, err = run(capsys, "polytope", "slice", "--in", str(p), *argv)
+        assert code == 1 and stdout == "" and "expected one argument" in err
+    with pytest.raises(SystemExit):
+        main(["polytope", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--normal=-1,0" in help_text and "--offset=-1/2" in help_text
+
+
+ROWS3 = {"1": [0, 1, -1], "2": [-1, 0, 1], "3": [1, -1, 0]}
+
+
+@pytest.mark.parametrize(
+    "argv, obj",
+    [
+        (["mutate", "--seq", "1"], {"cols": "123", "frozen": [], "d": [1, 1, 1], "rows": ROWS3}),
+        (["mutate", "--seq", "1"], {"cols": [1, 2, 3], "frozen": [], "d": "111", "rows": ROWS3}),
+        (["mutate", "--seq", "1"], {"cols": [1, 2], "frozen": [], "d": [1, 1], "rows": {"1": "01", "2": [-1, 0]}}),
+        (["polytope", "hull"], {"vertices": ["00", "10", "01"]}),
+        (["polytope", "hull"], {"vertices": [[]]}),
+        (["polytope", "hull"], {"vertices": "0"}),
+        (["certify-distinct"], "stage seq"),
+    ],
+)
+def test_json_strings_are_not_lists(capsys, tmp_path, argv, obj):
+    """Every list field needs a JSON array and every vertex a coordinate;
+    otherwise the input is a parse error (exit 1, nothing on stdout)."""
+    if obj == "stage seq":
+        obj = _family_2stage()
+        obj["stages"][0]["seq"] = "1"
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj))
+    code, stdout, err = run(capsys, *argv, "--family" if argv[0] == "certify-distinct" else "--in", str(f))
+    assert (code, stdout) == (1, "") and "parse error" in err
+
+
 def test_trop_mutate_command(capsys, tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps({"cols": [1, 2], "frozen": [2], "d": [1, 1], "rows": {"1": [0, -2]}}))

@@ -1,6 +1,7 @@
-"""Source checks: no runtime `assert` statements in the package, every
-module attribute the benchmark tracer wraps still exists, and the
-benchmark's self-checks pass.
+"""Source checks: no runtime `assert` statements in the package, no unused
+package import that the benchmark tracer does not wrap, every module
+attribute the tracer wraps still exists, and the benchmark's self-checks
+pass.
 
 `python -O` strips `assert`, so invariants the package checks at run time
 raise AssertionError explicitly instead."""
@@ -8,6 +9,7 @@ raise AssertionError explicitly instead."""
 import ast
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -25,15 +27,44 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
-def test_bench_tracer_installs_and_uninstalls():
-    """bench/spans.py wraps package functions by module attribute name, so a
-    refactor that drops one of those names breaks the traced benchmark run;
-    install raises KeyError for it here."""
+def _spans():
     sys.path.insert(0, str(ROOT / "bench"))
     try:
         import spans
     finally:
         sys.path.remove(str(ROOT / "bench"))
+    return spans
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_unused_package_imports_are_bench_bindings(path):
+    """A name a module imports from the package but never reads (and does
+    not list in `__all__`) is kept only as a binding the tracer wraps there."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    wrapped = {
+        name
+        for bindings, _count in _spans().BINDINGS.values()
+        for owner, name in bindings
+        if isinstance(owner, types.ModuleType) and owner.__name__ == f"clustrop.{path.stem}"
+    }
+    assert imported - used <= wrapped, f"{path.name} imports {sorted(imported - used - wrapped)} unused"
+
+
+def test_bench_tracer_installs_and_uninstalls():
+    """bench/spans.py wraps package functions by module attribute name, so a
+    refactor that drops one of those names breaks the traced benchmark run;
+    install raises KeyError for it here."""
+    spans = _spans()
     hull = polytopes.hull
     tracer = spans.Tracer()
     try:

@@ -1,7 +1,8 @@
 """Differential tests of the integer polytope kernel against the Fraction
 oracle in fraction_oracle.py: double description, Bareiss rank and solve,
-fiber-wise lattice enumeration, and the edge and affine-basis rules of
-`crossing_points` and `hull_any`."""
+fiber-wise lattice enumeration, the edge and affine-basis rules of
+`crossing_points` and `hull_any`, hull facets read off the dual cone's
+integer rays, and tropical mutation of polytopes by one point map."""
 
 import itertools
 import math
@@ -14,6 +15,7 @@ import pytest
 from clustrop.linalg import rank, solve, vadd, vsub
 from clustrop.polytopes import (
     DegenerateError,
+    PolytopeError,
     _dd_extreme_rays,
     crossing_points,
     halfspace,
@@ -23,7 +25,8 @@ from clustrop.polytopes import (
     slice_polytope,
     vertices_from_facets,
 )
-from genutil import random_polytope_with_interior_origin
+from clustrop.tropical import trop_mutate_polytope
+from genutil import random_exchange, random_polytope_with_interior_origin
 
 
 def rat(rng, span=4, dens=(1, 2, 3)):
@@ -106,6 +109,13 @@ def test_vertices_from_facets_match_brute_force(m):
         assert got == _brute_force_vertices(halves, m)
         if len(halves) == len(P.facets):
             assert tuple(got) == P.vertices
+
+
+def test_vertices_from_facets_rejects_unbounded_intersections():
+    # a quadrant and a wedge above |x| + 1: each has a ray with t = 0 in its homogenization cone
+    for halves in ([halfspace((1, 0), 0), halfspace((0, 1), 0)], [halfspace((-1, 1), -1), halfspace((1, 1), -1)]):
+        with pytest.raises(PolytopeError, match="^half-space intersection is unbounded$"):
+            vertices_from_facets(halves, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +309,78 @@ def test_hull_any_matches_rank_basis():
         assert (got._chart or (None, None))[:2] == (want._chart or (None, None))[:2]
         shapes.append(want.dim)
     assert {-1, 0, 1, 2} <= set(shapes)
+
+
+# ---------------------------------------------------------------------------
+# (e) hull facets and tropical images against the Fraction route
+
+
+def _same(got, want):
+    """Equal as polytopes and in the facets, which RationalPolytope.__eq__ ignores."""
+    return (got.vertices, got.dim, got.facets) == (want.vertices, want.dim, want.facets)
+
+
+def _raises_alike(f, g, *args):
+    """f and g raise the same exception type with the same message."""
+    with pytest.raises(PolytopeError) as want:
+        g(*args)
+    with pytest.raises(PolytopeError) as got:
+        f(*args)
+    assert (got.type, str(got.value)) == (want.type, str(want.value))
+
+
+def test_hull_facets_match_fraction_route():
+    rng = random.Random(480)
+    flat = 0
+    for case in range(160):
+        m = rng.randint(1, 4)
+        pts = [tuple(rat(rng, 3) for _ in range(m)) for _ in range(m + rng.randint(1, 5))]
+        if case % 4 == 1:
+            # the centroid as a point and a repeated point add nothing
+            pts += [tuple(sum(c) / len(pts) for c in zip(*pts)), pts[0]]
+        elif case % 4 == 2:
+            # points in a hyperplane (or one point, for m = 1) do not span
+            pts = [p[:-1] + (sum(p[:-1], Q(0)) / 2,) for p in pts] if m > 1 else pts[:1]
+        try:
+            want = oracle.hull(pts, m)
+        except DegenerateError:
+            _raises_alike(hull, oracle.hull, pts, m)
+            flat += 1
+            continue
+        assert _same(hull(pts, m), want)
+    assert flat >= 40
+    coplanar = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 0)]
+    for pts, m in [([], 2), ([(0, 0), (1, 0, 0)], 2), ([(1, 2)], 2), (coplanar, 3)]:
+        _raises_alike(hull, oracle.hull, pts, m)
+
+
+def _trop_cases(rng, m):
+    """(eps, k, P) with P moved along column k strictly off the wall, onto it
+    from either side, through a vertex, and by a random shift."""
+    P = random_polytope_with_interior_origin(rng, m)
+    n_mut = rng.randint(1, m)
+    eps = random_exchange(rng, n_mut=n_mut, n_frozen=m - n_mut, unit_d=rng.random() < 0.5)
+    k = rng.choice(eps.mutable)
+    ki = eps.col_index(k)
+    coords = sorted(v[ki] for v in P.vertices)
+    for shift in (-coords[0] + Q(1, 2), -coords[-1], -coords[0], -rng.choice(coords[1:-1] or coords), rat(rng, 2)):
+        yield eps, k, P.translate(tuple(shift if i == ki else Q(0) for i in range(m)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_trop_mutate_polytope_matches_branch_matrices(m):
+    rng = random.Random(490 + m)
+    kinds = {"one-sided": 0, "touching": 0, "convex": 0, "non-convex": 0}
+    for _ in range(24 if m < 4 else 8):
+        for eps, k, P in _trop_cases(rng, m):
+            got, want = trop_mutate_polytope(eps, k, P), oracle.trop_mutate_polytope(eps, k, P)
+            assert got.convex == want.convex
+            if want.convex:
+                assert _same(got.polytope, want.polytope)
+            else:
+                assert _same(got.plus_image, want.plus_image) and _same(got.minus_image, want.minus_image)
+            side = [v[eps.col_index(k)] for v in P.vertices]
+            kinds["one-sided"] += min(side) >= 0 or max(side) <= 0
+            kinds["touching"] += 0 in side and min(side) < 0 < max(side)
+            kinds["convex" if want.convex else "non-convex"] += 1
+    assert min(kinds.values()) >= (15 if m < 4 else 8), kinds

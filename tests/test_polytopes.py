@@ -19,7 +19,6 @@ from clustrop.polytopes import (
     slice_polytope,
     volume,
 )
-from genutil import random_polytope_with_interior_origin
 
 
 def square(r=1):
@@ -228,25 +227,3 @@ def test_halfspace_value_is_a_positive_multiple_of_the_given_form():
                 ratios.add(got / given)
         assert len(ratios) <= 1 and all(r > 0 for r in ratios)
 
-
-def _unimodular(rng, m):
-    """A random product of elementary integer matrices, with row swaps and sign flips."""
-    A = [[int(i == j) for j in range(m)] for i in range(m)]
-    for _ in range(2 * m + 2):
-        i, j = rng.sample(range(m), 2)
-        c = rng.choice([-2, -1, 1, 2])
-        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
-    rng.shuffle(A)
-    return [[-a for a in row] if rng.random() < 0.5 else row for row in A]
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_linear_image_facets_match_hull_of_image(m):
-    rng = random.Random(470 + m)
-    for _ in range(12 if m < 4 else 5):
-        P = random_polytope_with_interior_origin(rng, m)
-        A = _unimodular(rng, m)
-        img = P.linear_image(A)
-        H = hull(img.vertices, m)
-        assert img.vertices == H.vertices
-        assert img.facets == H.facets
