@@ -9,6 +9,7 @@ identical inputs and budgets give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -243,7 +244,9 @@ def cmd_fixtures(args):
     return OK if ok else NEGATIVE
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = _Parser(prog="clustrop", description="exact cluster mutation and tropical polytope toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
 

@@ -3,13 +3,14 @@
 The kernel is integer: the double description, incidence tests and lattice
 enumeration clear denominators once and run on int, and Fraction stays only
 at the API boundary (vertices, offsets, centers).  There is no floating point
-anywhere in this module.  `HalfSpace` alone fixes the facet format: its
-normal is a primitive integer tuple and its Fraction offset carries the
-scale, so every consumer reads integer normals as they are.  Two vertices
-span an edge, and a double-description ray pair is adjacent, by one
-combinatorial rule (`_adjacent`).  Both conversions run the double
-description method on a homogenization cone of integer rows
-(`_bounded_rays`): `vertices_from_facets` on the facets, and
+anywhere in this module.  `HalfSpace` alone fixes the facet format: a
+primitive integer normal, a Fraction offset, and the integer row they make.
+Points are cleared once at the boundary to integer homogeneous coordinates,
+and every membership, side and tightness test is the sign of a row against
+them.  Two vertices span an edge, and a double-description ray pair is
+adjacent, by one combinatorial rule (`_adjacent`).  Both conversions run the
+double description method on a homogenization cone of integer rows
+(`_bounded_rays`): `vertices_from_facets` on the facet rows, and
 `facets_from_points` on the polar dual about the centroid, reading each facet
 straight off an integer ray.  This is practical for the dense
 low-dimensional polytopes handled here (roughly m <= 6).
@@ -31,7 +32,7 @@ from .linalg import (
     mat_inverse,  # noqa: F401  unused here; bench/spans.py wraps polytopes.mat_inverse by name
     primitive,
     qvec,
-    rank,
+    rank,  # noqa: F401  unused here; bench/spans.py wraps polytopes.rank by name
     rref,  # noqa: F401  unused here; bench/spans.py wraps polytopes.rref by name
     solve,
     vadd,
@@ -57,11 +58,14 @@ class HalfSpace:
     The normal is stored as the primitive integer vector of its direction and
     the offset divided by the positive factor dropped, so the half-space is
     the same set, `value` shrinks by that factor and keeps its sign, and equal
-    half-spaces compare and hash equal however they were written.
+    half-spaces compare and hash equal however they were written.  `row` is
+    (den normal, num) for offset = num/den; on the homogeneous coordinates
+    (t p, t) of a point p (`_homog`) it sums to den t value(p), of the same sign.
     """
 
     normal: tuple[int, ...]
     offset: Q
+    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if is_zero(self.normal):
@@ -73,19 +77,39 @@ class HalfSpace:
             offset /= next(Q(a, b) for a, b in zip(given, normal) if b)
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "row", tuple(x * offset.denominator for x in normal) + (offset.numerator,))
 
     def value(self, p) -> Q:
         return dot(p, self.normal) + self.offset
 
     def contains(self, p) -> bool:
-        return self.value(p) >= 0
+        return sum(map(mul, self.row, _homog(p, len(self.normal)))) >= 0
 
     def on_boundary(self, p) -> bool:
-        return self.value(p) == 0
+        return sum(map(mul, self.row, _homog(p, len(self.normal)))) == 0
 
 
 def halfspace(normal, offset) -> HalfSpace:
     return HalfSpace(normal, offset)
+
+
+def _homog(p, m: int) -> tuple[int, ...]:
+    """Integer homogeneous coordinates (t p, t) of a point p in R^m, t > 0 the lcm of its denominators."""
+    if len(p) != m:
+        raise PolytopeError(f"point has {len(p)} coordinates, expected {m}")
+    t = math.lcm(*(x.denominator for x in p))
+    return (*_clear(p, t), t)
+
+
+def _homog_all(points) -> list[tuple[int, ...]]:
+    """Integer homogeneous coordinates of the points over one common t, so they sort as the points do."""
+    t = math.lcm(*(x.denominator for p in points for x in p))
+    return [(*_clear(p, t), t) for p in points]
+
+
+def _inside(P: "RationalPolytope", hp) -> bool:
+    """The point with integer homogeneous coordinates hp lies in the full-dimensional P."""
+    return all(sum(map(mul, f.row, hp)) >= 0 for f in P.facets)
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +179,22 @@ def _bounded_rays(constraints, m: int) -> list[tuple[int, ...]]:
 
 def vertices_from_facets(halves: list[HalfSpace], m: int) -> list[Point]:
     """Vertex set of a bounded intersection of half-spaces (exact)."""
-    # <u, n> + num/den >= 0 is the integer row (den n, num) on (u, 1)
-    rows = [tuple(x * h.offset.denominator for x in h.normal) + (h.offset.numerator,) for h in halves]
-    return sorted({tuple(Q(x, r[m]) for x in r[:m]) for r in _bounded_rays(rows, m)})
+    return sorted({tuple(Q(x, r[m]) for x in r[:m]) for r in _bounded_rays([h.row for h in halves], m)})
 
 
-def facets_from_points(points: list[Point], m: int) -> list[HalfSpace]:
-    """Facet half-spaces (primitive integer inward normals) of conv(points).
+def facets_from_points(hpts: list[tuple[int, ...]], m: int) -> list[HalfSpace]:
+    """Facet half-spaces (primitive integer inward normals) of the hull of
+    points given by integer homogeneous coordinates (den p, den), one common den.
 
-    Each vertex y/t of the polar dual about the centroid c = S / (N den),
-    where den * p is integral, gives the facet <u - c, y> + t >= 0; the dual
-    constraint <p - c, y> + 1 >= 0 is the integer row (N den p - S, N den).
+    Each vertex y/t of the polar dual about the centroid c = S / (N den)
+    gives the facet <u - c, y> + t >= 0; the dual constraint
+    <p - c, y> + 1 >= 0 is the integer row (N den p - S, N den).
     With g = gcd(y) the facet has normal y/g and offset
     (t N den - <S, y>) / (g N den), read straight off the integer ray (y, t)."""
-    N = len(points)
-    den = math.lcm(*(x.denominator for p in points for x in p))
-    ipts = [_clear(p, den) for p in points]
-    S = [sum(col) for col in zip(*ipts)]
-    rows = [tuple(N * x - s for x, s in zip(p, S)) + (N * den,) for p in ipts]
+    N = len(hpts)
+    den = hpts[0][m]
+    S = [sum(col) for col in zip(*hpts)][:m]
+    rows = [tuple(N * x - s for x, s in zip(p, S)) + (N * den,) for p in hpts]
     # a point equal to the centroid is interior and adds no dual constraint
     facets = []
     for *y, t in _bounded_rays([r for r in rows if any(r[:m])], m):
@@ -216,11 +238,11 @@ class RationalPolytope:
             )
 
     def contains(self, p) -> bool:
-        p = qvec(p)
         if self.is_empty:
             return False
         if self.is_full_dim:
-            return all(f.contains(p) for f in self.facets)
+            return _inside(self, _homog(p, self.ambient_dim))
+        p = qvec(p)
         if self.dim == 0:
             return p == self.vertices[0]
         p0, basis, inner = self._chart
@@ -228,8 +250,8 @@ class RationalPolytope:
         return coords is not None and inner.contains(coords)
 
     def contains_strictly(self, p) -> bool:
-        p = qvec(p)
-        return self.is_full_dim and all(f.value(p) > 0 for f in self.facets)
+        hp = _homog(p, self.ambient_dim)
+        return self.is_full_dim and all(sum(map(mul, f.row, hp)) > 0 for f in self.facets)
 
     def translate(self, t) -> "RationalPolytope":
         t = qvec(t)
@@ -272,31 +294,38 @@ def _affine_coords(p0, basis, p):
     return solve(A, diff)
 
 
-def _tight_sets(facets: list[HalfSpace], points) -> list[int]:
-    """For each point, the bitset of facets whose boundary holds it, in integers."""
-    den = math.lcm(*(x.denominator for p in points for x in p), *(f.offset.denominator for f in facets))
-    rows = [(f.normal, f.offset.numerator * (den // f.offset.denominator)) for f in facets]
-    ipts = [_clear(p, den) for p in points]
-    return [sum(1 << j for j, (n, b) in enumerate(rows) if sum(map(mul, n, ip)) + b == 0) for ip in ipts]
+def _tight_sets(facets: list[HalfSpace], hpts) -> list[int]:
+    """For each point, given by integer homogeneous coordinates, the bitset of
+    facets whose boundary holds it."""
+    rows = [f.row for f in facets]
+    return [sum(1 << j for j, r in enumerate(rows) if sum(map(mul, r, hp)) == 0) for hp in hpts]
 
 
 def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
-    """Convex hull of full-dimension-spanning points: minimal V-rep plus facets."""
-    pts = sorted({qvec(p) for p in points})
-    if not pts:
+    """Convex hull of full-dimension-spanning points: minimal V-rep plus facets.
+
+    The points are cleared once to integer tuples, which dedup and sort as the
+    points do; the vertices are the caller's points as Fraction tuples."""
+    given = list(points)
+    by_key = dict(zip(_homog_all(given), given))
+    if not by_key:
         raise DegenerateError("no points given")
-    m = ambient_dim if ambient_dim is not None else len(pts[0])
-    if any(len(p) != m for p in pts):
+    hpts = sorted(by_key)
+    m = ambient_dim if ambient_dim is not None else len(hpts[0]) - 1
+    if any(len(hp) != m + 1 for hp in hpts):
         raise PolytopeError("points of mixed dimension")
+    if m < 1:
+        raise PolytopeError("hull needs points with at least one coordinate")
     try:
-        facets = facets_from_points(pts, m)
+        facets = facets_from_points(hpts, m)
     except DegenerateError:
         # the DD's pivot check: the dual rows span iff the points do
         raise DegenerateError("points do not span the full dimension") from None
-    tight = _tight_sets(facets, pts)
+    tight = _tight_sets(facets, hpts)
     # a non-vertex lies inside a face whose vertices are among the points, and
     # each of those is tight wherever it is; a vertex's tight facets meet only there
-    verts = [p for i, (p, t) in enumerate(zip(pts, tight)) if all(t & u != t for u in tight[:i] + tight[i + 1:])]
+    keep = [all(t & u != t for u in tight[:i] + tight[i + 1:]) for i, t in enumerate(tight)]
+    verts = [qvec(by_key[hp]) for hp, k in zip(hpts, keep) if k]
     return RationalPolytope(tuple(verts), m, m, tuple(facets))
 
 
@@ -342,10 +371,8 @@ def polar_dual(P: RationalPolytope) -> RationalPolytope:
 
 def is_supporting(h: HalfSpace, P: RationalPolytope) -> bool:
     """True iff P lies in the half-space and touches its boundary hyperplane."""
-    if P.is_empty:
-        return False
-    vals = [h.value(v) for v in P.vertices]
-    return all(v >= 0 for v in vals) and min(vals) == 0
+    vals = [sum(map(mul, h.row, hp)) for hp in _homog_all(P.vertices)]
+    return bool(vals) and min(vals) == 0
 
 
 def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
@@ -362,12 +389,9 @@ def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
     if P.is_empty:
         return []
     *box, last = [range(math.ceil(lo * q), math.floor(hi * q) + 1) for lo, hi in P.bounding_box()]
-    # <n, k/q> + offset >= 0  <=>  <den n, k> + num >= 0 where q offset = num/den; sorted by the
-    # last coefficient: upper bounds on the last coordinate, rows free of it, lower bounds
-    rows = sorted(
-        (([x * b.denominator for x in f.normal], b.numerator) for f in P.facets or () for b in [f.offset * q]),
-        key=lambda r: r[0][-1],
-    )
+    # <n, k/q> + num/den >= 0  <=>  <den n, k> + q num >= 0 for the facet row (den n, num); sorted
+    # by the last coefficient: upper bounds on the last coordinate, rows free of it, lower bounds
+    rows = sorted(((f.row[:-1], q * f.row[-1]) for f in P.facets or ()), key=lambda r: r[0][-1])
     tail = [n[-1] for n, _ in rows]
     up, down = sum(a < 0 for a in tail), len(tail) - sum(a > 0 for a in tail)
     out = []
@@ -416,28 +440,30 @@ def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
 
     Writes each facet as <u, n_F> >= beta_F with primitive integer inward
     normal and solves <u0, n_F> = beta_F + nu exactly; certifies only when nu
-    is a positive integer.
+    is a positive integer.  One fraction-free elimination of the rows (den n_F,
+    -den | -num), beta_F = -num/den, gives the rank and the solution, if any.
     """
     P.require_full_dim()
     m = P.ambient_dim
-    rows = [f.normal + (-1,) for f in P.facets]
-    rhs = [-f.offset for f in P.facets]
-    norms = [f.normal for f in P.facets]
-    if rank(rows) < m + 1:
+    M = [list(f.row[:m]) + [-f.offset.denominator, -f.row[m]] for f in P.facets]
+    pivots = _bareiss(M, jordan=True)
+    if sum(c <= m for c in pivots) < m + 1:
         return None, "facet normals do not pin a unique center and size"
-    sol = solve(rows, rhs)
-    if sol is None:
+    if pivots[-1] == m + 1:
         return None, "no common center: facet offsets are incompatible"
-    center, nu = sol[:m], sol[m]
+    # every pivot row ends with the last pivot on its pivot, in column r of row r
+    center = tuple(Q(row[m + 1], row[r]) for r, row in enumerate(M[:m]))
+    nu = Q(M[m][m + 1], M[m][m])
+    norms = [f.normal for f in P.facets]
     if nu <= 0:
         return None, f"solved size {nu} is not positive"
     if nu.denominator != 1:
         return None, f"solved size {nu} is not an integer"
     dual = hull(norms, m)
-    cert = QGFCertificate(tuple(center), int(nu), tuple(sorted(norms)), dual)
-    for n, beta in zip(norms, rhs):
-        if dot(cert.center, n) - beta != cert.size:
-            raise AssertionError(f"QGF identity fails on facet normal {n}")
+    cert = QGFCertificate(center, int(nu), tuple(sorted(norms)), dual)
+    for f in P.facets:
+        if dot(cert.center, f.normal) + f.offset != cert.size:
+            raise AssertionError(f"QGF identity fails on facet normal {f.normal}")
     return cert, "ok"
 
 
@@ -469,19 +495,20 @@ def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
     crossings are harmless to downstream hulls and membership tests.  The
     crossings come in the order of the vertex pairs.
     """
-    verts = P.vertices
-    vals = [h.value(v) for v in verts]
-    tight = _tight_sets(P.facets, verts) if P.is_full_dim else None
+    hpts = _homog_all(P.vertices)
+    vals = [sum(map(mul, h.row, hp)) for hp in hpts]
+    tight = _tight_sets(P.facets, hpts) if P.is_full_dim else None
     out = []
-    for i, j in itertools.combinations(range(len(verts)), 2):
+    for i, j in itertools.combinations(range(len(hpts)), 2):
         a, b = vals[i], vals[j]
         if not ((a > 0 > b) or (b > 0 > a)):
             continue
         if tight is not None and not _adjacent(tight, i, j):
             continue
-        u, v = verts[i], verts[j]
-        t = a / (a - b)
-        out.append(vadd(u, vscale(t, vsub(v, u))))
+        # a and b are positive multiples of the values at the two vertices, so the
+        # crossing is (a V_j - b V_i) / (a - b) in homogeneous coordinates
+        *x, t = (a * vj - b * vi for vi, vj in zip(hpts[i], hpts[j]))
+        out.append(tuple(Q(c, t) for c in x))
     return out
 
 
@@ -497,10 +524,10 @@ def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:
     if P.is_empty:
         empty = RationalPolytope((), m, -1, None)
         return SliceResult(empty, empty, empty)
-    vals = {v: h.value(v) for v in P.vertices}
-    on = [v for v in P.vertices if vals[v] == 0]
-    plus_pts = [v for v in P.vertices if vals[v] >= 0]
-    minus_pts = [v for v in P.vertices if vals[v] <= 0]
+    vals = [sum(map(mul, h.row, hp)) for hp in _homog_all(P.vertices)]
+    on = [v for v, x in zip(P.vertices, vals) if x == 0]
+    plus_pts = [v for v, x in zip(P.vertices, vals) if x >= 0]
+    minus_pts = [v for v, x in zip(P.vertices, vals) if x <= 0]
     crossings = crossing_points(P, h)
     section = hull_any(on + crossings, m)
     plus = hull_any(plus_pts + crossings, m)
@@ -513,80 +540,49 @@ def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:
 
 
 def volume(P: RationalPolytope) -> Q:
-    """Exact volume; 0 for lower-dimensional bodies.  Supports m <= 3."""
+    """Exact volume; 0 for lower-dimensional bodies.  Supports m <= 3.
+
+    Two vertices span an edge by `_adjacent` on their tight sets, and the
+    boundary of a polygon, or of a facet, is the cycle of the edges on it."""
     if P.is_empty or not P.is_full_dim:
         return Q(0)
-    m = P.ambient_dim
+    m, verts = P.ambient_dim, P.vertices
     if m == 1:
-        xs = [v[0] for v in P.vertices]
+        xs = [v[0] for v in verts]
         return max(xs) - min(xs)
+    if m > 3:
+        raise PolytopeError("exact volume implemented for ambient dimension <= 3")
+    tight = _tight_sets(P.facets, _homog_all(verts))
+    edges = [e for e in itertools.combinations(range(len(verts)), 2) if _adjacent(tight, *e)]
     if m == 2:
-        ring = _polygon_cycle(P)
-        a = Q(0)
-        for p, q in zip(ring, ring[1:] + ring[:1]):
-            a += p[0] * q[1] - q[0] * p[1]
-        return abs(a) / 2
-    if m == 3:
-        apex = P.vertices[0]
-        total = Q(0)
-        for f in P.facets:
-            if f.value(apex) == 0:
-                continue
-            fverts = [v for v in P.vertices if f.on_boundary(v)]
-            ring = _facet_cycle(P, f, fverts)
-            for b, c in zip(ring[1:], ring[2:]):
-                u1 = vsub(ring[0], apex)
-                u2 = vsub(b, apex)
-                u3 = vsub(c, apex)
-                det = (
-                    u1[0] * (u2[1] * u3[2] - u2[2] * u3[1])
-                    - u1[1] * (u2[0] * u3[2] - u2[2] * u3[0])
-                    + u1[2] * (u2[0] * u3[1] - u2[1] * u3[0])
-                )
-                total += abs(det)
-        return total / 6
-    raise PolytopeError("exact volume implemented for ambient dimension <= 3")
+        ring = [verts[i] for i in _cycle(edges)]
+        return abs(sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(ring, ring[1:] + ring[:1]))) / 2
+    apex = verts[0]
+    total = Q(0)
+    for j in range(len(P.facets)):
+        on = {i for i, t in enumerate(tight) if t >> j & 1}
+        if 0 in on:
+            continue
+        a, *ring = [vsub(verts[i], apex) for i in _cycle([e for e in edges if on.issuperset(e)])]
+        for b, c in zip(ring, ring[1:]):
+            det = (
+                a[0] * (b[1] * c[2] - b[2] * c[1])
+                - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0])
+            )
+            total += abs(det)
+    return total / 6
 
 
-def _polygon_cycle(P: RationalPolytope) -> list[Point]:
-    """Vertices of a 2D polytope in boundary order (walk the facet graph)."""
-    edges = {}
-    for f in P.facets:
-        tight = [v for v in P.vertices if f.on_boundary(v)]
-        if len(tight) == 2:
-            edges.setdefault(tight[0], []).append(tight[1])
-            edges.setdefault(tight[1], []).append(tight[0])
-    start = P.vertices[0]
-    ring = [start]
-    prev = None
+def _cycle(edges: list[tuple[int, int]]) -> list[int]:
+    """The nodes of a cycle graph, given by its edges, in walking order."""
+    adj: dict[int, list[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    ring = list(edges[0])
     while True:
-        nxts = [w for w in edges[ring[-1]] if w != prev]
-        prev = ring[-1]
-        ring.append(nxts[0])
-        if ring[-1] == start:
-            return ring[:-1]
-
-
-def _facet_cycle(P: RationalPolytope, f: HalfSpace, fverts: list[Point]) -> list[Point]:
-    """Vertices of a 3D facet in boundary order (edges = shared second facet)."""
-    if len(fverts) == 3:
-        return fverts
-    adj = {v: [] for v in fverts}
-    for u, v in itertools.combinations(fverts, 2):
-        common = [
-            g
-            for g in P.facets
-            if g != f and g.on_boundary(u) and g.on_boundary(v)
-        ]
-        if common:
-            adj[u].append(v)
-            adj[v].append(u)
-    start = fverts[0]
-    ring = [start]
-    prev = None
-    while True:
-        nxts = [w for w in adj[ring[-1]] if w != prev]
-        prev = ring[-1]
-        ring.append(nxts[0])
-        if ring[-1] == start:
-            return ring[:-1]
+        nxt = next(w for w in adj[ring[-1]] if w != ring[-2])
+        if nxt == ring[0]:
+            return ring
+        ring.append(nxt)

@@ -20,6 +20,8 @@ from .polytopes import (
     Point,
     QGFCertificate,
     RationalPolytope,
+    _homog_all,
+    _inside,
     crossing_points,
     halfspace,
     hull,
@@ -169,9 +171,11 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     H = hull(plus_img_pts + minus_img_pts, m)
     # the map is a bijection whose inverse is the map of the negated row, so
     # the union of the images is convex iff it equals H, i.e. iff each closed
-    # half of H (vertices plus wall crossings) pulls back into P
-    inverse = tuple(-e for e in row)
-    if all(P.contains(_trop(inverse, ki, c)) for c in H.vertices) and all(map(P.contains, crossing_points(H, wall))):
+    # half of H (vertices plus wall crossings) pulls back into P; the map is integral
+    # and positively homogeneous, so it pulls back integer homogeneous coordinates
+    inverse = tuple(-e for e in row) + (0,)  # the 0 keeps the last coordinate
+    pulled = (_trop(inverse, ki, hp) for hp in _homog_all(H.vertices))
+    if all(_inside(P, hp) for hp in pulled) and all(map(P.contains, crossing_points(H, wall))):
         return TropImage(True, H)
     return TropImage(False, None, hull_any(plus_img_pts, m), hull_any(minus_img_pts, m))
 
@@ -266,15 +270,11 @@ def supporting_halfspace_lemma(
     image = trop_mutate_polytope(eps, r, P)
     if not all(v[si] >= 0 for v in image.piece_vertices()):
         raise PreconditionError("image_halfspace", f"mutated polytope not contained in u_{s} >= 0")
-    normal = [Q(0)] * n
-    normal[si] = Q(1)
-    normal[ri] = Q(-entry)
-    support = halfspace(normal, 0)
-    vals = [support.value(v) for v in P.vertices]
-    holds = all(v >= 0 for v in vals)
+    support = halfspace([-entry if i == ri else int(i == si) for i in range(n)], 0)
+    holds = all(map(support.contains, P.vertices))
     witness = None
     if holds:
-        witness = next((v for v, val in zip(P.vertices, vals) if val == 0), origin)
+        witness = next((v for v in P.vertices if support.on_boundary(v)), origin)
     return SupportCheck(holds, witness)
 
 

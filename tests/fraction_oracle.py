@@ -24,6 +24,17 @@ this module's `hull_any` builds on them.  `trop_mutate_polytope` is the version 
 `clustrop.tropical` used before one point map replaced the two branch
 matrices: each side of the wall maps by its own linear map, and a polytope
 on one side by `linear_image` (normals by the inverse transpose).
+
+`halfspace_contains`, `on_boundary`, `contains`, `contains_strictly`,
+`qgf_solve` and `volume` (with its two boundary walks) are the versions that `clustrop.polytopes` used before its sign
+tests read each half-space's integer row against integer homogeneous
+coordinates: `HalfSpace.value` in Fraction, with `qgf_solve` running `rank`
+and then `solve` (here the rref versions above), and `volume` finding each
+boundary cycle facet by facet.  This module's
+`crossing_points` and `hull` take their values, crossings and input handling
+(`sorted({qvec(p) ...})`) from the same Fraction code, and its `_tight_sets`,
+`lattice_points` and `trop_mutate_polytope` test membership through these
+functions, so no oracle goes through the integer rows.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from clustrop.polytopes import (
     DegenerateError,
     HalfSpace,
     PolytopeError,
+    QGFCertificate,
     RationalPolytope,
     _affine_coords,
     _combine,
@@ -165,14 +177,14 @@ def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
     out = []
     for combo in itertools.product(*ranges):
         p = tuple(Q(k, q) for k in combo)
-        if P.contains(p):
+        if contains(P, p):
             out.append(p)
     return out
 
 
 def _tight_sets(facets: list[HalfSpace], points) -> list[int]:
     """For each point, the bitset of facets whose boundary holds it."""
-    return [sum(1 << j for j, f in enumerate(facets) if f.on_boundary(p)) for p in points]
+    return [sum(1 << j for j, f in enumerate(facets) if on_boundary(f, p)) for p in points]
 
 
 def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
@@ -355,8 +367,144 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     # crossings) pulls back into P.
     def pulls_back(c):
         side = wall.value(c)
-        return P.contains(c if side == 0 else matvec(A if side < 0 else B, c))
+        return contains(P, c if side == 0 else matvec(A if side < 0 else B, c))
 
-    if all(map(pulls_back, H.vertices)) and all(map(P.contains, crossing_points(H, wall))):
+    if all(map(pulls_back, H.vertices)) and all(contains(P, c) for c in crossing_points(H, wall)):
         return TropImage(True, H)
     return TropImage(False, None, hull_any(plus_img_pts, m), hull_any(minus_img_pts, m))
+
+
+def halfspace_contains(h: HalfSpace, p) -> bool:
+    return h.value(p) >= 0
+
+
+def on_boundary(h: HalfSpace, p) -> bool:
+    return h.value(p) == 0
+
+
+def contains(P: RationalPolytope, p) -> bool:
+    p = qvec(p)
+    if P.is_empty:
+        return False
+    if P.is_full_dim:
+        return all(halfspace_contains(f, p) for f in P.facets)
+    if P.dim == 0:
+        return p == P.vertices[0]
+    p0, basis, inner = P._chart
+    coords = _affine_coords(p0, basis, p)
+    return coords is not None and contains(inner, coords)
+
+
+def contains_strictly(P: RationalPolytope, p) -> bool:
+    p = qvec(p)
+    return P.is_full_dim and all(f.value(p) > 0 for f in P.facets)
+
+
+def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
+    """(certificate, diagnostic) for the Q-Gorenstein Fano property.
+
+    Writes each facet as <u, n_F> >= beta_F with primitive integer inward
+    normal and solves <u0, n_F> = beta_F + nu exactly; certifies only when nu
+    is a positive integer.
+    """
+    P.require_full_dim()
+    m = P.ambient_dim
+    rows = [f.normal + (-1,) for f in P.facets]
+    rhs = [-f.offset for f in P.facets]
+    norms = [f.normal for f in P.facets]
+    if rank(rows) < m + 1:
+        return None, "facet normals do not pin a unique center and size"
+    sol = solve(rows, rhs)
+    if sol is None:
+        return None, "no common center: facet offsets are incompatible"
+    center, nu = sol[:m], sol[m]
+    if nu <= 0:
+        return None, f"solved size {nu} is not positive"
+    if nu.denominator != 1:
+        return None, f"solved size {nu} is not an integer"
+    dual = hull(norms, m)
+    cert = QGFCertificate(tuple(center), int(nu), tuple(sorted(norms)), dual)
+    for n, beta in zip(norms, rhs):
+        if dot(cert.center, n) - beta != cert.size:
+            raise AssertionError(f"QGF identity fails on facet normal {n}")
+    return cert, "ok"
+
+
+def volume(P: RationalPolytope) -> Q:
+    """Exact volume; 0 for lower-dimensional bodies.  Supports m <= 3."""
+    if P.is_empty or not P.is_full_dim:
+        return Q(0)
+    m = P.ambient_dim
+    if m == 1:
+        xs = [v[0] for v in P.vertices]
+        return max(xs) - min(xs)
+    if m == 2:
+        ring = _polygon_cycle(P)
+        a = Q(0)
+        for p, q in zip(ring, ring[1:] + ring[:1]):
+            a += p[0] * q[1] - q[0] * p[1]
+        return abs(a) / 2
+    if m == 3:
+        apex = P.vertices[0]
+        total = Q(0)
+        for f in P.facets:
+            if on_boundary(f, apex):
+                continue
+            fverts = [v for v in P.vertices if on_boundary(f, v)]
+            ring = _facet_cycle(P, f, fverts)
+            for b, c in zip(ring[1:], ring[2:]):
+                u1 = vsub(ring[0], apex)
+                u2 = vsub(b, apex)
+                u3 = vsub(c, apex)
+                det = (
+                    u1[0] * (u2[1] * u3[2] - u2[2] * u3[1])
+                    - u1[1] * (u2[0] * u3[2] - u2[2] * u3[0])
+                    + u1[2] * (u2[0] * u3[1] - u2[1] * u3[0])
+                )
+                total += abs(det)
+        return total / 6
+    raise PolytopeError("exact volume implemented for ambient dimension <= 3")
+
+
+def _polygon_cycle(P: RationalPolytope) -> list[Point]:
+    """Vertices of a 2D polytope in boundary order (walk the facet graph)."""
+    edges = {}
+    for f in P.facets:
+        tight = [v for v in P.vertices if on_boundary(f, v)]
+        if len(tight) == 2:
+            edges.setdefault(tight[0], []).append(tight[1])
+            edges.setdefault(tight[1], []).append(tight[0])
+    start = P.vertices[0]
+    ring = [start]
+    prev = None
+    while True:
+        nxts = [w for w in edges[ring[-1]] if w != prev]
+        prev = ring[-1]
+        ring.append(nxts[0])
+        if ring[-1] == start:
+            return ring[:-1]
+
+
+def _facet_cycle(P: RationalPolytope, f: HalfSpace, fverts: list[Point]) -> list[Point]:
+    """Vertices of a 3D facet in boundary order (edges = shared second facet)."""
+    if len(fverts) == 3:
+        return fverts
+    adj = {v: [] for v in fverts}
+    for u, v in itertools.combinations(fverts, 2):
+        common = [
+            g
+            for g in P.facets
+            if g != f and on_boundary(g, u) and on_boundary(g, v)
+        ]
+        if common:
+            adj[u].append(v)
+            adj[v].append(u)
+    start = fverts[0]
+    ring = [start]
+    prev = None
+    while True:
+        nxts = [w for w in adj[ring[-1]] if w != prev]
+        prev = ring[-1]
+        ring.append(nxts[0])
+        if ring[-1] == start:
+            return ring[:-1]

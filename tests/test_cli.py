@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from clustrop import jsonio
-from clustrop.cli import main
+from clustrop.cli import build_parser, main
 from clustrop.glsseed import gls_exchange_matrix
 from clustrop.rootsys import cartan_matrix
 
@@ -387,3 +387,30 @@ def test_golden_stdout(capsys, tmp_path, case, code):
     got, stdout, _ = run(capsys, *_golden_inputs(tmp_path, case))
     assert got == code
     assert stdout == (GOLDEN / f"{case}.json").read_text()
+
+
+def test_cached_parser_matches_fresh_parsers(capsys, tmp_path):
+    """The parser is built once per process; a mixed sequence of calls
+    through it gives the exit codes, stdout and stderr of the same calls each
+    on a freshly built parser."""
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({"vertices": [["2", "2"], ["2", "-2"], ["-2", "2"], ["-2", "-2"]]}))
+    calls = [
+        _golden_inputs(tmp_path, "certify_2stage"),
+        ["mutate", "--seq", "1"],
+        _golden_inputs(tmp_path, "trop_k1"),
+        ["polytope", "slice", "--in", str(square), "--normal=-1,0"],
+        ["polytope", "lattice-points", "--in", str(square), "--q", "0"],
+        ["polytope", "slice", "--in", str(square), "--normal", "-1,0"],
+        _golden_inputs(tmp_path, "certify_2stage"),
+    ]
+    build_parser.cache_clear()
+    cached = [run(capsys, *argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, 0, 0, 1, 1, 0]
+    assert cached[0][1] == (GOLDEN / "certify_2stage.json").read_text()

@@ -1,7 +1,7 @@
-"""Source checks: no runtime `assert` statements in the package, no unused
-package import that the benchmark tracer does not wrap, every module
-attribute the tracer wraps still exists, and the benchmark's self-checks
-pass.
+"""Source checks: no runtime `assert` statements in the package, no call of
+`HalfSpace.value` in it, no unused package import that the benchmark tracer
+does not wrap, every module attribute the tracer wraps still exists, and the
+benchmark's self-checks pass.
 
 `python -O` strips `assert`, so invariants the package checks at run time
 raise AssertionError explicitly instead."""
@@ -25,6 +25,20 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_value_calls(path):
+    """Sign tests in the package read a half-space's integer row against
+    integer homogeneous coordinates; `HalfSpace.value` stays the public
+    Fraction accessor, called only from outside the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "value"
+    ]
+    assert not lines, f"{path.name} calls .value( at lines {lines}"
 
 
 def _spans():

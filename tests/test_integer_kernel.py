@@ -2,7 +2,8 @@
 oracle in fraction_oracle.py: double description, Bareiss rank and solve,
 fiber-wise lattice enumeration, the edge and affine-basis rules of
 `crossing_points` and `hull_any`, hull facets read off the dual cone's
-integer rays, and tropical mutation of polytopes by one point map."""
+integer rays, tropical mutation of polytopes by one point map, and the sign
+tests, crossings, hull input and `qgf_solve` on integer rows."""
 
 import itertools
 import math
@@ -16,17 +17,21 @@ from clustrop.linalg import rank, solve, vadd, vsub
 from clustrop.polytopes import (
     DegenerateError,
     PolytopeError,
+    RationalPolytope,
     _dd_extreme_rays,
     crossing_points,
     halfspace,
     hull,
     hull_any,
+    is_supporting,
     lattice_points,
+    qgf_solve,
     slice_polytope,
     vertices_from_facets,
+    volume,
 )
 from clustrop.tropical import trop_mutate_polytope
-from genutil import random_exchange, random_polytope_with_interior_origin
+from genutil import random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
 
 
 def rat(rng, span=4, dens=(1, 2, 3)):
@@ -384,3 +389,181 @@ def test_trop_mutate_polytope_matches_branch_matrices(m):
             kinds["touching"] += 0 in side and min(side) < 0 < max(side)
             kinds["convex" if want.convex else "non-convex"] += 1
     assert min(kinds.values()) >= (15 if m < 4 else 8), kinds
+
+
+# ---------------------------------------------------------------------------
+# (f) sign tests, crossings, hull input and qgf_solve on integer rows
+
+
+def _written(rng, p):
+    """p as a tuple of Fractions, a list, or with integral entries as int."""
+    form = rng.randrange(3)
+    if form == 0:
+        return p
+    q = [int(x) if x.denominator == 1 and rng.random() < 0.7 else x for x in p]
+    return q if form == 1 else tuple(q)
+
+
+def _sign_cases(rng, m, case):
+    """Full-dimensional clouds with mixed denominators, their translates and
+    scalings, a lower-dimensional (chart) polytope, a point and the empty set."""
+    dens = (1, 2, 3, 5, 7)
+    P = _cloud(rng, m)
+    yield P
+    yield P.translate(tuple(rat(rng, 3, dens) for _ in range(m)))
+    yield P.scale(Q(rng.randint(1, 9), rng.choice(dens)))
+    if m > 1:
+        yield hull_any(_affine_cloud(rng, m, 1 + case % (m - 1)), m)
+    yield hull_any([tuple(rat(rng, 3, dens) for _ in range(m))], m)
+    yield hull_any([], m)
+
+
+def _probes(rng, P, m):
+    """Vertices, the centroid, random points, and for facets of P points
+    on the facet and off it by 1/D on either side."""
+    dens = (1, 2, 3, 4, 6, 7)
+    pts = [tuple(rat(rng, 4, dens) for _ in range(m)) for _ in range(4)]
+    if P.is_empty:
+        return pts
+    pts += list(P.vertices) + [tuple(sum(c) / len(P.vertices) for c in zip(*P.vertices))]
+    for f in P.facets or ():
+        v = next(v for v in P.vertices if f.value(v) == 0)
+        j = next(i for i, a in enumerate(f.normal) if a)
+        for step in (Q(1), Q(-1)):
+            D = rng.choice((1, 2, 3, 11, 360))
+            pts.append(tuple(x + step / (D * f.normal[j]) if i == j else x for i, x in enumerate(v)))
+    return pts
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_sign_tests_match_fraction_oracle(m):
+    rng = random.Random(500 + m)
+    seen = {"on": 0, "out_by_step": 0, "inside": 0, "outside": 0, "strict": 0, "supporting": 0, "dims": set()}
+    for case in range(12 if m < 4 else 6):
+        for P in _sign_cases(rng, m, case):
+            seen["dims"].add(P.dim)
+            for p in _probes(rng, P, m):
+                w = _written(rng, p)
+                got = P.contains(w)
+                assert got == oracle.contains(P, p)
+                assert P.contains_strictly(w) == oracle.contains_strictly(P, p)
+                seen["inside" if got else "outside"] += 1
+                seen["strict"] += P.contains_strictly(w)
+                for f in P.facets or ():
+                    assert f.contains(w) == oracle.halfspace_contains(f, p)
+                    assert f.on_boundary(w) == oracle.on_boundary(f, p)
+                    seen["on"] += f.on_boundary(w)
+                    seen["out_by_step"] += 0 > f.value(p) >= -1
+                n = tuple(rng.randint(-3, 3) for _ in range(m - 1)) + (1,)
+                h = halfspace(n, -oracle.dot(n, p))
+                vals = [h.value(v) for v in P.vertices]
+                assert is_supporting(h, P) == (bool(vals) and min(vals) == 0)
+                seen["supporting"] += is_supporting(h, P)
+    dims = seen.pop("dims")
+    assert {-1, 0, m} <= dims and (m == 1 or len(dims) > 3), dims
+    assert min(seen.values()) >= 10, seen
+
+
+def test_sign_tests_reject_points_of_the_wrong_dimension():
+    P = hull([(0, 0), (1, 0), (0, 1)])
+    for test in (P.contains, P.contains_strictly, P.facets[0].contains, P.facets[0].on_boundary):
+        with pytest.raises(PolytopeError, match="^point has 3 coordinates, expected 2$"):
+            test((0, 0, 0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_crossing_points_on_walls_match_fraction_oracle(m):
+    """Cuts through translates and scalings: coordinate walls through a vertex
+    and generic hyperplanes, on full-dimensional polytopes and their sections."""
+    rng = random.Random(510 + m)
+    crossed = walls = sections = 0
+    for _ in range(12 if m < 4 else 5):
+        P = _cloud(rng, m)
+        for R in (P.translate(tuple(-x for x in rng.choice(P.vertices))), P.scale(Q(rng.randint(1, 7), 3))):
+            cuts = [halfspace(tuple(int(i == k) for i in range(m)), 0) for k in range(m)]
+            cuts.append(halfspace(tuple(rng.randint(-3, 3) for _ in range(m - 1)) + (2,), rat(rng, 2, (2, 3, 5))))
+            for h in cuts:
+                got = crossing_points(R, h)
+                assert got == oracle.crossing_points(R, h)
+                assert all(type(x) is Q for c in got for x in c)
+                crossed += len(got) > 0
+                walls += any(h.value(v) == 0 for v in R.vertices)
+                S = slice_polytope(R, h)
+                assert all(h.value(v) == 0 for v in S.section.vertices)
+                assert all(h.value(v) >= 0 for v in S.plus.vertices)
+                assert all(h.value(v) <= 0 for v in S.minus.vertices)
+                if S.section.dim > 0:
+                    g = halfspace(tuple(rng.randint(-3, 3) for _ in range(m - 1)) + (1,), rat(rng, 1, (2, 3)))
+                    assert crossing_points(S.section, g) == oracle.crossing_points(S.section, g)
+                    sections += 1
+    assert crossed >= 10 and walls >= 10 and (sections > 0 or m == 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_hull_input_forms_match_fraction_oracle(m):
+    """Points as int, list or Fraction tuples with mixed denominators, and
+    duplicates written two ways, give the oracle's hull, vertices as Fraction
+    tuples in the same order."""
+    rng = random.Random(520 + m)
+    compared = 0
+    for case in range(20 if m < 4 else 8):
+        pts = [tuple(rat(rng, 4, (1, 2, 3, 5)) for _ in range(m)) for _ in range(m + rng.randint(1, 5))]
+        # the same point written as 1 and as Q(2, 2), or as 2/3 and Q(4, 6)
+        p = rng.choice(pts)
+        pts.append(tuple(Q(2 * x.numerator, 2 * x.denominator) for x in p))
+        pts.append([int(x) if x.denominator == 1 else x for x in p])
+        written = [_written(rng, p) for p in pts]
+        rng.shuffle(written)
+        try:
+            want = oracle.hull(written, m)
+        except DegenerateError:
+            _raises_alike(hull, oracle.hull, written, m)
+            continue
+        got = hull(written, None if case % 2 else m)
+        assert _same(got, want)
+        assert all(type(v) is tuple and all(type(x) is Q for x in v) for v in got.vertices)
+        compared += 1
+    assert compared >= 6
+
+
+def test_qgf_solve_matches_fraction_oracle():
+    rng = random.Random(530)
+    diagnostics = {}
+    cases = []
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        P, _nu = random_qgf_polytope(rng, m)
+        cases += [P, P.scale(Q(1, 2)), P.translate(tuple(rat(rng, 1) for _ in range(m)))]
+        cases.append(random_polytope_with_interior_origin(rng, m))
+    x = (Q(0), Q(0))
+    # two parallel facets leave the center free along them; flipped offsets solve to a negative size
+    cases.append(RationalPolytope((x,), 2, 2, (halfspace((1, 0), 1), halfspace((-1, 0), 1))))
+    cases.append(RationalPolytope((x[:1],), 1, 1, (halfspace((1,), -1), halfspace((-1,), -1))))
+    for P in cases:
+        got, want = qgf_solve(P), oracle.qgf_solve(P)
+        assert got == want
+        if want[0] is not None:
+            assert got[0].dual.facets == want[0].dual.facets
+        key = want[1].split(":")[0].split(" is ")[-1]
+        diagnostics[key] = diagnostics.get(key, 0) + 1
+    assert set(diagnostics) == {
+        "ok", "facet normals do not pin a unique center and size", "no common center", "not positive", "not an integer"
+    }, diagnostics
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_volume_matches_facet_walk(m):
+    """Boundary cycles from tight-set edges give the facet-by-facet walk's
+    volume, on clouds, their translates and scalings, cubes and sections."""
+    rng = random.Random(540 + m)
+    shapes = set()
+    for case in range(40 if m < 3 else 25):
+        P = _cloud(rng, m) if case % 5 else hull(list(itertools.product((-1, 2), repeat=m)), m)
+        for R in (P, P.translate(tuple(rat(rng, 2) for _ in range(m))), P.scale(Q(rng.randint(1, 5), 2))):
+            assert volume(R) == oracle.volume(R)
+            shapes.add(len(R.vertices))
+        S = slice_polytope(P, halfspace(tuple(rng.randint(-2, 2) for _ in range(m - 1)) + (1,), 0)).plus
+        assert volume(S) == oracle.volume(S)
+    assert len(shapes) >= 3 or m == 1
+    with pytest.raises(PolytopeError, match="ambient dimension <= 3"):
+        volume(hull(list(itertools.product((0, 1), repeat=4)), 4))

@@ -47,6 +47,15 @@ def test_hull_rejects_degenerate_input():
         hull([(1, 2)])
 
 
+def test_hull_rejects_points_without_coordinates():
+    for points, m in [([()], None), ([(), ()], None), ([()], 0)]:
+        with pytest.raises(PolytopeError, match="^hull needs points with at least one coordinate$"):
+            hull(points, m)
+    with pytest.raises(PolytopeError, match="^hull needs points with at least one coordinate$"):
+        hull_any([()], 0)
+    assert hull_any([], 0).is_empty
+
+
 def test_hull_any_tags_dimension():
     seg = hull_any([(0, 0), (2, 2), (1, 1)], 2)
     assert seg.dim == 1 and seg.vertices == ((Q(0), Q(0)), (Q(2), Q(2)))
@@ -198,6 +207,10 @@ def test_halfspace_stores_primitive_integer_normal(normal, offset, want_normal, 
     h = halfspace(normal, offset)
     assert h.normal == want_normal and all(type(x) is int for x in h.normal)
     assert h.offset == want_offset
+    # the integer row (den normal, num) of offset = num/den, outside equality and repr
+    want_offset = Q(want_offset)
+    assert h.row == tuple(x * want_offset.denominator for x in want_normal) + (want_offset.numerator,)
+    assert "row" not in repr(h)
     assert h == HalfSpace(want_normal, want_offset) and hash(h) == hash(HalfSpace(want_normal, want_offset))
 
 
