@@ -71,7 +71,8 @@ class ExtendedExchangeMatrix:
 
     Every instance, mutated ones included, is validated on construction:
     `_labels` checks (cols, frozen, d) and shares its record (label lookups and
-    skew pairs), not a field; each matrix checks its row count, row lengths and skew.
+    skew pairs), not a field; each matrix checks its row count, row lengths and
+    skew, and stores its hash (not a field, so dict lookups do not rehash rows).
     """
 
     cols: tuple[int, ...]
@@ -92,6 +93,10 @@ class ExtendedExchangeMatrix:
         for a, b, ca, cb, da, db in lab.pairs:
             if rows[a][cb] * da + rows[b][ca] * db != 0:
                 raise MutationError(f"not skew-symmetrizable at ({lab.mutable[a]},{lab.mutable[b]})")
+        object.__setattr__(self, "_hash", hash((self.cols, self.frozen, self.d, rows)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def mutable(self) -> tuple[int, ...]:
@@ -176,7 +181,7 @@ class ExtendedExchangeMatrix:
         return self.restrict(self.mutable)
 
     def max_abs_entry(self) -> int:
-        return max((abs(x) for row in self.rows for x in row), default=0)
+        return max(map(abs, chain.from_iterable(self.rows)), default=0)
 
     def is_skew_symmetric(self) -> bool:
         mut = self.mutable

@@ -8,12 +8,13 @@ primitive integer normal, a Fraction offset, and the integer row they make.
 Points are cleared once at the boundary to integer homogeneous coordinates,
 and every membership, side and tightness test is the sign of a row against
 them.  Two vertices span an edge, and a double-description ray pair is
-adjacent, by one combinatorial rule (`_adjacent`).  Both conversions run the
-double description method on a homogenization cone of integer rows
-(`_bounded_rays`): `vertices_from_facets` on the facet rows, and
-`facets_from_points` on the polar dual about the centroid, reading each facet
-straight off an integer ray.  This is practical for the dense
-low-dimensional polytopes handled here (roughly m <= 6).
+adjacent, by one combinatorial rule (`_adjacent`).  Only the two conversions
+run the double description method on a homogenization cone of integer rows
+(`_bounded_rays`): `vertices_from_facets` on the facet rows, and `hull` on the
+polar dual about the centroid, reading each facet straight off an integer ray
+(`facets_from_points`); this is practical for the dense low-dimensional
+polytopes handled here (roughly m <= 6).  The polar and QGF duals are read off
+the face lattice in integers, with no hull (`_dual`).
 """
 
 from __future__ import annotations
@@ -68,14 +69,17 @@ class HalfSpace:
     row: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if is_zero(self.normal):
+        normal, offset = self.normal, self.offset
+        if is_zero(normal):
             raise PolytopeError("half-space normal must be nonzero")
-        given = tuple(self.normal)
-        normal = primitive(given)
-        offset = Q(self.offset)
-        if normal != given:
-            offset /= next(Q(a, b) for a, b in zip(given, normal) if b)
-        object.__setattr__(self, "normal", normal)
+        if type(normal) is not tuple or not all(type(x) is int for x in normal) or math.gcd(*normal) != 1:
+            given = tuple(normal)
+            normal = primitive(given)
+            if normal != given:
+                offset = Q(offset) / next(Q(a, b) for a, b in zip(given, normal) if b)
+            object.__setattr__(self, "normal", normal)
+        if type(offset) is not Q:
+            offset = Q(offset)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "row", tuple(x * offset.denominator for x in normal) + (offset.numerator,))
 
@@ -212,9 +216,12 @@ class RationalPolytope:
     """Rational polytope by minimal V-representation.
 
     For full-dimensional polytopes the facet list (primitive integer inward
-    normals) is computed eagerly.  Lower-dimensional and empty results from
-    slicing keep an explicit `dim` tag and an internal full-dimensional chart
-    for membership tests; their `facets` is None.
+    normals) is computed eagerly, and both lists are minimal: every vertex is
+    a vertex and every facet a facet, sorted as `hull` sorts them.  `hull`,
+    `translate`, `scale` and the JSON reader keep this, and `_dual` relies on
+    it.  Lower-dimensional and empty results from slicing keep an explicit
+    `dim` tag and an internal full-dimensional chart for membership tests;
+    their `facets` is None.
     """
 
     vertices: tuple[Point, ...]
@@ -356,17 +363,36 @@ def _combine(basis, coeffs):
     return out
 
 
-def polar_dual(P: RationalPolytope) -> RationalPolytope:
-    """Polar dual {v : <u,v> + 1 >= 0 for u in P}; needs 0 strictly interior.
+def _dual(P: RationalPolytope, c, nu: int) -> RationalPolytope:
+    """nu (P - c)^polar = {v : <u - c, v> + nu >= 0 for u in P}, for c strictly
+    inside the full-dimensional P, read off P's minimal representations.
 
-    Equals the hull of the vectors v_i from the unique presentation of P as an
-    intersection of half-spaces {<u, v_i> + 1 >= 0}.
-    """
+    Polarity swaps the face lattice: each facet <u, n> + b >= 0 gives the
+    vertex nu n / (<c, n> + b), and each vertex u the facet
+    <u - c, v> + nu >= 0.  With c = C/s and the vertices U/t over one common
+    t, the facet row (den n, num) gives the vertex
+    nu s den n / (<C, den n> + s num), and y = s U - t C with g = gcd(y) the
+    facet with normal y/g and offset nu s t / g."""
+    m = P.ambient_dim
+    *C, s = _homog(c, m)
+    verts = []
+    for *a, num in (f.row for f in P.facets):
+        d = sum(map(mul, C, a)) + s * num
+        verts.append(tuple(Q(nu * s * x, d) for x in a))
+    facets = []
+    for *U, t in _homog_all(P.vertices):
+        y = [s * x - t * z for x, z in zip(U, C)]
+        g = math.gcd(*y)
+        facets.append((tuple(x // g for x in y), Q(nu * s * t, g)))
+    return RationalPolytope(tuple(sorted(verts)), m, m, tuple(HalfSpace(n, b) for n, b in sorted(facets)))
+
+
+def polar_dual(P: RationalPolytope) -> RationalPolytope:
+    """Polar dual {v : <u,v> + 1 >= 0 for u in P}; needs 0 strictly interior."""
     P.require_full_dim()
     if not all(f.offset > 0 for f in P.facets):  # a facet's value at the origin is its offset
         raise PolytopeError("polar dual needs the origin strictly inside")
-    duals = [vscale(Q(1) / f.offset, f.normal) for f in P.facets]
-    return hull(duals, P.ambient_dim)
+    return _dual(P, (0,) * P.ambient_dim, 1)
 
 
 def is_supporting(h: HalfSpace, P: RationalPolytope) -> bool:
@@ -454,13 +480,13 @@ def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
     # every pivot row ends with the last pivot on its pivot, in column r of row r
     center = tuple(Q(row[m + 1], row[r]) for r, row in enumerate(M[:m]))
     nu = Q(M[m][m + 1], M[m][m])
-    norms = [f.normal for f in P.facets]
     if nu <= 0:
         return None, f"solved size {nu} is not positive"
     if nu.denominator != 1:
         return None, f"solved size {nu} is not an integer"
-    dual = hull(norms, m)
-    cert = QGFCertificate(center, int(nu), tuple(sorted(norms)), dual)
+    # <center, n_F> + b_F = nu on every facet, so the dual's vertices are exactly the n_F
+    dual = _dual(P, center, int(nu))
+    cert = QGFCertificate(center, int(nu), tuple(sorted(f.normal for f in P.facets)), dual)
     for f in P.facets:
         if dot(cert.center, f.normal) + f.offset != cert.size:
             raise AssertionError(f"QGF identity fails on facet normal {f.normal}")

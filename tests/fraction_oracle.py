@@ -35,6 +35,11 @@ boundary cycle facet by facet.  This module's
 (`sorted({qvec(p) ...})`) from the same Fraction code, and its `_tight_sets`,
 `lattice_points` and `trop_mutate_polytope` test membership through these
 functions, so no oracle goes through the integer rows.
+
+`polar_dual` is the version that `clustrop.polytopes` used before both duals
+were read off the face lattice: the hull of the points n/b over the facets
+<u, n> + b >= 0, here through this module's Fraction `hull`, the same route
+by which this module's `qgf_solve` takes its dual (the hull of the normals).
 """
 
 from __future__ import annotations
@@ -296,6 +301,19 @@ def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
     # each of those is tight wherever it is; a vertex's tight facets meet only there
     verts = [p for i, (p, t) in enumerate(zip(pts, tight)) if all(t & u != t for u in tight[:i] + tight[i + 1:])]
     return RationalPolytope(tuple(verts), m, m, tuple(facets))
+
+
+def polar_dual(P: RationalPolytope) -> RationalPolytope:
+    """Polar dual {v : <u,v> + 1 >= 0 for u in P}; needs 0 strictly interior.
+
+    Equals the hull of the vectors v_i from the unique presentation of P as an
+    intersection of half-spaces {<u, v_i> + 1 >= 0}.
+    """
+    P.require_full_dim()
+    if not all(f.offset > 0 for f in P.facets):  # a facet's value at the origin is its offset
+        raise PolytopeError("polar dual needs the origin strictly inside")
+    duals = [vscale(Q(1) / f.offset, f.normal) for f in P.facets]
+    return hull(duals, P.ambient_dim)
 
 
 def matvec(A, x) -> Vec:

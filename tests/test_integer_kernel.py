@@ -2,13 +2,15 @@
 oracle in fraction_oracle.py: double description, Bareiss rank and solve,
 fiber-wise lattice enumeration, the edge and affine-basis rules of
 `crossing_points` and `hull_any`, hull facets read off the dual cone's
-integer rays, tropical mutation of polytopes by one point map, and the sign
-tests, crossings, hull input and `qgf_solve` on integer rows."""
+integer rays, tropical mutation of polytopes by one point map, the sign
+tests, crossings, hull input and `qgf_solve` on integer rows, and the polar
+and QGF duals read off the face lattice."""
 
 import itertools
 import math
 import random
 from fractions import Fraction as Q
+from operator import mul
 
 import fraction_oracle as oracle
 import pytest
@@ -25,6 +27,7 @@ from clustrop.polytopes import (
     hull_any,
     is_supporting,
     lattice_points,
+    polar_dual,
     qgf_solve,
     slice_polytope,
     vertices_from_facets,
@@ -325,6 +328,11 @@ def _same(got, want):
     return (got.vertices, got.dim, got.facets) == (want.vertices, want.dim, want.facets)
 
 
+def _same_rows(got, want):
+    """`_same`, and each facet's integer row too."""
+    return _same(got, want) and [f.row for f in got.facets] == [f.row for f in want.facets]
+
+
 def _raises_alike(f, g, *args):
     """f and g raise the same exception type with the same message."""
     with pytest.raises(PolytopeError) as want:
@@ -543,7 +551,7 @@ def test_qgf_solve_matches_fraction_oracle():
         got, want = qgf_solve(P), oracle.qgf_solve(P)
         assert got == want
         if want[0] is not None:
-            assert got[0].dual.facets == want[0].dual.facets
+            assert _same_rows(got[0].dual, want[0].dual)
         key = want[1].split(":")[0].split(" is ")[-1]
         diagnostics[key] = diagnostics.get(key, 0) + 1
     assert set(diagnostics) == {
@@ -567,3 +575,74 @@ def test_volume_matches_facet_walk(m):
     assert len(shapes) >= 3 or m == 1
     with pytest.raises(PolytopeError, match="ambient dimension <= 3"):
         volume(hull(list(itertools.product((0, 1), repeat=4)), 4))
+
+
+# ---------------------------------------------------------------------------
+# (g) polar and QGF duals read off the face lattice, against the Fraction hull
+
+
+def _centered_cloud(rng, m):
+    """A rational cloud moved so that a positive weighted mean of its
+    vertices, a rational interior point, becomes the origin."""
+    P = _cloud(rng, m)
+    w = [rng.randint(1, 3) for _ in P.vertices]
+    c = tuple(sum(a * v[i] for a, v in zip(w, P.vertices)) / sum(w) for i in range(m))
+    return P.translate(tuple(-x for x in c))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_polar_dual_matches_fraction_oracle(m):
+    """Vertices, facets and rows of the Fraction hull of n/b over the facets,
+    on centred clouds and their scalings; the double dual gives back P's
+    facets."""
+    rng = random.Random(560 + m)
+    for _ in range({1: 20, 2: 20, 3: 12, 4: 8, 5: 4}.get(m, 2)):
+        P = _centered_cloud(rng, m)
+        for R in (P, P.scale(Q(rng.randint(1, 7), rng.choice((2, 3, 5))))):
+            D = polar_dual(R)
+            assert _same_rows(D, oracle.polar_dual(R))
+            assert all(type(x) is Q for v in D.vertices for x in v)
+            assert _same_rows(polar_dual(D), R)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_qgf_dual_matches_fraction_oracle(m):
+    """The QGF dual is the Fraction hull of the facet normals, with the center
+    at the origin, moved off it and sizes 1 to 6."""
+    rng = random.Random(570 + m)
+    centers = set()
+    for _ in range({1: 12, 2: 12, 3: 8, 4: 5}.get(m, 2)):
+        P, _nu = random_qgf_polytope(rng, m)
+        for R in (P, P.translate(tuple(rat(rng, 2) for _ in range(m))).scale(2)):
+            got, want = qgf_solve(R), oracle.qgf_solve(R)
+            assert got == want and want[1] == "ok"
+            assert _same_rows(got[0].dual, want[0].dual)
+            assert got[0].dual.vertices == tuple(tuple(map(Q, n)) for n in got[0].dual_vertices)
+            centers.add(any(got[0].center))
+    assert centers == {False, True}
+
+
+def test_polar_dual_errors_match_fraction_oracle():
+    """Origin at a vertex, inside a facet or outside, and polytopes of lower
+    dimension, a point or empty: the same error type and message."""
+    rng = random.Random(580)
+    cases = 0
+    for m in range(1, 5):
+        for _ in range(4):
+            P = _cloud(rng, m)
+            v = rng.choice(P.vertices)
+            on = [u for u in P.vertices if P.facets[0].on_boundary(u)]
+            c = tuple(sum(x) / len(P.vertices) for x in zip(*P.vertices))
+            for p in (v, tuple(sum(x) / len(on) for x in zip(*on)), tuple(2 * a - b for a, b in zip(v, c))):
+                _raises_alike(polar_dual, oracle.polar_dual, P.translate(tuple(-x for x in p)))
+                cases += 1
+        flat = [hull_any([], m), hull_any([tuple(rat(rng) for _ in range(m))], m)]
+        for k in range(1, m):
+            p0, basis = tuple(rat(rng) for _ in range(m)), [tuple(rat(rng, 2) for _ in range(m)) for _ in range(k)]
+            combos = [[rat(rng, 2) for _ in basis] for _ in range(k + 3)]
+            flat.append(hull_any([vadd(p0, tuple(sum(map(mul, t, col)) for col in zip(*basis))) for t in combos], m))
+        for F in flat:
+            assert F.dim < m
+            _raises_alike(polar_dual, oracle.polar_dual, F)
+            cases += 1
+    assert cases >= 50

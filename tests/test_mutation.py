@@ -309,7 +309,21 @@ def test_label_record_is_not_a_field():
     b = exchange_matrix(a.cols, a.frozen, a.d, a.rows)
     assert a == b and hash(a) == hash(b)
     assert a.mutate(3) == b.mutate(3) and hash(a.mutate(3)) == hash(b.mutate(3))
+    # the stored hash is the value the generated one computed from the four fields
+    for eps in (a, a.mutate(3), a.mutable_part()):
+        assert hash(eps) == hash((eps.cols, eps.frozen, eps.d, eps.rows))
     assert [f.name for f in dataclasses.fields(ExtendedExchangeMatrix)] == ["cols", "frozen", "d", "rows"]
+
+
+def test_max_abs_entry_matches_entrywise_scan():
+    rng = random.Random(350)
+    mats = [random_matrix(rng, span=rng.randint(0, 4)) for _ in range(60)]
+    # all-frozen (no rows), rows of zeros, and rows whose largest magnitude is negative
+    mats += [exchange_matrix([1, 2], [1, 2], [1, 1], []), exchange_matrix([1, 2], [2], [1, 1], [[0, 0]])]
+    mats += [exchange_matrix([1, 2, 3], [2, 3], [1, 1, 1], [[0, -5, -2]])]
+    for eps in mats:
+        assert eps.max_abs_entry() == max((abs(x) for row in eps.rows for x in row), default=0)
+    assert [eps.max_abs_entry() for eps in mats[-3:]] == [0, 0, 5]
 
 
 def test_label_record_is_keyed_by_d():

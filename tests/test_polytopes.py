@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from clustrop import polytopes
 from clustrop.linalg import dot
 from clustrop.polytopes import (
     DegenerateError,
@@ -78,6 +79,22 @@ def test_polar_dual_of_big_square():
 def test_double_dual_identity():
     for P in [square(), hull([(2, 0), (0, 3), (-1, -1)]), hull([(1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, -1, -1)])]:
         assert polar_dual(polar_dual(P)) == P
+
+
+def test_duals_run_no_hull(monkeypatch):
+    """Both duals are read off P's face lattice: no hull, no double description."""
+    P = hull([(2, 0, 0), (0, 3, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)])
+    R = square(2).translate((Q(1, 2), 1))
+    calls = []
+    for name in ("hull", "_dd_extreme_rays"):
+        real = getattr(polytopes, name)
+        monkeypatch.setattr(polytopes, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+    D = polar_dual(P)
+    assert polar_dual(D) == P
+    cert, msg = qgf_solve(R)
+    assert msg == "ok" and cert.size == 2 and cert.center == (Q(1, 2), Q(1))
+    assert cert.dual.vertices == ((-1, 0), (0, -1), (0, 1), (1, 0))
+    assert calls == []
 
 
 def test_polar_dual_needs_interior_origin():
@@ -201,6 +218,9 @@ def test_slice_rejects_normal_of_wrong_dimension():
         ((-4, -6), 2, (-2, -3), 1),  # negative entries keep their sign
         ((0, Q(-3, 2)), Q(-3, 4), (0, -1), Q(-1, 2)),
         ((Q(3), Q(-1), Q(0)), Q(5, 2), (3, -1, 0), Q(5, 2)),  # integer-valued Fractions
+        ((3, -2, 1), Q(3, 10), (3, -2, 1), Q(3, 10)),  # already normalised
+        ((0, -1), 2, (0, -1), 2),  # primitive normal, int offset
+        ([3, -2, 1], Q(3, 10), (3, -2, 1), Q(3, 10)),  # primitive, but a list
     ],
 )
 def test_halfspace_stores_primitive_integer_normal(normal, offset, want_normal, want_offset):
@@ -212,6 +232,14 @@ def test_halfspace_stores_primitive_integer_normal(normal, offset, want_normal, 
     assert h.row == tuple(x * want_offset.denominator for x in want_normal) + (want_offset.numerator,)
     assert "row" not in repr(h)
     assert h == HalfSpace(want_normal, want_offset) and hash(h) == hash(HalfSpace(want_normal, want_offset))
+
+
+def test_halfspace_keeps_normalised_input():
+    """A primitive int tuple is kept as given, and a Fraction offset is not copied."""
+    n, b = (3, -2, 0), Q(7, 4)
+    h = HalfSpace(n, b)
+    assert h.normal is n and h.offset is b and h.row == (12, -8, 0, 7)
+    assert type(HalfSpace(n, 2).offset) is Q
 
 
 def test_halfspace_zero_normal_rejected():
