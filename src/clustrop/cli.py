@@ -119,7 +119,7 @@ def cmd_restrict(args):
 
 
 def cmd_quiver(args):
-    if getattr(args, "infile", None):
+    if args.infile or not (args.type and args.word):
         q = to_quiver(_load_matrix(args))
     else:
         q = gls_quiver(parse_cartan_type(args.type), parse_word(args.word))
@@ -187,25 +187,24 @@ def cmd_polytope(args):
         obj = {"q": args.q, "count": len(pts), "points": [[jsonio.rat_to_str(x) for x in p] for p in pts]}
         _emit(jsonio.dumps(obj), args.out)
         return OK
-    if args.sub == "slice":
-        P = _load_polytope(args)
-        if not args.normal:
-            raise UsageError("slice needs --normal (and optionally --offset)")
-        normal = [jsonio.rat_from_str(x) for x in args.normal.split(",")]
-        if len(normal) != P.ambient_dim:
-            raise UsageError(f"slice --normal has {len(normal)} entries, polytope is in R^{P.ambient_dim}")
-        if not any(normal):
-            raise UsageError("slice --normal must be nonzero")
-        h = halfspace(normal, jsonio.rat_from_str(args.offset))
-        res = slice_polytope(P, h)
-        obj = {
-            "section": jsonio.polytope_to_obj(res.section) | {"dim": res.section.dim},
-            "plus": jsonio.polytope_to_obj(res.plus) | {"dim": res.plus.dim},
-            "minus": jsonio.polytope_to_obj(res.minus) | {"dim": res.minus.dim},
-        }
-        _emit(jsonio.dumps(obj), args.out)
-        return OK
-    raise UsageError(f"unknown polytope subcommand {args.sub}")
+    # "slice": argparse choices rule out any other subcommand
+    P = _load_polytope(args)
+    if not args.normal:
+        raise UsageError("slice needs --normal (and optionally --offset)")
+    normal = [jsonio.rat_from_str(x) for x in args.normal.split(",")]
+    if len(normal) != P.ambient_dim:
+        raise UsageError(f"slice --normal has {len(normal)} entries, polytope is in R^{P.ambient_dim}")
+    if not any(normal):
+        raise UsageError("slice --normal must be nonzero")
+    h = halfspace(normal, jsonio.rat_from_str(args.offset))
+    res = slice_polytope(P, h)
+    obj = {
+        "section": jsonio.polytope_to_obj(res.section) | {"dim": res.section.dim},
+        "plus": jsonio.polytope_to_obj(res.plus) | {"dim": res.plus.dim},
+        "minus": jsonio.polytope_to_obj(res.minus) | {"dim": res.minus.dim},
+    }
+    _emit(jsonio.dumps(obj), args.out)
+    return OK
 
 
 def cmd_trop_mutate(args):
@@ -232,8 +231,6 @@ def cmd_certify_distinct(args):
 
 
 def cmd_fixtures(args):
-    if args.action != "run":
-        raise UsageError(f"unknown fixtures action {args.action!r}")
     results = fixture_suite()
     lines = []
     for r in results:

@@ -38,6 +38,13 @@ def _array(obj: dict, key: str) -> list:
     return val
 
 
+def _int(x) -> int:
+    """A JSON integer or integer string; int() would truncate a float or read a bool."""
+    if isinstance(x, (bool, float)):
+        raise FormatError(f"integer field holds {json.dumps(x)}")
+    return int(x)
+
+
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -70,11 +77,11 @@ def matrix_to_obj(eps: ExtendedExchangeMatrix) -> dict:
 
 def matrix_from_obj(obj: dict) -> ExtendedExchangeMatrix:
     try:
-        cols = [int(c) for c in _array(obj, "cols")]
-        frozen = [int(c) for c in _array(obj, "frozen")]
-        d = [int(x) for x in _array(obj, "d")]
+        cols = [_int(c) for c in _array(obj, "cols")]
+        frozen = [_int(c) for c in _array(obj, "frozen")]
+        d = [_int(x) for x in _array(obj, "d")]
         rows = _need(obj, "rows")
-        rows_map = {int(k): [int(x) for x in _array(rows, k)] for k in rows.keys()}
+        rows_map = {int(k): [_int(x) for x in _array(rows, k)] for k in rows.keys()}
     except FormatError:
         raise
     except (TypeError, ValueError, AttributeError):
@@ -135,7 +142,7 @@ def family_from_obj(obj: dict) -> FamilySpec:
     stages = []
     for raw in _array(obj, "stages"):
         try:
-            stages.append(Stage(tuple(int(k) for k in _array(raw, "seq")), int(_need(raw, "r")), int(_need(raw, "s"))))
+            stages.append(Stage(tuple(map(_int, _array(raw, "seq"))), _int(_need(raw, "r")), _int(_need(raw, "s"))))
         except (TypeError, ValueError):
             raise FormatError("malformed stage entry") from None
     return FamilySpec(eps, P, tuple(stages))

@@ -15,6 +15,8 @@ polar dual about the centroid, reading each facet straight off an integer ray
 (`facets_from_points`); this is practical for the dense low-dimensional
 polytopes handled here (roughly m <= 6).  The polar and QGF duals are read off
 the face lattice in integers, with no hull (`_dual`).
+Every non-empty polytope carries integer facet rows, whatever its dimension
+(`hull_any`), so one sign test decides membership.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .linalg import (
     qvec,
     rank,  # noqa: F401  unused here; bench/spans.py wraps polytopes.rank by name
     rref,  # noqa: F401  unused here; bench/spans.py wraps polytopes.rref by name
-    solve,
+    solve,  # noqa: F401  unused here; bench/spans.py wraps polytopes.solve by name
     vadd,
     vscale,
     vsub,
@@ -112,7 +114,7 @@ def _homog_all(points) -> list[tuple[int, ...]]:
 
 
 def _inside(P: "RationalPolytope", hp) -> bool:
-    """The point with integer homogeneous coordinates hp lies in the full-dimensional P."""
+    """The point with integer homogeneous coordinates hp lies in the non-empty P."""
     return all(sum(map(mul, f.row, hp)) >= 0 for f in P.facets)
 
 
@@ -213,22 +215,21 @@ def facets_from_points(hpts: list[tuple[int, ...]], m: int) -> list[HalfSpace]:
 
 @dataclass(frozen=True)
 class RationalPolytope:
-    """Rational polytope by minimal V-representation.
+    """Rational polytope by minimal V-representation and integer facet rows.
 
-    For full-dimensional polytopes the facet list (primitive integer inward
-    normals) is computed eagerly, and both lists are minimal: every vertex is
-    a vertex and every facet a facet, sorted as `hull` sorts them.  `hull`,
-    `translate`, `scale` and the JSON reader keep this, and `_dual` relies on
-    it.  Lower-dimensional and empty results from slicing keep an explicit
-    `dim` tag and an internal full-dimensional chart for membership tests;
-    their `facets` is None.
+    Both lists are computed eagerly.  For full-dimensional polytopes they are
+    minimal and sorted as `hull` sorts them; `hull`, `translate`, `scale` and
+    the JSON reader keep this, and `_dual` relies on it.  A lower-dimensional
+    polytope (`hull_any`) carries its `dim` tag, and its `facets`, sorted by
+    normal, are its relative facets lifted to R^m plus the equations of its
+    affine hull as pairs of opposite half-spaces; the empty one (dim -1) has
+    no vertices or facets.  `contains` raises on a point of the wrong length.
     """
 
     vertices: tuple[Point, ...]
     ambient_dim: int
     dim: int
-    facets: tuple[HalfSpace, ...] | None = None
-    _chart: tuple | None = field(default=None, repr=False, compare=False)
+    facets: tuple[HalfSpace, ...]
 
     @property
     def is_empty(self) -> bool:
@@ -245,16 +246,8 @@ class RationalPolytope:
             )
 
     def contains(self, p) -> bool:
-        if self.is_empty:
-            return False
-        if self.is_full_dim:
-            return _inside(self, _homog(p, self.ambient_dim))
-        p = qvec(p)
-        if self.dim == 0:
-            return p == self.vertices[0]
-        p0, basis, inner = self._chart
-        coords = _affine_coords(p0, basis, p)
-        return coords is not None and inner.contains(coords)
+        hp = _homog(p, self.ambient_dim)
+        return not self.is_empty and _inside(self, hp)
 
     def contains_strictly(self, p) -> bool:
         hp = _homog(p, self.ambient_dim)
@@ -263,20 +256,16 @@ class RationalPolytope:
     def translate(self, t) -> "RationalPolytope":
         t = qvec(t)
         verts = tuple(vadd(v, t) for v in self.vertices)
-        if self.is_full_dim:
-            facets = tuple(HalfSpace(f.normal, f.offset - dot(t, f.normal)) for f in self.facets)
-            return RationalPolytope(verts, self.ambient_dim, self.dim, facets)
-        return hull_any(verts, self.ambient_dim)
+        facets = tuple(HalfSpace(f.normal, f.offset - dot(t, f.normal)) for f in self.facets)
+        return RationalPolytope(verts, self.ambient_dim, self.dim, facets)
 
     def scale(self, c) -> "RationalPolytope":
         c = Q(c)
         if c <= 0:
             raise PolytopeError("scale factor must be positive")
         verts = tuple(vscale(c, v) for v in self.vertices)
-        if self.is_full_dim:
-            facets = tuple(HalfSpace(f.normal, c * f.offset) for f in self.facets)
-            return RationalPolytope(verts, self.ambient_dim, self.dim, facets)
-        return hull_any(verts, self.ambient_dim)
+        facets = tuple(HalfSpace(f.normal, c * f.offset) for f in self.facets)
+        return RationalPolytope(verts, self.ambient_dim, self.dim, facets)
 
     def bounding_box(self) -> list[tuple[Q, Q]]:
         return [(min(v[i] for v in self.vertices), max(v[i] for v in self.vertices)) for i in range(self.ambient_dim)]
@@ -290,15 +279,6 @@ class RationalPolytope:
 
     def __hash__(self):
         return hash((self.ambient_dim, self.vertices))
-
-
-def _affine_coords(p0, basis, p):
-    """Coordinates of p in the affine chart p0 + span(basis), or None."""
-    diff = vsub(p, p0)
-    if not basis:
-        return () if is_zero(diff) else None
-    A = [tuple(b[i] for b in basis) for i in range(len(p0))]
-    return solve(A, diff)
 
 
 def _tight_sets(facets: list[HalfSpace], hpts) -> list[int]:
@@ -337,30 +317,44 @@ def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
 
 
 def hull_any(points, ambient_dim: int) -> RationalPolytope:
-    """Hull that tolerates lower-dimensional and empty input (dim tag set)."""
+    """Hull that tolerates lower-dimensional and empty input (dim tag set).
+
+    A Gauss-Jordan pass over the integer differences to the first point gives
+    the pivot coordinates I; a hull of dimension |I| < m takes its vertices
+    and relative facets from the hull of its projection onto I, and each
+    free coordinate j adds the equation d u_j - sum_r M[r][j] u_I[r] = const
+    (M the reduced rows, d the last pivot) as two opposite half-spaces."""
+    m = ambient_dim
     pts = sorted({qvec(p) for p in points})
+    for p in pts:
+        if len(p) != m:
+            raise PolytopeError(f"point has {len(p)} coordinates, expected {m}")
     if not pts:
-        return RationalPolytope((), ambient_dim, -1, None)
-    p0 = pts[0]
-    diffs = [vsub(p, p0) for p in pts[1:]]
-    # pivot columns of the transpose: each difference independent of those before it
-    basis = [diffs[j] for j in _bareiss([_clear(row) for row in zip(*diffs)])] if diffs else []
-    dim = len(basis)
-    if dim == ambient_dim:
-        return hull(pts, ambient_dim)
-    if dim == 0:
-        return RationalPolytope((p0,), ambient_dim, 0, None)
-    inner_pts = [_affine_coords(p0, basis, p) for p in pts]
-    inner = hull(inner_pts, dim)
-    verts = tuple(sorted(vadd(p0, _combine(basis, c)) for c in inner.vertices))
-    return RationalPolytope(verts, ambient_dim, dim, None, _chart=(p0, basis, inner))
+        return RationalPolytope((), m, -1, ())
+    (*P0, t), *rest = _homog_all(pts)
+    M = [[x - y for x, y in zip(hp, P0)] for hp in rest]
+    I = _bareiss(M, jordan=True)
+    if len(I) == m:
+        return hull(pts, m)
+    verts, facets = pts[:1], []
+    if I:
+        proj = {tuple(p[i] for i in I): p for p in pts}
+        inner = hull(list(proj), len(I))
+        # each coordinate before a pivot is fixed by the earlier pivots, so points sort as their projections
+        verts = [proj[v] for v in inner.vertices]
+        facets = [HalfSpace(_lift(I, f.normal, m), f.offset) for f in inner.facets]
+    d = M[0][I[0]] if I else 1
+    for j in sorted(set(range(m)).difference(I)):
+        n = _lift((j, *I), [d] + [-row[j] for row in M], m)
+        b = Q(-sum(map(mul, n, P0)), t)
+        facets += [HalfSpace(n, b), HalfSpace(tuple(-x for x in n), -b)]
+    return RationalPolytope(tuple(verts), m, len(I), tuple(sorted(facets, key=lambda f: f.normal)))
 
 
-def _combine(basis, coeffs):
-    out = tuple(Q(0) for _ in basis[0])
-    for c, b in zip(coeffs, basis):
-        out = vadd(out, vscale(c, b))
-    return out
+def _lift(coords, values, m: int) -> tuple[int, ...]:
+    """The vector of Z^m with the given values at the given coordinates, 0 elsewhere."""
+    at = dict(zip(coords, values))
+    return tuple(at.get(i, 0) for i in range(m))
 
 
 def _dual(P: RationalPolytope, c, nu: int) -> RationalPolytope:
@@ -407,8 +401,8 @@ def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
     Walks the bounding box of the first m - 1 coordinates carrying each facet's
     partial sum; for each prefix the last coordinate runs over its exact
     interval, got from the facets as integer rows by floor and ceiling
-    division, so empty cells are never visited.  A lower-dimensional P has no
-    facets: each last coordinate in its box range is tested by membership.
+    division, so empty cells are never visited.  A lower-dimensional P is
+    walked the same way: its equation pairs pin each coordinate they can.
     """
     if q < 1:
         raise PolytopeError("q must be a positive integer")
@@ -417,7 +411,7 @@ def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
     *box, last = [range(math.ceil(lo * q), math.floor(hi * q) + 1) for lo, hi in P.bounding_box()]
     # <n, k/q> + num/den >= 0  <=>  <den n, k> + q num >= 0 for the facet row (den n, num); sorted
     # by the last coefficient: upper bounds on the last coordinate, rows free of it, lower bounds
-    rows = sorted(((f.row[:-1], q * f.row[-1]) for f in P.facets or ()), key=lambda r: r[0][-1])
+    rows = sorted(((f.row[:-1], q * f.row[-1]) for f in P.facets), key=lambda r: r[0][-1])
     tail = [n[-1] for n, _ in rows]
     up, down = sum(a < 0 for a in tail), len(tail) - sum(a > 0 for a in tail)
     out = []
@@ -434,9 +428,7 @@ def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
         lo = max([last.start] + [-(x // a) for x, a in zip(sums[down:], tail[down:])])
         hi = min([last.stop - 1] + [x // -a for x, a in zip(sums, tail[:up])])
         for k in range(lo, hi + 1):
-            p = tuple(Q(x, q) for x in prefix + (k,))
-            if rows or P.contains(p):
-                out.append(p)
+            out.append(tuple(Q(x, q) for x in prefix + (k,)))
 
     walk((), [b for _, b in rows])
     return out
@@ -548,7 +540,7 @@ def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:
     if len(h.normal) != m:
         raise PolytopeError(f"hyperplane normal has {len(h.normal)} entries, polytope is in R^{m}")
     if P.is_empty:
-        empty = RationalPolytope((), m, -1, None)
+        empty = RationalPolytope((), m, -1, ())
         return SliceResult(empty, empty, empty)
     vals = [sum(map(mul, h.row, hp)) for hp in _homog_all(P.vertices)]
     on = [v for v, x in zip(P.vertices, vals) if x == 0]

@@ -13,7 +13,11 @@ normals) and `hull_any` with its `_independent_subset` (an affine basis
 grown one rank test at a time) are the versions that `clustrop.polytopes`
 used before both rules moved to the double description's own: tight-set
 adjacency and the pivot columns of one Bareiss pass.  Their tight sets
-come from Fraction values here.
+come from Fraction values here.  A lower-dimensional hull here keeps the
+affine chart (`_chart`, `_affine_coords`, `_combine`) that
+`clustrop.polytopes` used before every polytope carried integer rows: it
+has no facets, and `contains` solves for chart coordinates (with the rref
+`solve` above) and tests them in the chart's full-dimensional hull.
 
 `vertices_from_facets`, `facets_from_points` and `hull` are the route that
 `clustrop.polytopes` took before `hull` read its facets straight off the
@@ -44,6 +48,7 @@ by which this module's `qgf_solve` takes its dual (the hull of the normals).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction as Q
@@ -58,8 +63,6 @@ from clustrop.polytopes import (
     PolytopeError,
     QGFCertificate,
     RationalPolytope,
-    _affine_coords,
-    _combine,
     halfspace,
 )
 from clustrop.tropical import TropicalError, TropImage, _check_direction
@@ -231,11 +234,34 @@ def hull_any(points, ambient_dim: int) -> RationalPolytope:
         return hull(pts, ambient_dim)
     if dim == 0:
         return RationalPolytope((p0,), ambient_dim, 0, None)
-    basis = _independent_subset(diffs, dim)
-    inner_pts = [_affine_coords(p0, basis, p) for p in pts]
-    inner = hull(inner_pts, dim)
+    p0, basis, inner = _chart(tuple(pts), dim)
     verts = tuple(sorted(vadd(p0, _combine(basis, c)) for c in inner.vertices))
-    return RationalPolytope(verts, ambient_dim, dim, None, _chart=(p0, basis, inner))
+    return RationalPolytope(verts, ambient_dim, dim, None)
+
+
+@functools.cache
+def _chart(pts, dim):
+    """An affine chart p0 + span(basis) of the dim-dimensional affine hull of
+    the points, and the full-dimensional hull of their chart coordinates."""
+    p0 = pts[0]
+    basis = _independent_subset([vsub(p, p0) for p in pts[1:]], dim)
+    return p0, basis, hull([_affine_coords(p0, basis, p) for p in pts], dim)
+
+
+def _affine_coords(p0, basis, p):
+    """Coordinates of p in the affine chart p0 + span(basis), or None."""
+    diff = vsub(p, p0)
+    if not basis:
+        return () if is_zero(diff) else None
+    A = [tuple(b[i] for b in basis) for i in range(len(p0))]
+    return solve(A, diff)
+
+
+def _combine(basis, coeffs):
+    out = tuple(Q(0) for _ in basis[0])
+    for c, b in zip(coeffs, basis):
+        out = vadd(out, vscale(c, b))
+    return out
 
 
 def _independent_subset(vecs, target):
@@ -408,7 +434,7 @@ def contains(P: RationalPolytope, p) -> bool:
         return all(halfspace_contains(f, p) for f in P.facets)
     if P.dim == 0:
         return p == P.vertices[0]
-    p0, basis, inner = P._chart
+    p0, basis, inner = _chart(P.vertices, P.dim)
     coords = _affine_coords(p0, basis, p)
     return coords is not None and contains(inner, coords)
 

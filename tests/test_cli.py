@@ -139,6 +139,53 @@ def test_json_strings_are_not_lists(capsys, tmp_path, argv, obj):
     assert (code, stdout) == (1, "") and "parse error" in err
 
 
+MATRIX3 = {"cols": [1, 2, 3], "frozen": [], "d": [1, 1, 1], "rows": ROWS3}
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"cols": [1, 2, 3.7]},
+        {"cols": [True, 2, 3]},
+        {"frozen": [3.0], "rows": {"1": [0, 1, -1], "2": [-1, 0, 1]}},
+        {"d": [1, 1.5, 1]},
+        {"d": [1, False, 1]},
+        {"rows": ROWS3 | {"2": [-1, 0, 0.9]}},
+        {"seq": [1.0]},
+        {"r": 1.9},
+        {"s": True},
+    ],
+)
+def test_integer_fields_refuse_floats_and_bools(capsys, tmp_path, patch):
+    """int() would truncate 3.7 to 3 and read true as 1, so a float or bool in
+    an integer field of a matrix or a stage is a parse error (exit 1, nothing
+    on stdout), where the truncated value would be valid."""
+    if {"seq", "r", "s"} & set(patch):
+        obj, argv = _family_2stage(), ["certify-distinct", "--family"]
+        obj["stages"][0] |= patch
+    else:
+        obj, argv = MATRIX3 | patch, ["mutate", "--seq", "1", "--in"]
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj))
+    code, stdout, err = run(capsys, *argv, str(f))
+    assert (code, stdout) == (1, "") and "parse error" in err
+
+
+def test_integer_fields_take_integer_strings():
+    written = {"cols": ["1", "2", "3"], "frozen": [], "d": ["1", 1, "1"], "rows": ROWS3 | {"2": ["-1", 0, "1"]}}
+    assert jsonio.matrix_from_obj(written) == jsonio.matrix_from_obj(MATRIX3)
+    fam = _family_2stage()
+    st = fam["stages"][0]
+    fam["stages"][0] = {"seq": [str(k) for k in st["seq"]], "r": str(st["r"]), "s": st["s"]}
+    assert jsonio.family_from_obj(fam).stages == jsonio.family_from_obj(_family_2stage()).stages
+
+
+@pytest.mark.parametrize("argv", [[], ["--type", "A3"], ["--word", "1,2,1"]])
+def test_quiver_needs_a_source(capsys, argv):
+    code, stdout, err = run(capsys, "quiver", *argv)
+    assert (code, stdout) == (1, "") and "need either --in or both --type and --word" in err
+
+
 def test_trop_mutate_command(capsys, tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps({"cols": [1, 2], "frozen": [2], "d": [1, 1], "rows": {"1": [0, -2]}}))

@@ -1,7 +1,8 @@
 """Differential tests of the integer polytope kernel against the Fraction
 oracle in fraction_oracle.py: double description, Bareiss rank and solve,
 fiber-wise lattice enumeration, the edge and affine-basis rules of
-`crossing_points` and `hull_any`, hull facets read off the dual cone's
+`crossing_points` and `hull_any`, the integer rows of flat hulls against the
+Fraction affine chart, hull facets read off the dual cone's
 integer rays, tropical mutation of polytopes by one point map, the sign
 tests, crossings, hull input and `qgf_solve` on integer rows, and the polar
 and QGF duals read off the face lattice."""
@@ -291,10 +292,12 @@ def test_crossing_points_match_rank_edge_test(m):
 
 
 def _affine_cloud(rng, m, k):
-    """Points p0 + sum t_i b_i for k random directions, some with zero entries."""
+    """Points p0 + sum t_i b_i, one coefficient t_i per direction, for k random
+    directions b_i, some with zero entries: a hull of dimension at most k."""
     p0 = tuple(rat(rng) for _ in range(m))
     basis = [tuple(rat(rng, 2) if rng.random() < 0.7 else Q(0) for _ in range(m)) for _ in range(k)]
-    return [vadd(p0, tuple(sum(rat(rng, 2) * b[i] for b in basis) for i in range(m))) for _ in range(rng.randint(1, 7))]
+    combos = [[rat(rng, 2) for _ in basis] for _ in range(rng.randint(1, 7))]
+    return [vadd(p0, tuple(sum(map(mul, t, col)) for col in zip(*basis))) for t in combos]
 
 
 def test_hull_any_matches_rank_basis():
@@ -314,9 +317,37 @@ def test_hull_any_matches_rank_basis():
             pts = _affine_cloud(rng, m, 2)  # coplanar in R^3
         got, want = hull_any(pts, m), oracle.hull_any(pts, m)
         assert (got.vertices, got.dim) == (want.vertices, want.dim)
-        assert (got._chart or (None, None))[:2] == (want._chart or (None, None))[:2]
+        # every row holds every vertex, and the m - dim equation pairs vanish on all of them
+        assert all(f.contains(v) for f in got.facets for v in got.vertices)
+        assert [f.normal for f in got.facets] == sorted(f.normal for f in got.facets)
+        pairs = [f for f in got.facets if halfspace(tuple(-a for a in f.normal), -f.offset) in got.facets]
+        assert len(pairs) == (0 if got.is_empty else 2 * (m - got.dim))
+        assert all(f.on_boundary(v) for f in pairs for v in got.vertices)
         shapes.append(want.dim)
     assert {-1, 0, 1, 2} <= set(shapes)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_flat_polytopes_match_fraction_chart(m):
+    """Genuinely flat clouds of every dimension below m: vertices, dim,
+    membership and lattice points against the oracle's affine chart, and
+    translate and scale move the facets to those of the moved hull."""
+    rng = random.Random(455 + m)
+    dims = set()
+    for case in range(24 if m < 4 else 12):
+        k = case % m
+        pts = _affine_cloud(rng, m, k) if k else [tuple(rat(rng) for _ in range(m))]
+        P, want = hull_any(pts, m), oracle.hull_any(pts, m)
+        assert (P.vertices, P.dim) == (want.vertices, want.dim) and P.dim <= k
+        dims.add(P.dim)
+        for p in _probes(rng, P, m) + pts:
+            assert P.contains(p) == oracle.contains(P, p)
+        for q in (1, 2) if m < 4 else (1,):
+            assert lattice_points(P, q) == oracle.lattice_points(P, q)
+        t, c = tuple(rat(rng, 3, (1, 2, 5)) for _ in range(m)), Q(rng.randint(1, 9), rng.choice((1, 2, 3)))
+        assert _same(P.translate(t), hull_any([vadd(v, t) for v in P.vertices], m))
+        assert _same(P.scale(c), hull_any([tuple(c * x for x in v) for v in P.vertices], m))
+    assert dims == set(range(m)), dims
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +445,7 @@ def _written(rng, p):
 
 def _sign_cases(rng, m, case):
     """Full-dimensional clouds with mixed denominators, their translates and
-    scalings, a lower-dimensional (chart) polytope, a point and the empty set."""
+    scalings, a lower-dimensional polytope, a point and the empty set."""
     dens = (1, 2, 3, 5, 7)
     P = _cloud(rng, m)
     yield P
@@ -434,7 +465,7 @@ def _probes(rng, P, m):
     if P.is_empty:
         return pts
     pts += list(P.vertices) + [tuple(sum(c) / len(P.vertices) for c in zip(*P.vertices))]
-    for f in P.facets or ():
+    for f in P.facets:
         v = next(v for v in P.vertices if f.value(v) == 0)
         j = next(i for i, a in enumerate(f.normal) if a)
         for step in (Q(1), Q(-1)):
@@ -457,7 +488,7 @@ def test_sign_tests_match_fraction_oracle(m):
                 assert P.contains_strictly(w) == oracle.contains_strictly(P, p)
                 seen["inside" if got else "outside"] += 1
                 seen["strict"] += P.contains_strictly(w)
-                for f in P.facets or ():
+                for f in P.facets:
                     assert f.contains(w) == oracle.halfspace_contains(f, p)
                     assert f.on_boundary(w) == oracle.on_boundary(f, p)
                     seen["on"] += f.on_boundary(w)
@@ -473,10 +504,16 @@ def test_sign_tests_match_fraction_oracle(m):
 
 
 def test_sign_tests_reject_points_of_the_wrong_dimension():
-    P = hull([(0, 0), (1, 0), (0, 1)])
-    for test in (P.contains, P.contains_strictly, P.facets[0].contains, P.facets[0].on_boundary):
-        with pytest.raises(PolytopeError, match="^point has 3 coordinates, expected 2$"):
-            test((0, 0, 0))
+    for P in (hull([(0, 0), (1, 0), (0, 1)]), hull_any([(0, 0), (1, 2)], 2)):
+        for test in (P.contains, P.contains_strictly, P.facets[0].contains, P.facets[0].on_boundary):
+            with pytest.raises(PolytopeError, match="^point has 3 coordinates, expected 2$"):
+                test((0, 0, 0))
+
+
+def test_hull_any_rejects_points_of_the_wrong_dimension():
+    for pts in ([(1, 2, 3)], [(0, 0, 0), (1, 0, 0)], [(0, 0), (1, 0, 0)], [(0, 0), (1, 0), (0, 1), (1,)]):
+        with pytest.raises(PolytopeError, match="^point has [13] coordinates, expected 2$"):
+            hull_any(pts, 2)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
