@@ -22,9 +22,7 @@ def gls_exchange_matrix(C: CartanMatrix, w: Word) -> ExtendedExchangeMatrix:
         raise NotReducedError(f"word {w} is not reduced for {C}")
     m = len(w)
     idx = word_indices(w)
-
-    def kp(k):
-        return idx.kplus[k - 1]
+    kp = idx.kp
 
     def entry(r, s):
         if r == kp(s):

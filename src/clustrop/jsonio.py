@@ -82,6 +82,8 @@ def matrix_from_obj(obj: dict) -> ExtendedExchangeMatrix:
         d = [_int(x) for x in _array(obj, "d")]
         rows = _need(obj, "rows")
         rows_map = {int(k): [_int(x) for x in _array(rows, k)] for k in rows.keys()}
+        if len(rows_map) != len(rows):
+            raise FormatError(f"rows keys {list(rows)} name a label twice")
     except FormatError:
         raise
     except (TypeError, ValueError, AttributeError):

@@ -1,7 +1,9 @@
 """Small exact linear algebra helpers over the rationals.
 
 Everything here works on tuples of Fraction (or int) and never touches
-floating point.  Matrices are tuples of row tuples.
+floating point.  Matrices are tuples of row tuples.  Every elimination
+(`rank`, `solve`, `rref`, `mat_inverse`) is one fraction-free Bareiss pass
+(`_bareiss`) on rows cleared to integers.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ def vadd(x, y) -> Vec:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vsub(x, y) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vscale(c, x) -> Vec:
     c = Q(c)
     return tuple(c * a for a in x)
@@ -36,32 +34,6 @@ def vscale(c, x) -> Vec:
 
 def is_zero(x) -> bool:
     return all(a == 0 for a in x)
-
-
-def rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form (in place on a copy); returns (matrix, pivot columns)."""
-    M = [list(map(Q, r)) for r in rows]
-    if not M:
-        return M, []
-    ncols = len(M[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(M):
-            break
-    return M, pivots
 
 
 def _clear(row, den: int = 0) -> list[int]:
@@ -111,13 +83,23 @@ def solve(A, b) -> Vec | None:
     return tuple(x)
 
 
+def rref(rows) -> tuple[list[list[Q]], list[int]]:
+    """Reduced row echelon form of a copy; returns (matrix, pivot columns).
+    The Jordan pass on the cleared rows leaves each pivot row a multiple of
+    its reduced row, and the zero rows last."""
+    M = [_clear(qvec(r)) for r in rows]
+    pivots = _bareiss(M, jordan=True)
+    reduced = [[Q(x, row[c]) for x in row] for row, c in zip(M, pivots)]
+    return reduced + [list(map(Q, row)) for row in M[len(pivots):]], pivots
+
+
 def mat_inverse(A) -> Mat:
     n = len(A)
-    aug = [list(map(Q, row)) + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(A)]
-    M, pivots = rref(aug)
+    M = [_clear(qvec(tuple(row) + tuple(int(i == j) for j in range(n)))) for i, row in enumerate(A)]
+    pivots = _bareiss(M, jordan=True)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(M[i][n:]) for i in range(n))
+    return tuple(tuple(Q(x, row[i]) for x in row[n:]) for i, row in enumerate(M[:n]))
 
 
 def primitive(v) -> tuple[int, ...]:

@@ -533,17 +533,27 @@ def mutation_class_bfs(eps: ExtendedExchangeMatrix, node_cap: int, entry_cap: in
     return BFSResult("finite", len(parents), tuple(sorted(parents, key=lambda m: m.rows)), None)
 
 
+def _component(part: ExtendedExchangeMatrix, r: int) -> list[int]:
+    """The labels joined to r by nonzero entries of the square matrix part."""
+    comp = [r]
+    for u in comp:
+        comp += [s for s, x in zip(part.cols, part.row(u)) if x and s not in comp]
+    return comp
+
+
 def mutable_finiteness(eps: ExtendedExchangeMatrix, node_cap: int = 4096) -> str:
     """Three-valued mutation-finiteness of the mutable part: "finite",
     "infinite" (certified), or "unknown" (cap hit).
 
-    In the skew-symmetric case an |entry| >= 3 anywhere in the class is the
-    standard infiniteness certificate; entry growth past a generous cap is
-    reported as unknown rather than coerced.
+    In the skew-symmetric case an |entry| >= 3 in a connected component of
+    at least 3 vertices, anywhere in the class, is the standard infiniteness
+    certificate (a 2-vertex component only changes sign); entry growth past
+    a generous cap is reported as unknown rather than coerced.
     """
     part = eps.mutable_part()
     skew = part.is_skew_symmetric()
-    if skew and part.max_abs_entry() >= 3 and len(part.cols) >= 3:
+    wide = [r for r, row in zip(part.mutable, part.rows) if max(map(abs, row), default=0) >= 3]
+    if skew and any(len(_component(part, r)) >= 3 for r in wide):
         return "infinite"
     res = mutation_class_bfs(part, node_cap=node_cap, entry_cap=max(3, part.max_abs_entry()))
     if res.status == "finite":

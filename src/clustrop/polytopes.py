@@ -40,7 +40,6 @@ from .linalg import (
     solve,  # noqa: F401  unused here; bench/spans.py wraps polytopes.solve by name
     vadd,
     vscale,
-    vsub,
 )
 
 Point = tuple[Q, ...]
@@ -552,55 +551,3 @@ def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:
     minus = hull_any(minus_pts + crossings, m)
     return SliceResult(section, plus, minus)
 
-
-# ---------------------------------------------------------------------------
-# Exact volume (ambient dimension <= 3)
-
-
-def volume(P: RationalPolytope) -> Q:
-    """Exact volume; 0 for lower-dimensional bodies.  Supports m <= 3.
-
-    Two vertices span an edge by `_adjacent` on their tight sets, and the
-    boundary of a polygon, or of a facet, is the cycle of the edges on it."""
-    if P.is_empty or not P.is_full_dim:
-        return Q(0)
-    m, verts = P.ambient_dim, P.vertices
-    if m == 1:
-        xs = [v[0] for v in verts]
-        return max(xs) - min(xs)
-    if m > 3:
-        raise PolytopeError("exact volume implemented for ambient dimension <= 3")
-    tight = _tight_sets(P.facets, _homog_all(verts))
-    edges = [e for e in itertools.combinations(range(len(verts)), 2) if _adjacent(tight, *e)]
-    if m == 2:
-        ring = [verts[i] for i in _cycle(edges)]
-        return abs(sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(ring, ring[1:] + ring[:1]))) / 2
-    apex = verts[0]
-    total = Q(0)
-    for j in range(len(P.facets)):
-        on = {i for i, t in enumerate(tight) if t >> j & 1}
-        if 0 in on:
-            continue
-        a, *ring = [vsub(verts[i], apex) for i in _cycle([e for e in edges if on.issuperset(e)])]
-        for b, c in zip(ring, ring[1:]):
-            det = (
-                a[0] * (b[1] * c[2] - b[2] * c[1])
-                - a[1] * (b[0] * c[2] - b[2] * c[0])
-                + a[2] * (b[0] * c[1] - b[1] * c[0])
-            )
-            total += abs(det)
-    return total / 6
-
-
-def _cycle(edges: list[tuple[int, int]]) -> list[int]:
-    """The nodes of a cycle graph, given by its edges, in walking order."""
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    ring = list(edges[0])
-    while True:
-        nxt = next(w for w in adj[ring[-1]] if w != ring[-2])
-        if nxt == ring[0]:
-            return ring
-        ring.append(nxt)

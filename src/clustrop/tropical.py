@@ -308,11 +308,15 @@ class FamilySpec:
             prev = st.seq
             if st.r in self.matrix.frozen:
                 raise TropicalError(f"stage pair row {st.r} is frozen")
+            if st.r not in self.matrix.cols:
+                raise TropicalError(f"stage pair row {st.r} unknown")
             if st.s not in self.matrix.cols:
                 raise TropicalError(f"stage pair column {st.s} unknown")
             for k in st.seq:
                 if k in self.matrix.frozen:
                     raise TropicalError(f"stage sequence mutates frozen label {k}")
+                if k not in self.matrix.cols:
+                    raise TropicalError(f"stage sequence mutates unknown label {k}")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ These are the rational-arithmetic versions that `clustrop.linalg` and
 rref-based `rank` and `solve`, the double description `_dd_extreme_rays`
 with its `primitive`, and the bounding-box `lattice_points`.  They live
 only here, as the oracle of the differential tests in
-`test_integer_kernel.py`.  They use `rref` and `mat_inverse`, which still
-run on Fraction in `clustrop.linalg`.
+`test_integer_kernel.py`.  They use `rref` and `mat_inverse`, the Fraction
+Gauss–Jordan elimination that `clustrop.linalg` ran before both became
+adapters over its Bareiss elimination; they are copied here, so no oracle
+imports the elimination it checks.
 
 `crossing_points` (true edges by the rank of the common tight facet
 normals) and `hull_any` with its `_independent_subset` (an affine basis
@@ -29,12 +31,13 @@ this module's `hull_any` builds on them.  `trop_mutate_polytope` is the version 
 matrices: each side of the wall maps by its own linear map, and a polytope
 on one side by `linear_image` (normals by the inverse transpose).
 
-`halfspace_contains`, `on_boundary`, `contains`, `contains_strictly`,
-`qgf_solve` and `volume` (with its two boundary walks) are the versions that `clustrop.polytopes` used before its sign
+`halfspace_contains`, `on_boundary`, `contains`, `contains_strictly` and
+`qgf_solve` are the versions that `clustrop.polytopes` used before its sign
 tests read each half-space's integer row against integer homogeneous
 coordinates: `HalfSpace.value` in Fraction, with `qgf_solve` running `rank`
-and then `solve` (here the rref versions above), and `volume` finding each
-boundary cycle facet by facet.  This module's
+and then `solve` (here the rref versions above).  `volume` (m <= 3), which
+finds each boundary cycle facet by facet, has no package counterpart any
+more: the tests use it to check convexity and slicing.  This module's
 `crossing_points` and `hull` take their values, crossings and input handling
 (`sorted({qvec(p) ...})`) from the same Fraction code, and its `_tight_sets`,
 `lattice_points` and `trop_mutate_polytope` test membership through these
@@ -55,7 +58,7 @@ from fractions import Fraction as Q
 from math import gcd
 from operator import mul
 
-from clustrop.linalg import _clear, dot, is_zero, mat_inverse, qvec, rref, vadd, vscale, vsub
+from clustrop.linalg import _clear, dot, is_zero, qvec, vadd, vscale
 from clustrop.mutation import ExtendedExchangeMatrix, _pos
 from clustrop.polytopes import (
     DegenerateError,
@@ -68,7 +71,47 @@ from clustrop.polytopes import (
 from clustrop.tropical import TropicalError, TropImage, _check_direction
 
 Vec = tuple[Q, ...]
+Mat = tuple[Vec, ...]
 Point = tuple[Q, ...]
+
+
+def vsub(x, y) -> Vec:
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
+    """Reduced row echelon form (in place on a copy); returns (matrix, pivot columns)."""
+    M = [list(map(Q, r)) for r in rows]
+    if not M:
+        return M, []
+    ncols = len(M[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(M):
+            break
+    return M, pivots
+
+
+def mat_inverse(A) -> Mat:
+    n = len(A)
+    aug = [list(map(Q, row)) + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(A)]
+    M, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(M[i][n:]) for i in range(n))
 
 
 def rank(rows) -> int:

@@ -180,6 +180,28 @@ def test_integer_fields_take_integer_strings():
     assert jsonio.family_from_obj(fam).stages == jsonio.family_from_obj(_family_2stage()).stages
 
 
+@pytest.mark.parametrize("rows", [{"01": [0, 1, -1]} | ROWS3, ROWS3 | {"01": [0, 2, -2]}])
+def test_row_keys_naming_a_label_twice_are_parse_errors(capsys, tmp_path, rows):
+    """"1" and "01" both name label 1: whichever key comes last, the matrix is
+    a parse error (exit 1, nothing on stdout), not a silently dropped row."""
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(MATRIX3 | {"rows": rows}))
+    code, stdout, err = run(capsys, "mutate", "--seq", "1", "--in", str(f))
+    assert (code, stdout) == (1, "") and "name a label twice" in err
+
+
+@pytest.mark.parametrize("stage", [{"seq": [1, 2], "r": 99, "s": 3}, {"seq": [1, 2, 77], "r": 1, "s": 3}])
+def test_stage_labels_must_be_matrix_labels(capsys, tmp_path, stage):
+    """A stage row or sequence label that names no column gives no
+    certificate, even where the replay blocks before reaching it."""
+    obj = _family_2stage()
+    obj["stages"].append(stage)
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj))
+    code, stdout, err = run(capsys, "certify-distinct", "--family", str(f))
+    assert (code, stdout) == (2, "") and "unknown" in err
+
+
 @pytest.mark.parametrize("argv", [[], ["--type", "A3"], ["--word", "1,2,1"]])
 def test_quiver_needs_a_source(capsys, argv):
     code, stdout, err = run(capsys, "quiver", *argv)

@@ -1,7 +1,7 @@
 """Source checks: no runtime `assert` statements in the package, no call of
 `HalfSpace.value` in it, no unused package import that the benchmark tracer
-does not wrap, every module attribute the tracer wraps still exists, and the
-benchmark's self-checks pass.
+does not wrap, every name in `clustrop.__all__` resolves, every module
+attribute the tracer wraps still exists, and the benchmark's self-checks pass.
 
 `python -O` strips `assert`, so invariants the package checks at run time
 raise AssertionError explicitly instead."""
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import clustrop
 from clustrop import polytopes
 
 ROOT = Path(__file__).parent.parent
@@ -72,6 +73,13 @@ def test_unused_package_imports_are_bench_bindings(path):
         if isinstance(owner, types.ModuleType) and owner.__name__ == f"clustrop.{path.stem}"
     }
     assert imported - used <= wrapped, f"{path.name} imports {sorted(imported - used - wrapped)} unused"
+
+
+def test_all_names_resolve():
+    """A removed export must leave no dangling entry in `__all__`."""
+    missing = [name for name in clustrop.__all__ if not hasattr(clustrop, name)]
+    assert not missing, f"clustrop.__all__ names {missing}, which the package does not define"
+    assert len(set(clustrop.__all__)) == len(clustrop.__all__)
 
 
 def test_bench_tracer_installs_and_uninstalls():

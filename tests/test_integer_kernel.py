@@ -1,11 +1,11 @@
 """Differential tests of the integer polytope kernel against the Fraction
-oracle in fraction_oracle.py: double description, Bareiss rank and solve,
-fiber-wise lattice enumeration, the edge and affine-basis rules of
-`crossing_points` and `hull_any`, the integer rows of flat hulls against the
-Fraction affine chart, hull facets read off the dual cone's
-integer rays, tropical mutation of polytopes by one point map, the sign
-tests, crossings, hull input and `qgf_solve` on integer rows, and the polar
-and QGF duals read off the face lattice."""
+oracle in fraction_oracle.py: double description, Bareiss rank, solve, rref
+and inverse, fiber-wise lattice enumeration, the edge and affine-basis rules
+of `crossing_points` and `hull_any`, the integer rows of flat hulls against
+the Fraction affine chart, hull facets read off the dual cone's integer rays,
+tropical mutation of polytopes by one point map, the sign tests, crossings,
+hull input and `qgf_solve` on integer rows, moves and slices against the
+Fraction volume, and the polar and QGF duals read off the face lattice."""
 
 import itertools
 import math
@@ -16,7 +16,7 @@ from operator import mul
 import fraction_oracle as oracle
 import pytest
 
-from clustrop.linalg import rank, solve, vadd, vsub
+from clustrop.linalg import mat_inverse, rank, rref, solve, vadd
 from clustrop.polytopes import (
     DegenerateError,
     PolytopeError,
@@ -32,7 +32,6 @@ from clustrop.polytopes import (
     qgf_solve,
     slice_polytope,
     vertices_from_facets,
-    volume,
 )
 from clustrop.tropical import trop_mutate_polytope
 from genutil import random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
@@ -174,6 +173,34 @@ def test_rank_and_solve_edge_cases():
     assert solve([(Q(1, 2), 1, 0), (0, 0, Q(2, 3))], [1, 2]) == (2, 0, 3)
 
 
+def test_rref_and_mat_inverse_match_fraction_oracle():
+    """The Bareiss adapters give the Gauss-Jordan matrix, its pivots and the
+    inverse (or the singular error) on rank-deficient, rectangular, singular,
+    zero-row and empty inputs."""
+    rng = random.Random(425)
+    inverted = singular = 0
+    for _ in range(1500):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        A = _random_matrix(rng, r, c)
+        got = rref(A)
+        assert got == oracle.rref(A) and all(type(x) is Q for row in got[0] for x in row)
+        try:
+            want = oracle.mat_inverse(A)
+        except ValueError:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                mat_inverse(A)
+            singular += r == c
+        else:
+            assert mat_inverse(A) == want
+            inverted += 0 < r == c
+    assert inverted > 50 and singular > 50
+    for A in ([], [()], [(), ()], [(0, 0, 0)], [(0,), (Q(1, 2),)]):
+        assert rref(A) == oracle.rref(A)
+    assert mat_inverse([]) == () and mat_inverse([(Q(2, 3),)]) == ((Q(3, 2),),)
+    with pytest.raises(ValueError, match="matrix is singular"):
+        mat_inverse([(0, 0), (0, 0)])
+
+
 # ---------------------------------------------------------------------------
 # (c) fiber-wise lattice points
 
@@ -257,7 +284,7 @@ def _hyperplanes(rng, P):
     n = normal()
     yield halfspace(n, -oracle.dot(n, rng.choice(P.vertices)))
     u, v = rng.choice(_edges(P))
-    d = vsub(v, u)
+    d = oracle.vsub(v, u)
     while True:
         n = normal()
         # the component of n orthogonal to the edge, scaled by <d, d>
@@ -597,21 +624,23 @@ def test_qgf_solve_matches_fraction_oracle():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_volume_matches_facet_walk(m):
-    """Boundary cycles from tight-set edges give the facet-by-facet walk's
-    volume, on clouds, their translates and scalings, cubes and sections."""
+def test_moves_and_slices_keep_oracle_volume(m):
+    """On clouds and cubes, translate and scale give the hull of the moved
+    vertices, facets included, and move the oracle's volume with them; the
+    two sides of a slice add up to P's volume."""
     rng = random.Random(540 + m)
     shapes = set()
     for case in range(40 if m < 3 else 25):
         P = _cloud(rng, m) if case % 5 else hull(list(itertools.product((-1, 2), repeat=m)), m)
-        for R in (P, P.translate(tuple(rat(rng, 2) for _ in range(m))), P.scale(Q(rng.randint(1, 5), 2))):
-            assert volume(R) == oracle.volume(R)
-            shapes.add(len(R.vertices))
-        S = slice_polytope(P, halfspace(tuple(rng.randint(-2, 2) for _ in range(m - 1)) + (1,), 0)).plus
-        assert volume(S) == oracle.volume(S)
+        vol = oracle.volume(P)
+        t, c = tuple(rat(rng, 2) for _ in range(m)), Q(rng.randint(1, 5), 2)
+        T, S = P.translate(t), P.scale(c)
+        assert _same(T, hull_any([vadd(v, t) for v in P.vertices], m)) and oracle.volume(T) == vol
+        assert _same(S, hull_any([tuple(c * x for x in v) for v in P.vertices], m)) and oracle.volume(S) == c**m * vol
+        res = slice_polytope(P, halfspace(tuple(rng.randint(-2, 2) for _ in range(m - 1)) + (1,), 0))
+        assert oracle.volume(res.plus) + oracle.volume(res.minus) == vol
+        shapes.add(len(P.vertices))
     assert len(shapes) >= 3 or m == 1
-    with pytest.raises(PolytopeError, match="ambient dimension <= 3"):
-        volume(hull(list(itertools.product((0, 1), repeat=4)), 4))
 
 
 # ---------------------------------------------------------------------------

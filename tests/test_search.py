@@ -4,6 +4,7 @@ from clustrop.glsseed import gls_exchange_matrix
 from clustrop.mutation import (
     MutationError,
     exchange_matrix,
+    ft_infinite_witness,
     large_entry_search,
     mutable_finiteness,
     mutation_class_bfs,
@@ -56,6 +57,20 @@ def test_mutable_finiteness_three_values():
     assert mutable_finiteness(markov) == "finite"
     wild = exchange_matrix([1, 2, 3], [], [1, 1, 1], [[0, 3, -1], [-3, 0, 1], [1, -1, 0]])
     assert mutable_finiteness(wild) == "infinite"
+
+
+def test_mutable_finiteness_needs_a_component_of_three():
+    """A 3-arrow pair that is a component of its own only changes sign under
+    mutation, so its class closes; joined to a third vertex it is wild."""
+    split = exchange_matrix([1, 2, 3], [], [1, 1, 1], [[0, 3, 0], [-3, 0, 0], [0, 0, 0]])
+    res = mutation_class_bfs(split, node_cap=100, entry_cap=3)
+    assert (res.status, res.class_size) == ("finite", 2)
+    assert mutable_finiteness(split) == "finite"
+    framed = exchange_matrix([1, 2, 3, 4], [4], [1, 1, 1, 1], [[0, 3, 0, 1], [-3, 0, 0, 0], [0, 0, 0, 1]])
+    wit = ft_infinite_witness(framed)
+    assert wit is not None and wit.trace.verify()
+    joined = exchange_matrix([1, 2, 3], [], [1, 1, 1], [[0, 3, 0], [-3, 0, 1], [0, -1, 0]])
+    assert mutable_finiteness(joined) == "infinite"
 
 
 def test_large_entry_immediate_hit_gives_empty_trace():

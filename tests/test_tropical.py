@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as Q
 
+import fraction_oracle as oracle
 import pytest
 from genutil import random_exchange, random_polytope_with_interior_origin
 
 from clustrop.mutation import FrozenIndexError, exchange_matrix
-from clustrop.polytopes import halfspace, hull, hull_any, qgf_certificate, slice_polytope, volume
+from clustrop.polytopes import halfspace, hull, hull_any, qgf_certificate, slice_polytope
 from clustrop.tropical import (
     FamilySpec,
     GradedPointSet,
@@ -156,7 +157,7 @@ def test_polytope_convexity_matches_volume_oracle():
         plus = hull_any([trop_mutate_point(eps, k, v) for v in pieces.plus.vertices], m)
         minus = hull_any([trop_mutate_point(eps, k, v) for v in pieces.minus.vertices], m)
         H = hull(plus.vertices + minus.vertices, m)
-        convex = volume(H) == volume(plus) + volume(minus)
+        convex = oracle.volume(H) == oracle.volume(plus) + oracle.volume(minus)
         img = trop_mutate_polytope(eps, k, P)
         assert img.convex == convex
         if convex:
@@ -247,6 +248,10 @@ def test_family_spec_validation():
         FamilySpec(eps, P, (Stage((), 3, 3),))  # frozen row
     with pytest.raises(TropicalError):
         FamilySpec(eps, P, (Stage((3,), 1, 3),))  # mutating frozen label
+    with pytest.raises(TropicalError, match="stage pair row 99 unknown"):
+        FamilySpec(eps, P, (Stage((1, 2), 99, 3),))
+    with pytest.raises(TropicalError, match="stage sequence mutates unknown label 77"):
+        FamilySpec(eps, P, (Stage((1,), 1, 3), Stage((1, 2, 77), 1, 3)))
 
 
 def test_distinguish_certificate_two_stages():
