@@ -12,6 +12,7 @@ deterministic so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 from fractions import Fraction as Q
 
@@ -39,8 +40,8 @@ def _array(obj: dict, key: str) -> list:
 
 
 def _int(x) -> int:
-    """A JSON integer or integer string; int() would truncate a float or read a bool."""
-    if isinstance(x, (bool, float)):
+    """A JSON integer or a -?[0-9]+ string; int() would truncate a float, read a bool, or take "1_0" or "+2"."""
+    if isinstance(x, (bool, float)) or isinstance(x, str) and not re.fullmatch("-?[0-9]+", x):
         raise FormatError(f"integer field holds {json.dumps(x)}")
     return int(x)
 
@@ -81,7 +82,7 @@ def matrix_from_obj(obj: dict) -> ExtendedExchangeMatrix:
         frozen = [_int(c) for c in _array(obj, "frozen")]
         d = [_int(x) for x in _array(obj, "d")]
         rows = _need(obj, "rows")
-        rows_map = {int(k): [_int(x) for x in _array(rows, k)] for k in rows.keys()}
+        rows_map = {_int(k): [_int(x) for x in _array(rows, k)] for k in rows.keys()}
         if len(rows_map) != len(rows):
             raise FormatError(f"rows keys {list(rows)} name a label twice")
     except FormatError:

@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from operator import mul
+from operator import add, mul
 
 from .linalg import (
     _bareiss,
@@ -267,6 +267,8 @@ class RationalPolytope:
         return RationalPolytope(verts, self.ambient_dim, self.dim, facets)
 
     def bounding_box(self) -> list[tuple[Q, Q]]:
+        if self.is_empty:
+            raise PolytopeError("the empty polytope has no bounding box")
         return [(min(v[i] for v in self.vertices), max(v[i] for v in self.vertices)) for i in range(self.ambient_dim)]
 
     def __eq__(self, other):
@@ -395,41 +397,46 @@ def is_supporting(h: HalfSpace, P: RationalPolytope) -> bool:
 
 
 def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
-    """All points of (1/q)Z^m inside P, in lexicographic order, by fibers.
+    """All points of (1/q)Z^m inside P, in lexicographic order, one coordinate per depth.
 
-    Walks the bounding box of the first m - 1 coordinates carrying each facet's
-    partial sum; for each prefix the last coordinate runs over its exact
-    interval, got from the facets as integer rows by floor and ceiling
-    division, so empty cells are never visited.  A lower-dimensional P is
-    walked the same way: its equation pairs pin each coordinate they can.
+    On k in Z^m the facet row (a, num) reads <a, k> + q num >= 0.  Over the
+    integer box of q P, coordinate t adds at most M_t = max(a_t lo_t, a_t hi_t),
+    so at depth j each row with a_j != 0 bounds k_j by one floor or ceiling
+    division: a_j k_j + s + R_j >= 0, s the row's sum over the prefix and R_j
+    the sum of M_t over t > j.  Inner bounds drop only empty subtrees, and
+    past its last nonzero coefficient a row's bound is exact (R = 0).  A row
+    with a_j = 0 needs no test: an earlier bound already gave s + R_j >= 0, or
+    the row, failing, empties the interval at its first nonzero coefficient.
     """
-    if q < 1:
+    if type(q) is not int or q < 1:
         raise PolytopeError("q must be a positive integer")
     if P.is_empty:
         return []
-    *box, last = [range(math.ceil(lo * q), math.floor(hi * q) + 1) for lo, hi in P.bounding_box()]
-    # <n, k/q> + num/den >= 0  <=>  <den n, k> + q num >= 0 for the facet row (den n, num); sorted
-    # by the last coefficient: upper bounds on the last coordinate, rows free of it, lower bounds
-    rows = sorted(((f.row[:-1], q * f.row[-1]) for f in P.facets), key=lambda r: r[0][-1])
-    tail = [n[-1] for n, _ in rows]
-    up, down = sum(a < 0 for a in tail), len(tail) - sum(a > 0 for a in tail)
+    # ceil(q min x) = min ceil(q x) over the vertices, and likewise for floor and max
+    nd = [[(q * x.numerator, x.denominator) for x in col] for col in zip(*P.vertices)]
+    box = [(min(-(-n // d) for n, d in col), max(n // d for n, d in col)) for col in nd]
+    cols = [[f.row[j] for f in P.facets] for j in range(P.ambient_dim)]
+    most = [[a * (hi if a > 0 else lo) for a in col] for col, (lo, hi) in zip(cols, box)]
+    lower = [[(i, a) for i, a in enumerate(col) if a > 0] for col in cols]
+    upper = [[(i, -a) for i, a in enumerate(col) if a < 0] for col in cols]
+    coords = [[Q(k, q) for k in range(lo, hi + 1)] for lo, hi in box]  # shared by the points
     out = []
 
-    def walk(prefix, sums):
-        j = len(prefix)
-        if j < len(box):
-            col = [n[j] for n, _ in rows]
-            for k in box[j]:
-                walk(prefix + (k,), [x + k * a for x, a in zip(sums, col)])
+    def walk(j, prefix, sums):  # sums hold s + R_j
+        lo = max([box[j][0]] + [-(sums[i] // a) for i, a in lower[j]])
+        hi = min([box[j][1]] + [sums[i] // a for i, a in upper[j]])
+        if lo > hi:
             return
-        if any(x < 0 for x in sums[up:down]):
+        at = coords[j][lo - box[j][0]:hi - box[j][0] + 1]
+        if j == len(box) - 1:
+            out.extend([prefix + (x,) for x in at])
             return
-        lo = max([last.start] + [-(x // a) for x, a in zip(sums[down:], tail[down:])])
-        hi = min([last.stop - 1] + [x // -a for x, a in zip(sums, tail[:up])])
-        for k in range(lo, hi + 1):
-            out.append(tuple(Q(x, q) for x in prefix + (k,)))
+        sums = [s + a * lo - b for s, a, b in zip(sums, cols[j], most[j + 1])]  # adds a_j lo, moves to R_{j+1}
+        for x in at:
+            walk(j + 1, prefix + (x,), sums)
+            sums = list(map(add, sums, cols[j]))
 
-    walk((), [b for _, b in rows])
+    walk(0, (), [q * f.row[-1] + sum(M[1:]) for f, M in zip(P.facets, zip(*most))])
     return out
 
 

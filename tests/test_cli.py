@@ -354,6 +354,47 @@ def test_round_trip_polytope_format(tmp_path):
     assert P == again
 
 
+@pytest.mark.parametrize("form", ["1_0", " 2 ", "+2", "2\n"])
+@pytest.mark.parametrize("where", ["cols", "d", "rows value", "rows key", "stage r"])
+def test_integer_strings_must_be_plain_digits(capsys, tmp_path, form, where):
+    """int() reads "1_0" as 10 and " 2 ", "+2" and "2\\n" as 2; an integer
+    string must match -?[0-9]+, so each is a parse error (exit 1, nothing on
+    stdout) where the same input with the integer itself is valid."""
+    k = int(form)
+
+    def build(x):
+        """A valid input when x is k: a 3-cycle on labels 1, k, 3 with entry k,
+        or the fixture family with label 2 renamed k."""
+        cols, d = [1, k, 3], [k, k, k]
+        rows = {"1": [0, k, -1], str(k): [-k, 0, 1], "3": [1, -1, 0]}
+        if where == "cols":
+            cols[1] = x
+        elif where == "d":
+            d[0] = x
+        elif where == "rows value":
+            rows["1"][1] = x
+        elif where == "rows key":
+            rows = {"1": rows["1"], str(x): rows[str(k)], "3": rows["3"]}
+        matrix = {"cols": cols, "frozen": [], "d": d, "rows": rows}
+        if where != "stage r":
+            return matrix, ["mutate", "--seq", "1", "--in"]
+        fam = _family_2stage()
+        fam["matrix"]["cols"] = [1, k, 3]
+        fam["matrix"]["rows"] = {"1": [0, 1, -2], str(k): [-1, 0, -2]}
+        fam["stages"][1]["r"] = x
+        return fam, ["certify-distinct", "--family"]
+
+    for x, valid in ((k, True), (form, False)):
+        obj, argv = build(x)
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(obj))
+        code, stdout, err = run(capsys, *argv, str(f))
+        if valid:
+            assert code in (0, 2) and stdout, err
+        else:
+            assert (code, stdout) == (1, "") and "parse error" in err
+
+
 def test_round_trip_family_format():
     fam_obj = json.loads((resources.files("clustrop") / "fixtures" / "family_2stage.json").read_text())["family"]
     fam = jsonio.family_from_obj(fam_obj)

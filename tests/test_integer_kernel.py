@@ -1,11 +1,12 @@
 """Differential tests of the integer polytope kernel against the Fraction
 oracle in fraction_oracle.py: double description, Bareiss rank, solve, rref
-and inverse, fiber-wise lattice enumeration, the edge and affine-basis rules
-of `crossing_points` and `hull_any`, the integer rows of flat hulls against
-the Fraction affine chart, hull facets read off the dual cone's integer rays,
-tropical mutation of polytopes by one point map, the sign tests, crossings,
-hull input and `qgf_solve` on integer rows, moves and slices against the
-Fraction volume, and the polar and QGF duals read off the face lattice."""
+and inverse, lattice enumeration pruned at every depth, the edge and
+affine-basis rules of `crossing_points` and `hull_any`, the integer rows of
+flat hulls against the Fraction affine chart, hull facets read off the dual
+cone's integer rays, tropical mutation of polytopes by one point map, the
+sign tests, crossings, hull input and `qgf_solve` on integer rows, moves and
+slices against the Fraction volume, and the polar and QGF duals read off the
+face lattice."""
 
 import itertools
 import math
@@ -202,7 +203,7 @@ def test_rref_and_mat_inverse_match_fraction_oracle():
 
 
 # ---------------------------------------------------------------------------
-# (c) fiber-wise lattice points
+# (c) lattice points, pruned at every depth
 
 
 def _thin_polytope(rng, m):
@@ -225,20 +226,88 @@ def _cloud(rng, m):
             continue
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_fiber_lattice_points_match_box_scan(m):
     rng = random.Random(430 + m)
     thin_gaps = 0
     for case in range(24 if m < 4 else 9 if m == 4 else 6):
         thin = case % 3 == 2 and m > 1
         P = _thin_polytope(rng, m) if thin else _cloud(rng, m)
-        for q in (1, 2, 3):
+        # the oracle scans every cell of the box: up to 61740 at m = 6, q = 3
+        for q in (1, 2, 3) if m < 6 else (1, 2):
             got = lattice_points(P, q)
             assert got == oracle.lattice_points(P, q)
             if thin:
                 box = math.prod(math.floor(hi * q) - math.ceil(lo * q) + 1 for lo, hi in P.bounding_box()[:-1])
                 thin_gaps += len({p[:-1] for p in got}) < box
     assert thin_gaps > 0 or m == 1
+
+
+def _sparse_polytope(rng, m):
+    """A rational box cut by half-spaces on two or three coordinates, so
+    facet rows meet inner coordinates with zero, positive and negative
+    coefficients while their support goes on."""
+    halves = [
+        halfspace(tuple(sign * int(i == j) for i in range(m)), Q(rng.randint(2, 4), rng.choice((2, 3))))
+        for j in range(m)
+        for sign in (1, -1)
+    ]
+    while len(halves) < 2 * m + m + 2:
+        support = rng.sample(range(m), rng.choice((2, 3)))
+        normal = tuple(rng.choice((-2, -1, 1, 2)) if i in support else 0 for i in range(m))
+        halves.append(halfspace(normal, Q(rng.randint(1, 4), rng.choice((1, 2, 3)))))
+    return hull(vertices_from_facets(halves, m), m)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_lattice_points_of_sparse_polytopes_match_box_scan(m):
+    rng = random.Random(470 + m)
+    inner_signs = set()
+    for _ in range(8 if m < 5 else 4):
+        P = _sparse_polytope(rng, m)
+        n = [f.normal for f in P.facets]
+        inner_signs |= {(a > 0) - (a < 0) for v in n for j, a in enumerate(v[:-1]) if any(v[j + 1:])}
+        for q in (1, 2, 3) if m < 5 else (1, 2):
+            assert lattice_points(P, q) == oracle.lattice_points(P, q)
+    assert inner_signs == {-1, 0, 1}
+
+
+def _gelfand_tsetlin(n):
+    """The Gelfand-Tsetlin polytope of Fl(n) at 2 rho: patterns under the top
+    row (2(n - 1), ..., 2, 0), each entry between its two upper neighbours,
+    in the coordinates of rows n - 1, ..., 1."""
+    top = [2 * (n - 1 - i) for i in range(n)]
+    var = {(k, i): None for k in range(n - 1, 0, -1) for i in range(k)}
+    var = {key: c for c, key in enumerate(var)}
+    m = len(var)
+
+    def entry(k, i):  # (coefficients, constant)
+        return ([0] * m, top[i]) if k == n else ([int(c == var[k, i]) for c in range(m)], 0)
+
+    halves = []
+    for k, i in var:
+        for (a, b), (c, d) in ((entry(k + 1, i), entry(k, i)), (entry(k, i), entry(k + 1, i + 1))):
+            halves.append(halfspace(tuple(x - y for x, y in zip(a, c)), b - d))
+    return hull(vertices_from_facets(halves, m), m)
+
+
+def test_gelfand_tsetlin_lattice_points_are_the_weyl_dimension():
+    """|GT(2 rho) cap Z^N| = dim V(2 rho) = 3^N for Fl(3), Fl(4), Fl(5)."""
+    for n, count in ((3, 27), (4, 729), (5, 59049)):
+        P = _gelfand_tsetlin(n)
+        assert P.ambient_dim == n * (n - 1) // 2
+        assert len(lattice_points(P)) == count
+    P = _gelfand_tsetlin(3)
+    for q in (1, 2):
+        assert lattice_points(P, q) == oracle.lattice_points(P, q)
+
+
+def test_lattice_points_prune_inner_depths_on_a_diagonal_segment():
+    """A box walk over the first seven coordinates would visit 41^7 prefixes;
+    each equation pair pins its coordinate at the depth it ends at."""
+    seg = hull_any([(0,) * 8, (40,) * 8], 8)
+    for q, count in ((1, 41), (3, 121)):
+        assert lattice_points(seg, q) == [(Q(k, q),) * 8 for k in range(count)]
 
 
 def test_lattice_points_of_lower_dimensional_polytopes_match_box_scan():

@@ -123,6 +123,18 @@ def test_lattice_points_counts():
     assert lattice_points(shifted, 1) == [(Q(1), Q(1))]
 
 
+@pytest.mark.parametrize("q", [0, -1, 1.5, 2.0, True, False, Q(2), "2", None])
+def test_lattice_points_needs_a_positive_int_q(q):
+    with pytest.raises(PolytopeError, match="^q must be a positive integer$"):
+        lattice_points(square(), q)
+
+
+def test_bounding_box_of_the_empty_polytope_raises():
+    assert hull_any([(1, Q(1, 2))], 2).bounding_box() == [(Q(1), Q(1)), (Q(1, 2), Q(1, 2))]
+    with pytest.raises(PolytopeError, match="^the empty polytope has no bounding box$"):
+        hull_any([], 2).bounding_box()
+
+
 def test_qgf_certificates_figure_pair():
     cert = qgf_certificate(square(2))
     assert cert is not None
