@@ -520,8 +520,8 @@ def mutation_class_bfs(eps: ExtendedExchangeMatrix, node_cap: int, entry_cap: in
 
     The BFS (`_bfs`) never mutates a node back along the label it was reached by.
     """
-    if node_cap <= 0 or entry_cap <= 0:
-        raise MutationError("caps must be positive")
+    if not all(type(c) is int and c > 0 for c in (node_cap, entry_cap)):
+        raise MutationError("caps must be positive integers")
     if eps.max_abs_entry() > entry_cap:
         return BFSResult("entry_exceeded", 1, (), MutationTrace(eps, (), eps))
     parents = {eps: (None, None)}
@@ -607,6 +607,8 @@ def large_entry_search(
     """
     if target < 1:
         raise MutationError("target must be >= 1")
+    if not all(type(x) is int and x > 0 for x in (budget, beam_width)):
+        raise MutationError("budget and beam_width must be positive integers")
     if not eps.frozen:
         raise MutationError("matrix has no frozen column")
 

@@ -14,7 +14,7 @@ run the double description method on a homogenization cone of integer rows
 polar dual about the centroid, reading each facet straight off an integer ray
 (`facets_from_points`); this is practical for the dense low-dimensional
 polytopes handled here (roughly m <= 6).  The polar and QGF duals are read off
-the face lattice in integers, with no hull (`_dual`).
+the face lattice in integers, with no hull (`_dual`), as is a tropical image.
 Every non-empty polytope carries integer facet rows, whatever its dimension
 (`hull_any`), so one sign test decides membership.
 """
@@ -110,11 +110,6 @@ def _homog_all(points) -> list[tuple[int, ...]]:
     """Integer homogeneous coordinates of the points over one common t, so they sort as the points do."""
     t = math.lcm(*(x.denominator for p in points for x in p))
     return [(*_clear(p, t), t) for p in points]
-
-
-def _inside(P: "RationalPolytope", hp) -> bool:
-    """The point with integer homogeneous coordinates hp lies in the non-empty P."""
-    return all(sum(map(mul, f.row, hp)) >= 0 for f in P.facets)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +241,7 @@ class RationalPolytope:
 
     def contains(self, p) -> bool:
         hp = _homog(p, self.ambient_dim)
-        return not self.is_empty and _inside(self, hp)
+        return not self.is_empty and all(sum(map(mul, f.row, hp)) >= 0 for f in self.facets)
 
     def contains_strictly(self, p) -> bool:
         hp = _homog(p, self.ambient_dim)
@@ -289,6 +284,13 @@ def _tight_sets(facets: list[HalfSpace], hpts) -> list[int]:
     return [sum(1 << j for j, r in enumerate(rows) if sum(map(mul, r, hp)) == 0) for hp in hpts]
 
 
+def _keep(tight: list[int]) -> list[bool]:
+    """Which of some distinct points of a polytope, all its vertices among them,
+    are vertices: a non-vertex lies inside a face whose vertices are among the
+    points, each tight wherever it is; a vertex's tight facets meet only there."""
+    return [all(t & u != t for u in tight[:i] + tight[i + 1:]) for i, t in enumerate(tight)]
+
+
 def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
     """Convex hull of full-dimension-spanning points: minimal V-rep plus facets.
 
@@ -309,11 +311,7 @@ def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
     except DegenerateError:
         # the DD's pivot check: the dual rows span iff the points do
         raise DegenerateError("points do not span the full dimension") from None
-    tight = _tight_sets(facets, hpts)
-    # a non-vertex lies inside a face whose vertices are among the points, and
-    # each of those is tight wherever it is; a vertex's tight facets meet only there
-    keep = [all(t & u != t for u in tight[:i] + tight[i + 1:]) for i, t in enumerate(tight)]
-    verts = [qvec(by_key[hp]) for hp, k in zip(hpts, keep) if k]
+    verts = [qvec(by_key[hp]) for hp, k in zip(hpts, _keep(_tight_sets(facets, hpts))) if k]
     return RationalPolytope(tuple(verts), m, m, tuple(facets))
 
 
@@ -527,7 +525,8 @@ def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
         a, b = vals[i], vals[j]
         if not ((a > 0 > b) or (b > 0 > a)):
             continue
-        if tight is not None and not _adjacent(tight, i, j):
+        # an edge lies on at least m - 1 facets, as in the double description's adjacency test
+        if tight is not None and ((tight[i] & tight[j]).bit_count() < P.ambient_dim - 1 or not _adjacent(tight, i, j)):
             continue
         # a and b are positive multiples of the values at the two vertices, so the
         # crossing is (a V_j - b V_i) / (a - b) in homogeneous coordinates

@@ -2,30 +2,33 @@
 plus the distinguishing-certificate pipeline built on them.
 
 The tropical map in direction k fixes the hyperplane u_k = 0 and acts by one
-unimodular linear map on each side.  One point map (`_trop`) serves points
-and polytope vertices, and the map of the negated row is its inverse, so an
-image is pulled back by that map to be checked for convexity rather than
-assumed.
+unimodular integer map on each side.  One point map (`_trop`) serves points
+and the integer homogeneous coordinates of polytope vertices.  A polytope's
+image is read off its facets and vertices, and its convexity is decided by
+sign tests, so no hull or double description runs here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import reduce
+from operator import mul, or_
 
 # mat_inverse is unused here; bench/spans.py wraps tropical.mat_inverse by name
 from .linalg import mat_inverse, qvec  # noqa: F401
 from .mutation import ExtendedExchangeMatrix, FrozenIndexError, _pos
 from .polytopes import (
+    HalfSpace,
     Point,
     QGFCertificate,
     RationalPolytope,
     _homog_all,
-    _inside,
+    _keep,
+    _tight_sets,
     crossing_points,
     halfspace,
-    hull,
-    hull_any,
+    hull,  # noqa: F401  unused here; bench/spans.py wraps tropical.hull by name
     lattice_points,
     qgf_solve,
 )
@@ -61,7 +64,8 @@ def trop_mutate_point(eps: ExtendedExchangeMatrix, k: int, u) -> Point:
 
 
 def _trop(row, ki: int, u) -> Point:
-    """The point map of exchange row `row` at column ki; the negated row gives
+    """The point map of exchange row `row` at column ki, also on integer
+    homogeneous coordinates with `row` extended by a 0; the negated row gives
     its inverse."""
     uk = u[ki]
     sign = 1 if uk >= 0 else -1
@@ -152,32 +156,53 @@ class TropImage:
 
 
 def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytope) -> TropImage:
-    """Map the two closed halves of P at u_k = 0 (vertices plus wall
-    crossings) by the point map; if the union of the images is convex (union
-    equals hull, decided exactly) return the hull, otherwise both pieces with
-    the non-convexity flag.  A P on one side has no crossings and its image
-    is the hull."""
+    """Image of P under the tropical map in direction k, read off P's minimal
+    representations by sign tests.  On the closed half s u_k >= 0 (s = ±1)
+    the map is one unimodular integer map; a P on one side maps whole.
+    Otherwise the piece on side s has P's vertices on that side plus the wall
+    crossings, and as facets the wall and those of P holding a vertex strictly
+    on that side.  The union of the images is convex iff each satisfies the
+    other's non-wall facets, which are then the hull's; if not, both pieces
+    are returned with the non-convexity flag."""
     _check_direction(eps, k)
     P.require_full_dim()
     m = P.ambient_dim
     if m != len(eps.cols):
         raise TropicalError("polytope ambient dimension does not match column count")
     ki, row = eps.col_index(k), eps.row(k)
-    wall = halfspace([1 if i == ki else 0 for i in range(m)], 0)
-    # crossings lie on the wall, which the map fixes
-    crossings = crossing_points(P, wall)
-    plus_img_pts = [_trop(row, ki, v) for v in P.vertices if v[ki] >= 0] + crossings
-    minus_img_pts = [_trop(row, ki, v) for v in P.vertices if v[ki] <= 0] + crossings
-    H = hull(plus_img_pts + minus_img_pts, m)
-    # the map is a bijection whose inverse is the map of the negated row, so
-    # the union of the images is convex iff it equals H, i.e. iff each closed
-    # half of H (vertices plus wall crossings) pulls back into P; the map is integral
-    # and positively homogeneous, so it pulls back integer homogeneous coordinates
-    inverse = tuple(-e for e in row) + (0,)  # the 0 keeps the last coordinate
-    pulled = (_trop(inverse, ki, hp) for hp in _homog_all(H.vertices))
-    if all(_inside(P, hp) for hp in pulled) and all(map(P.contains, crossing_points(H, wall))):
-        return TropImage(True, H)
-    return TropImage(False, None, hull_any(plus_img_pts, m), hull_any(minus_img_pts, m))
+    sides = {(v[ki] > 0) - (v[ki] < 0) for v in P.vertices} - {0}
+    wall = halfspace([int(i == ki) for i in range(m)], 0)
+    # crossings lie on the wall, which the map fixes; all points share one denominator
+    hpts = _homog_all(P.vertices + tuple(crossing_points(P, wall) if len(sides) == 2 else ()))
+    img = [_trop(row + (0,), ki, hp) for hp in hpts]  # the 0 keeps the homogenizing coordinate
+    if len(sides) == 1:
+        return TropImage(True, _image(m, img, [_map_facet(f, row, s, ki) for s in sides for f in P.facets]))
+    tight = _tight_sets(P.facets, hpts[:len(P.vertices)])
+    pieces = []
+    for s in (1, -1):
+        held = reduce(or_, (t for t, hp in zip(tight, hpts) if s * hp[ki] > 0))
+        facets = [_map_facet(f, row, s, ki) for j, f in enumerate(P.facets) if held >> j & 1]
+        verts = [u for u, hp in zip(img, hpts) if s * hp[ki] >= 0]
+        pieces.append((verts, facets, halfspace([-s * x for x in wall.normal], 0)))
+    (va, fa, wa), (vb, fb, wb) = pieces
+    if all(sum(map(mul, f.row, u)) >= 0 for fs, vs in ((fa, vb), (fb, va)) for f in fs for u in vs):
+        facets = list(set(fa + fb))
+        keep = _keep(_tight_sets(facets, img))
+        return TropImage(True, _image(m, [u for u, kept in zip(img, keep) if kept], facets))
+    return TropImage(False, None, _image(m, va, fa + [wa]), _image(m, vb, fb + [wb]))
+
+
+def _map_facet(f: HalfSpace, row, s: int, ki: int) -> HalfSpace:
+    """The facet (n, b) of a polytope in s u_k >= 0 under the map u_k -> -u_k,
+    u_j -> u_j + p_j u_k (p = [s row]_+, p_k = 0): n'_k = <n, p> - n_k, primitive."""
+    n = f.normal
+    return HalfSpace(n[:ki] + (sum(x * _pos(s * e) for x, e in zip(n, row)) - n[ki],) + n[ki + 1:], f.offset)
+
+
+def _image(m: int, hverts, facets) -> RationalPolytope:
+    """The full-dimensional polytope with these facets and vertices (integer homogeneous, one denominator)."""
+    verts = tuple(tuple(Q(x, hp[m]) for x in hp[:m]) for hp in sorted(hverts))
+    return RationalPolytope(verts, m, m, tuple(sorted(facets, key=lambda f: f.normal)))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from operator import mul
 import fraction_oracle as oracle
 import pytest
 
+from clustrop.glsseed import gls_exchange_matrix
 from clustrop.linalg import mat_inverse, rank, rref, solve, vadd
 from clustrop.polytopes import (
     DegenerateError,
@@ -34,6 +35,7 @@ from clustrop.polytopes import (
     slice_polytope,
     vertices_from_facets,
 )
+from clustrop.rootsys import cartan_matrix
 from clustrop.tropical import trop_mutate_polytope
 from genutil import random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
 
@@ -524,6 +526,20 @@ def test_trop_mutate_polytope_matches_branch_matrices(m):
             kinds["touching"] += 0 in side and min(side) < 0 < max(side)
             kinds["convex" if want.convex else "non-convex"] += 1
     assert min(kinds.values()) >= (15 if m < 4 else 8), kinds
+
+
+def test_trop_mutate_gelfand_tsetlin_matches_branch_matrices():
+    """GT(2 rho) of Fl(4), centred at its QGF center, along the 3 mutable
+    directions of the GLS seed of (1,2,1,3,2,1): every image is non-convex."""
+    P = _gelfand_tsetlin(4)
+    cert, _ = qgf_solve(P)
+    P = P.translate(tuple(-x for x in cert.center))
+    eps = gls_exchange_matrix(cartan_matrix("A", 3), (1, 2, 1, 3, 2, 1))
+    assert len(eps.mutable) == 3
+    for k in eps.mutable:
+        got, want = trop_mutate_polytope(eps, k, P), oracle.trop_mutate_polytope(eps, k, P)
+        assert got.convex == want.convex is False
+        assert _same_rows(got.plus_image, want.plus_image) and _same_rows(got.minus_image, want.minus_image)
 
 
 # ---------------------------------------------------------------------------

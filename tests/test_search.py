@@ -50,6 +50,14 @@ def test_bfs_rejects_nonpositive_caps():
         mutation_class_bfs(c3_restricted(), node_cap=0, entry_cap=4)
 
 
+def test_bfs_caps_must_be_positive_ints():
+    """True is an int to Python but not a cap; it used to run as 1."""
+    for caps in ({"node_cap": True, "entry_cap": 4}, {"node_cap": 100, "entry_cap": True},
+                 {"node_cap": 1.5, "entry_cap": 4}):
+        with pytest.raises(MutationError, match="^caps must be positive integers$"):
+            mutation_class_bfs(c3_restricted(), **caps)
+
+
 def test_mutable_finiteness_three_values():
     assert mutable_finiteness(c3_restricted()) == "finite"  # affine-C mutable part
     # the once-punctured-torus quiver is famously mutation finite despite the 2s
@@ -111,3 +119,12 @@ def test_large_entry_search_is_deterministic():
 def test_large_entry_budget_exhaustion_returns_none():
     eps = c3_restricted()
     assert large_entry_search(eps, 10**6, budget=50, beam_width=4) is None
+
+
+@pytest.mark.parametrize("bad", [{"beam_width": -1}, {"beam_width": 0}, {"budget": 0}, {"budget": -5},
+                                 {"beam_width": True}, {"budget": True}, {"budget": 100.0}, {"beam_width": "64"}])
+def test_large_entry_search_budget_and_beam_must_be_positive_ints(bad):
+    """beam_width=-1 sliced children[:-1] and returned a 9-step witness for
+    target 8; beam_width=0 returned None as if the budget were spent."""
+    with pytest.raises(MutationError, match="^budget and beam_width must be positive integers$"):
+        large_entry_search(c3_restricted(), 8, **bad)

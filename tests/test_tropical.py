@@ -5,6 +5,7 @@ import fraction_oracle as oracle
 import pytest
 from genutil import random_exchange, random_polytope_with_interior_origin
 
+from clustrop import polytopes, tropical
 from clustrop.mutation import FrozenIndexError, exchange_matrix
 from clustrop.polytopes import halfspace, hull, hull_any, qgf_certificate, slice_polytope
 from clustrop.tropical import (
@@ -138,6 +139,32 @@ def test_polytope_nonconvex_image_returns_pieces():
     # the two pieces sit on opposite sides of the wall
     assert all(v[0] <= 0 for v in img.plus_image.vertices)
     assert all(v[0] >= 0 for v in img.minus_image.vertices)
+
+
+def test_trop_mutate_polytope_runs_no_hull(monkeypatch):
+    """The image is read off P's facets and vertices, on one side of the wall
+    or touching it, and for convex and non-convex unions: no hull, no double
+    description."""
+    cases = {
+        "one-sided": (hull([(1, 0), (2, 0), (1, 5), (2, 5)]), True),
+        "touching": (hull([(0, 0), (-2, 0), (0, 5), (-2, 5)]), True),  # an edge on the wall
+        "through a vertex": (hull([(0, 0), (-1, 3), (1, 3)]), True),
+        "convex": (hull([(0, 0), (-1, 2), (1, 0), (1, 2)]), True),
+        "non-convex": (hull([(2, 2), (2, -2), (-2, 2), (-2, -2)]), False),
+    }
+    want = {name: oracle.trop_mutate_polytope(EPS, 1, P) for name, (P, _) in cases.items()}
+    calls = []
+    wrapped = ((polytopes, "hull"), (polytopes, "hull_any"), (polytopes, "_dd_extreme_rays"), (tropical, "hull"))
+    for module, name in wrapped:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+    for name, (P, convex) in cases.items():
+        got = trop_mutate_polytope(EPS, 1, P)
+        assert got.convex == want[name].convex == convex, name
+        for part in ("polytope", "plus_image", "minus_image"):
+            g, w = getattr(got, part), getattr(want[name], part)
+            assert (g and (g.vertices, g.dim, g.facets)) == (w and (w.vertices, w.dim, w.facets)), (name, part)
+    assert calls == []
 
 
 def test_polytope_convexity_matches_volume_oracle():
