@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import chain, islice, repeat
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 
@@ -60,7 +60,7 @@ def _labels(cols: tuple[int, ...], frozen: frozenset[int], d: tuple[int, ...]) -
     return _Labels(ci, mutable, ri, mcols, tuple((s, ci[s]) for s in sorted(frozen)), pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExtendedExchangeMatrix:
     """Integer exchange matrix with mutable rows, all columns, and skew-symmetrizer d.
 
@@ -69,31 +69,41 @@ class ExtendedExchangeMatrix:
     d:      positive integer per column, aligned with cols
     rows:   one integer row per mutable label, aligned with cols
 
-    Every instance, mutated ones included, is validated on construction:
-    `_labels` checks (cols, frozen, d) and shares its record (label lookups and
-    skew pairs), not a field; each matrix checks its row count, row lengths and
-    skew, and stores its hash (not a field, so dict lookups do not rehash rows).
+    Every instance, mutated ones included, is validated by the one explicit
+    constructor: `_labels` checks (cols, frozen, d) and shares its record
+    (label lookups and skew pairs); each matrix checks its row count, row
+    lengths and skew, then stores the four fields, the record and its hash
+    (neither is a field, so dict lookups do not rehash rows) in slots, once
+    each.  `__reduce__` rebuilds through the constructor, so copies revalidate.
     """
 
+    __slots__ = ("cols", "frozen", "d", "rows", "_lab", "_hash")
     cols: tuple[int, ...]
     frozen: frozenset[int]
     d: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        lab = _labels(tuple(self.cols), frozenset(self.frozen), tuple(self.d))
-        object.__setattr__(self, "_lab", lab)
-        rows = self.rows
+    def __init__(self, cols, frozen, d, rows):
+        lab = _labels(tuple(cols), frozenset(frozen), tuple(d))
         if len(rows) != len(lab.mutable):
             raise MutationError("need one row per mutable label")
-        n = len(self.cols)
+        n = len(cols)
         for row in rows:
             if len(row) != n:
                 raise MutationError("row length must match column count")
         for a, b, ca, cb, da, db in lab.pairs:
             if rows[a][cb] * da + rows[b][ca] * db != 0:
                 raise MutationError(f"not skew-symmetrizable at ({lab.mutable[a]},{lab.mutable[b]})")
-        object.__setattr__(self, "_hash", hash((self.cols, self.frozen, self.d, rows)))
+        put = object.__setattr__
+        put(self, "cols", cols)
+        put(self, "frozen", frozen)
+        put(self, "d", d)
+        put(self, "rows", rows)
+        put(self, "_lab", lab)
+        put(self, "_hash", hash((cols, frozen, d, rows)))
+
+    def __reduce__(self):
+        return ExtendedExchangeMatrix, (self.cols, self.frozen, self.d, self.rows)
 
     def __hash__(self):
         return self._hash
@@ -140,25 +150,31 @@ class ExtendedExchangeMatrix:
         """Matrix mutation in direction k (a mutable label); involutive, keeps d.
 
         eps_rs + sgn(eps_ks)[eps_rk eps_ks]_+ is eps_rs + eps_rk [±eps_ks]_+ with
-        the sign of eps_rk; row and column k change sign."""
-        if k in self.frozen:
-            raise FrozenIndexError(f"cannot mutate at frozen label {k}")
-        ki = self.col_index(k)
-        kr = self._lab.ri[k]
+        the sign of eps_rk; -2 at k in both vectors negates column k; row k changes sign.
+        A row is one map into an exact-size list: tuple(map(...)) over-allocates and
+        shrinks, so freed rows are not reused and peak memory grows, for no speed-up."""
+        kr = self._lab.ri.get(k)
+        if kr is None:
+            if k in self.frozen:
+                raise FrozenIndexError(f"cannot mutate at frozen label {k}")
+            raise MutationError(f"unknown label {k}")
+        ki = self._lab.mcols[kr]
         krow = self.rows[kr]
         kpos = [x if x > 0 else 0 for x in krow]
         kneg = [-x if x < 0 else 0 for x in krow]
+        kpos[ki] = kneg[ki] = -2
         new_rows = []
-        for r, row in enumerate(self.rows):
+        for row in self.rows:
             e_rk = row[ki]
-            if r == kr:
-                new_rows.append(tuple(map(neg, row)))
-            elif e_rk:
-                new = list(map(add, row, map(mul, kpos if e_rk > 0 else kneg, repeat(e_rk))))
-                new[ki] = -e_rk  # kpos and kneg vanish at k
-                new_rows.append(tuple(new))
+            if not e_rk:
+                new_rows.append(row)  # eps_rk == 0 leaves the row as it is (and eps_kk == 0: row k is set below)
+            elif e_rk == 1:
+                new_rows.append(tuple([*map(add, row, kpos)]))
+            elif e_rk == -1:
+                new_rows.append(tuple([*map(sub, row, kneg)]))
             else:
-                new_rows.append(row)  # eps_rk == 0 leaves the row as it is
+                new_rows.append(tuple([*map(add, row, map(mul, kpos if e_rk > 0 else kneg, repeat(e_rk)))]))
+        new_rows[kr] = tuple([*map(neg, krow)])
         return ExtendedExchangeMatrix(self.cols, self.frozen, self.d, tuple(new_rows))
 
     def mutate_seq(self, seq) -> "ExtendedExchangeMatrix":
@@ -168,10 +184,10 @@ class ExtendedExchangeMatrix:
         return eps
 
     def restrict(self, keep) -> "ExtendedExchangeMatrix":
-        """Columns restricted to keep, rows to keep ∩ mutable; labels preserved."""
-        keep = set(keep)
-        cols = tuple(c for c in self.cols if c in keep)
-        idx = [self.col_index(c) for c in cols]
+        """Columns restricted to keep (column labels only), rows to keep ∩ mutable; labels preserved."""
+        idx = sorted(set(map(self.col_index, keep)))  # an unknown label raises here
+        cols = tuple(self.cols[i] for i in idx)
+        keep = set(cols)
         frozen = frozenset(c for c in cols if c in self.frozen)
         d = tuple(self.d[i] for i in idx)
         rows = tuple(tuple(row[i] for i in idx) for r, row in zip(self.mutable, self.rows) if r in keep)
@@ -605,8 +621,8 @@ def large_entry_search(
     gives its parent, reached by a strict prefix), but the skipped move still
     counts against the budget, so the search stops where it always did.
     """
-    if target < 1:
-        raise MutationError("target must be >= 1")
+    if type(target) is not int or target < 1:
+        raise MutationError("target must be a positive integer")
     if not all(type(x) is int and x > 0 for x in (budget, beam_width)):
         raise MutationError("budget and beam_width must be positive integers")
     if not eps.frozen:

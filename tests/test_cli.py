@@ -46,6 +46,16 @@ def test_mutation_labels_not_positions(capsys, tmp_path):
     assert obj["cols"] == [1, 2, 3, 6, 8]  # labels survive restriction
 
 
+def test_restrict_refuses_labels_that_are_not_columns(capsys, tmp_path):
+    """An unknown --keep label exits 2 like an unknown --seq label, instead of
+    being dropped silently."""
+    m = tmp_path / "m.json"
+    m.write_text('{"cols": [1, 2, 3], "frozen": [3], "d": [1, 1, 1], "rows": {"1": [0, 1, 2], "2": [-1, 0, 1]}}')
+    for argv in (["restrict", "--keep", "1,2,99"], ["mutate", "--seq", "1,99"]):
+        code, stdout, err = run(capsys, *argv[:1], "--in", str(m), *argv[1:])
+        assert (code, stdout, err) == (2, "", "error: unknown label 99\n")
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "mutate", "--seq", "1")
     assert code == 1 and "usage error" in err

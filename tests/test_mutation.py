@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import random
 from fractions import Fraction as Q
 from importlib import resources
@@ -89,7 +91,7 @@ def test_g2_sequence_replays_and_matches_oracle():
 
 def test_mutation_rejects_frozen_direction():
     eps = gls_exchange_matrix(cartan_matrix("C", 3), NINE)
-    with pytest.raises(FrozenIndexError):
+    with pytest.raises(FrozenIndexError, match=r"^cannot mutate at frozen label 7$"):
         eps.mutate(7)
 
 
@@ -255,14 +257,19 @@ def differential_start_matrices(rng):
 def test_mutate_matches_sign_rule_oracle():
     rng = random.Random(20250)
     cases = 0
+    unit = wide = 0  # rows r != k changed through |eps_rk| == 1 and through |eps_rk| >= 2
     for eps in differential_start_matrices(rng):
         for _ in range(6):
             k = rng.choice(eps.mutable)
             child = eps.mutate(k)
             assert child.rows == oracle_mutate_rows(eps, k)
+            e_rk = [abs(eps.entry(r, k)) for r in eps.mutable if r != k]
+            unit += e_rk.count(1)
+            wide += sum(e >= 2 for e in e_rk)
             eps = child
             cases += 1
     assert cases >= 1000
+    assert unit >= 100 and wide >= 100
 
 
 def test_skew_check_reports_the_oracles_first_failing_pair():
@@ -356,6 +363,31 @@ def test_invalid_label_triple_raises_on_every_construction(cols, frozen, d, mess
         with pytest.raises(MutationError) as exc:
             exchange_matrix(cols, frozen, d, [[0, 0], [0, 0]])
         assert type(exc.value) is MutationError and str(exc.value) == message
+
+
+def test_pickle_and_copy_round_trips():
+    """GLS restrictions and matrices mutated from them survive pickle and copy."""
+    rng = random.Random(20252)
+    mats = []
+    for eps in differential_start_matrices(rng)[:120:6]:
+        mats += [eps, eps.mutate_seq(rng.choice(eps.mutable) for _ in range(rng.randint(1, 5)))]
+    for eps in mats:
+        for twin in (pickle.loads(pickle.dumps(eps)), copy.copy(eps), copy.deepcopy(eps)):
+            assert type(twin) is ExtendedExchangeMatrix
+            assert twin == eps and hash(twin) == hash(eps)
+            assert (twin.cols, twin.frozen, twin.d, twin.rows) == (eps.cols, eps.frozen, eps.d, eps.rows)
+            for k in eps.mutable:
+                assert twin.mutate(k) == eps.mutate(k) and hash(twin.mutate(k)) == hash(eps.mutate(k))
+
+
+def test_restrict_refuses_labels_that_are_not_columns():
+    eps = gls_exchange_matrix(cartan_matrix("C", 3), NINE)
+    for keep in ([1, 2, 99], {99}, (3, 6, 8, 0)):
+        with pytest.raises(MutationError) as exc:
+            eps.restrict(keep)
+        assert type(exc.value) is MutationError
+        assert str(exc.value) == f"unknown label {99 if 99 in keep else 0}"
+    assert eps.restrict([8, 6, 3, 2, 1, 6]) == eps.restrict({1, 2, 3, 6, 8})
 
 
 def test_unknown_labels_raise_mutation_errors():

@@ -121,6 +121,14 @@ def test_large_entry_budget_exhaustion_returns_none():
     assert large_entry_search(eps, 10**6, budget=50, beam_width=4) is None
 
 
+@pytest.mark.parametrize("target", [True, 2.5, 0, -1, "3"])
+def test_large_entry_search_target_must_be_a_positive_int(target):
+    """target=True ran as 1 and target=2.5 returned a value-3 witness; "3"
+    raised a bare TypeError."""
+    with pytest.raises(MutationError, match="^target must be a positive integer$"):
+        large_entry_search(c3_restricted(), target)
+
+
 @pytest.mark.parametrize("bad", [{"beam_width": -1}, {"beam_width": 0}, {"budget": 0}, {"budget": -5},
                                  {"beam_width": True}, {"budget": True}, {"budget": 100.0}, {"beam_width": "64"}])
 def test_large_entry_search_budget_and_beam_must_be_positive_ints(bad):
