@@ -69,7 +69,9 @@ def _read_json(path: str, what: str) -> dict:
 
 def _emit(text: str, out: str | None):
     """Write text to stdout, or atomically to out: a temporary file beside it
-    is written in full, then renamed over it."""
+    is written in full, then renamed over it.  A path that cannot be opened or
+    replaced (the error names a file) is a usage error; a failed write to the
+    open file is not the path's fault and propagates."""
     if not out:
         sys.stdout.write(text)
         return
@@ -78,6 +80,10 @@ def _emit(text: str, out: str | None):
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, out)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise UsageError(f"cannot write output file {out}: {exc.strerror}") from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -231,17 +231,30 @@ def _bfs(root: ExtendedExchangeMatrix, parents: dict, labels):
     along labels, with exact labeled dedup: each new matrix is recorded as
     matrix -> (parent, label) and yielded in discovery order, the order the
     queue serves it.  Mutation is an involution, so a node is never mutated
-    back along the label it was reached by: that gives its parent."""
-    queue = deque([(root, None)])
+    back along the label it was reached by: that gives its parent.
+
+    Nor is a node cur = mu_i(parent) mutated along a label k before i in
+    labels when eps_ik = 0 in cur: then mu_k and mu_i commute (Fomin-Zelevinsky,
+    Cluster algebras IV), so mu_k(cur) = mu_i(sibling) with sibling =
+    mu_k(parent).  The sibling was in parents before cur was found, so the
+    queue served it first, and it made mu_i(sibling) unless that is its own
+    parent (by induction on the serving order, a skipped child counts as
+    made).  Every skipped child is already in parents, so discovery order,
+    parents and yields are those of the walk without the skip."""
+    ci, ri = root._lab.ci, root._lab.ri  # every matrix of the walk has root's cols
+    # per label i: its row, the labels before it with their columns, the labels after it
+    steps = {i: (ri[i], [(k, ci[k]) for k in labels[:n]], [*labels[n + 1:]]) for n, i in enumerate(labels)}
+    queue = deque([(root, labels)])
     while queue:
-        cur, last = queue.popleft()
-        for k in labels:
-            if k != last:
-                child = cur.mutate(k)
-                if child not in parents:
-                    parents[child] = (cur, k)
-                    yield child
-                    queue.append((child, k))
+        cur, ks = queue.popleft()
+        for k in ks:
+            child = cur.mutate(k)
+            if child not in parents:
+                parents[child] = (cur, k)
+                yield child
+                r, before, after = steps[k]
+                row = child.rows[r]
+                queue.append((child, [j for j, c in before if row[c]] + after))
 
 
 def _path(parents: dict, node) -> tuple[int, ...]:
@@ -613,13 +626,16 @@ def large_entry_search(
     States are scored by the largest frozen-column magnitude; ties break
     lexicographically on the mutation sequence.  Returns None when the search
     stops without a witness: the expansion budget is spent, or the beam
-    empties because every child was already reached by a sequence no longer
-    than its own.  The beam keeps only beam_width states per layer, so None is
-    never a nonexistence claim.
+    empties because every child was already reached by a sequence that is
+    lexicographically no greater than its own (so (2,7,2) displaces (7,)).
+    The beam keeps only beam_width states per layer, so None is never a
+    nonexistence claim.
 
     A state is not mutated back along the last label of its sequence (that
     gives its parent, reached by a strict prefix), but the skipped move still
-    counts against the budget, so the search stops where it always did.
+    counts against the budget, so the search stops where it always did.  A
+    matrix that re-enters the beam takes its children from `kids` instead of
+    mutating again; its expansions count all the same.
     """
     if type(target) is not int or target < 1:
         raise MutationError("target must be a positive integer")
@@ -634,16 +650,20 @@ def large_entry_search(
 
     beam = [(eps, ())]
     seen = {eps: ()}
+    kids = {}  # matrix -> {label: child}: a matrix that re-enters the beam is not mutated again
     expanded = 0
     while beam and expanded < budget:
         children = []
         for cur, seq in beam:
             last = seq[-1] if seq else None
+            memo = kids.setdefault(cur, {})
             for k in cur.mutable:
                 expanded += 1
                 if k == last:
                     continue
-                child = cur.mutate(k)
+                child = memo.get(k)
+                if child is None:
+                    child = memo[k] = cur.mutate(k)
                 cseq = seq + (k,)
                 prev = seen.get(child)
                 if prev is not None and prev <= cseq:

@@ -295,6 +295,17 @@ def test_failed_out_write_keeps_existing_file(capsys, tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
+@pytest.mark.parametrize("where, reason", [("missing/x.json", "No such file or directory"), ("sub", "Is a directory")])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, where, reason):
+    """An --out in a missing directory, or naming a directory, exits 1 with
+    one usage error line, prints nothing and leaves no temporary file."""
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / where
+    code, stdout, err = run(capsys, "seed", "--type", "A2", "--word", "1,2,1", "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"usage error: cannot write output file {out}: {reason}\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["sub"]
+
+
 def test_class_bfs_exit_codes(capsys, tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps({"cols": [1, 2], "frozen": [], "d": [1, 1], "rows": {"1": [0, 1], "2": [-1, 0]}}))

@@ -5,11 +5,13 @@ the BFS searches rebuild sequences from parent pointers.  Both must leave
 every result unchanged: status, class size, matrix list, trace sequences and
 witnesses.  They must also call `mutate` strictly less often once the oracle
 has expanded a node other than the start, since that expansion includes the
-move back to its parent.
+move back to its parent.  The BFS also skips commuting squares, and the beam
+takes a re-entering matrix's children from a memo; both are checked below.
 """
 
 import random
-from itertools import permutations
+from collections import Counter, deque
+from itertools import islice, permutations
 
 import pytest
 
@@ -33,10 +35,11 @@ GLS_SEEDS = {
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts `mutate` calls; read and reset it between the two sides."""
+    """Logs each `mutate` call as (matrix, label); read and reset it between
+    the two sides."""
     log = []
     mutate = ExtendedExchangeMatrix.mutate
-    monkeypatch.setattr(ExtendedExchangeMatrix, "mutate", lambda self, k: log.append(k) or mutate(self, k))
+    monkeypatch.setattr(ExtendedExchangeMatrix, "mutate", lambda self, k: log.append((self, k)) or mutate(self, k))
     return log
 
 
@@ -118,6 +121,65 @@ def test_large_entry_search_matches_oracle(calls):
             missed += new is None
             strict += check_fewer_calls(n_new, n_old, len(eps.mutable))
     assert found >= 10 and missed >= 10 and strict >= 40
+
+
+def test_large_entry_search_mutates_each_matrix_label_pair_once(calls):
+    """A matrix that re-enters the beam takes its children from the memo:
+    no search mutates one (matrix, label) pair twice."""
+    rng = random.Random(20262)
+    cases = [eps for name in GLS_SEEDS for eps in restrictions(rng, name, 6, (2, 5))]
+    cases += [eps for name in ("A5", "D4") for eps in restrictions(rng, name, 4, (5, 5))]
+    total = 0
+    for eps in cases:
+        for target, budget, width in [(2, 300, 8), (4, 600, 16), (8, 1500, 64), (30, 400, 4)]:
+            del calls[:]
+            mutation.large_entry_search(eps, target, budget, width)
+            repeated = [pair for pair, n in Counter(calls).items() if n > 1]
+            assert not repeated, (eps, target, repeated[:3])
+            total += len(calls)
+    assert total > 10000
+
+
+def involution_only_bfs(root, parents, labels):
+    """`_bfs` without the commuting-square skip: only the move back to the
+    parent is left out."""
+    queue = deque([(root, None)])
+    while queue:
+        cur, last = queue.popleft()
+        for k in labels:
+            if k != last:
+                child = cur.mutate(k)
+                if child not in parents:
+                    parents[child] = (cur, k)
+                    yield child
+                    queue.append((child, k))
+
+
+def test_bfs_commuting_skip_is_exact_and_prunes(calls):
+    """The commuting-square skip yields what the involution-only walk yields,
+    in the same order with the same parents, whether the walk finishes or is
+    cut by a node cap, and for three label orders; it saves at least a fifth of
+    the `mutate` calls."""
+    rng = random.Random(20263)
+    cases = [eps for name in ("A5", "D4") for eps in restrictions(rng, name, 3, (5, 5))]
+    finished = cut = n_new = n_ref = 0
+    for eps in cases:
+        for labels in (eps.mutable, eps.mutable[::-1], eps.mutable[1:]):
+            for cap in (60, 3000):
+                walks = []
+                for walk in (mutation._bfs, involution_only_bfs):
+                    del calls[:]
+                    parents = {eps: (None, None)}
+                    walks.append((list(islice(walk(eps, parents, labels), cap)), parents, len(calls)))
+                (new, new_parents, new_calls), (ref, ref_parents, ref_calls) = walks
+                assert new == ref and new_parents == ref_parents
+                assert new_calls <= ref_calls
+                n_new += new_calls
+                n_ref += ref_calls
+                finished += len(new) < cap
+                cut += len(new) == cap
+    assert finished >= 3 and cut >= 3
+    assert n_new <= 0.8 * n_ref
 
 
 def test_large_entry_search_beam_empties_like_oracle(calls):
