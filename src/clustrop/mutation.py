@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import add, mul, neg, sub
@@ -22,10 +21,6 @@ class MutationError(ValueError):
 
 class FrozenIndexError(MutationError):
     pass
-
-
-def _pos(x):
-    return x if x > 0 else 0
 
 
 class _Labels(NamedTuple):
@@ -135,17 +130,6 @@ class ExtendedExchangeMatrix:
     def row(self, r: int) -> tuple[int, ...]:
         return self.rows[self.row_index(r)]
 
-    def full_entry(self, r: int, s: int) -> int:
-        """Entry with the frozen-row value recovered from the symmetrizer relation."""
-        if r not in self.frozen:
-            return self.entry(r, s)
-        if s in self.frozen:
-            raise MutationError(f"entry ({r},{s}) with both labels frozen is undefined")
-        val = Q(-self.entry(s, r) * self.dcol(s), self.dcol(r))
-        if val.denominator != 1:
-            raise MutationError(f"non-integer induced entry at ({r},{s})")
-        return int(val)
-
     def mutate(self, k: int) -> "ExtendedExchangeMatrix":
         """Matrix mutation in direction k (a mutable label); involutive, keeps d.
 
@@ -204,9 +188,21 @@ class ExtendedExchangeMatrix:
         return all(self.entry(r, s) == -self.entry(s, r) for r in mut for s in mut)
 
 
+def _integer(x, what: str, error=MutationError) -> int:
+    """x as an int if it equals one (2, Fraction(2), 2.0); a bool or any
+    other value raises error naming what, so nothing is truncated."""
+    try:
+        if type(x) is not bool and x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} {x} is not an integer")
+
+
 def exchange_matrix(cols, frozen, d, rows) -> ExtendedExchangeMatrix:
-    rows = tuple(tuple(int(x) for x in row) for row in rows)
-    return ExtendedExchangeMatrix(tuple(cols), frozenset(frozen), tuple(int(x) for x in d), rows)
+    """The matrix of plain data; every entry and every d must be an integer."""
+    rows = tuple(tuple(_integer(x, "rows entry") for x in row) for row in rows)
+    return ExtendedExchangeMatrix(tuple(cols), frozenset(frozen), tuple(_integer(x, "d entry") for x in d), rows)
 
 
 @dataclass(frozen=True)
@@ -219,11 +215,6 @@ class MutationTrace:
 
     def verify(self) -> bool:
         return self.initial.mutate_seq(self.seq) == self.result
-
-
-def make_trace(eps: ExtendedExchangeMatrix, seq) -> MutationTrace:
-    seq = tuple(seq)
-    return MutationTrace(eps, seq, eps.mutate_seq(seq))
 
 
 def _bfs(root: ExtendedExchangeMatrix, parents: dict, labels):
@@ -264,64 +255,6 @@ def _path(parents: dict, node) -> tuple[int, ...]:
         node, k = parents[node]
         seq.append(k)
     return tuple(reversed(seq))
-
-
-# ---------------------------------------------------------------------------
-# Seed bases
-
-
-@dataclass(frozen=True)
-class SeedBasis:
-    """Lattice basis e_j with the scaled dual basis f_j = d_j^{-1} e*_j.
-
-    Vectors are stored as coordinate tuples in the initial basis; the pairing
-    of coordinate vectors is the plain dot product, so <f_j, e_i> = d_j^{-1} δ_ij
-    holds at the start and is preserved by mutation.
-    """
-
-    cols: tuple[int, ...]
-    d: tuple[int, ...]
-    e: tuple[tuple[int, ...], ...]
-    f: tuple[tuple[Q, ...], ...]
-
-    @classmethod
-    def initial(cls, cols, d) -> "SeedBasis":
-        cols = tuple(cols)
-        d = tuple(d)
-        n = len(cols)
-        e = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        f = tuple(tuple(Q(1, d[i]) if i == j else Q(0) for j in range(n)) for i in range(n))
-        return cls(cols, d, e, f)
-
-    def pairing(self, j: int, i: int) -> Q:
-        return sum((a * b for a, b in zip(self.f[j], self.e[i])), Q(0))
-
-
-def mutate_seed_basis(basis: SeedBasis, eps: ExtendedExchangeMatrix, k: int) -> SeedBasis:
-    """Seed mutation: e'_k = -e_k, e'_j = e_j + [eps_{j,k}]_+ e_k, and the dual
-    update f'_k = -f_k + sum_i [-eps_{k,i}]_+ f_i that keeps <f_j, e_i> = d_j^{-1} δ_ij."""
-    if k in eps.frozen:
-        raise FrozenIndexError(f"cannot mutate at frozen label {k}")
-    if basis.cols != eps.cols:
-        raise MutationError("basis and matrix have different labels")
-    ki = eps.col_index(k)
-    new_e = []
-    for j, label in enumerate(eps.cols):
-        if label == k:
-            new_e.append(tuple(-x for x in basis.e[j]))
-        else:
-            c = _pos(eps.full_entry(label, k))
-            new_e.append(tuple(x + c * y for x, y in zip(basis.e[j], basis.e[ki])))
-    new_f = list(basis.f)
-    acc = tuple(-x for x in basis.f[ki])
-    for i, label in enumerate(eps.cols):
-        if label == k:
-            continue
-        c = _pos(-eps.entry(k, label))
-        if c:
-            acc = tuple(x + c * y for x, y in zip(acc, basis.f[i]))
-    new_f[ki] = acc
-    return SeedBasis(basis.cols, basis.d, tuple(new_e), tuple(new_f))
 
 
 # ---------------------------------------------------------------------------

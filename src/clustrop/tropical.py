@@ -17,7 +17,7 @@ from operator import mul, or_
 
 # mat_inverse is unused here; bench/spans.py wraps tropical.mat_inverse by name
 from .linalg import mat_inverse, qvec  # noqa: F401
-from .mutation import ExtendedExchangeMatrix, FrozenIndexError, _pos
+from .mutation import ExtendedExchangeMatrix, FrozenIndexError, _integer
 from .polytopes import (
     HalfSpace,
     Point,
@@ -63,6 +63,10 @@ def trop_mutate_point(eps: ExtendedExchangeMatrix, k: int, u) -> Point:
     return _trop(eps.row(k), eps.col_index(k), u)
 
 
+def _pos(x):
+    return x if x > 0 else 0
+
+
 def _trop(row, ki: int, u) -> Point:
     """The point map of exchange row `row` at column ki, also on integer
     homogeneous coordinates with `row` extended by a 0; the negated row gives
@@ -85,10 +89,10 @@ class GradedPointSet:
     def of(cls, pairs) -> "GradedPointSet":
         elems = set()
         for level, pt in pairs:
-            level = int(level)
+            level = _integer(level, "level", TropicalError)
             if level <= 0:
                 raise TropicalError(f"level {level} must be positive")
-            elems.add((level, tuple(int(x) for x in pt)))
+            elems.add((level, tuple(_integer(x, "coordinate", TropicalError) for x in pt)))
         return cls(frozenset(elems))
 
     def __len__(self):
@@ -217,6 +221,8 @@ def center_fixedness(eps: ExtendedExchangeMatrix, u0) -> CenterReport:
     """True iff u0 has coordinate 0 at every mutable label; cross-checked
     against the direct fixed-point computation in each direction."""
     u0 = qvec(u0)
+    if len(u0) != len(eps.cols):
+        raise TropicalError("point dimension does not match column count")
     violations = []
     for k in eps.mutable:
         coord = u0[eps.col_index(k)]

@@ -2,9 +2,10 @@
 
 These are the rational-arithmetic versions that `clustrop.linalg` and
 `clustrop.polytopes` used before their hot loops moved to int: the
-rref-based `rank` and `solve`, the double description `_dd_extreme_rays`
-with its `primitive`, and the bounding-box `lattice_points`.  They live
-only here, as the oracle of the differential tests in
+rref-based `rank` and `solve`, and the double description `_dd_extreme_rays`
+with its `primitive`.  `lattice_points` walks the bounding box by prefixes
+in Fraction arithmetic and tests every point it emits with `contains`.
+They live only here, as the oracle of the differential tests in
 `test_integer_kernel.py`.  They use `rref` and `mat_inverse`, the Fraction
 Gauss–Jordan elimination that `clustrop.linalg` ran before both became
 adapters over its Bareiss elimination; they are copied here, so no oracle
@@ -59,7 +60,7 @@ from math import gcd
 from operator import mul
 
 from clustrop.linalg import _clear, dot, is_zero, qvec, vadd, vscale
-from clustrop.mutation import ExtendedExchangeMatrix, _pos
+from clustrop.mutation import ExtendedExchangeMatrix
 from clustrop.polytopes import (
     DegenerateError,
     HalfSpace,
@@ -132,6 +133,10 @@ def solve(A, b) -> Vec | None:
             return None
         x[c] = M[r][-1]
     return tuple(x)
+
+
+def _pos(x):
+    return x if x > 0 else 0
 
 
 def lcm(a: int, b: int) -> int:
@@ -217,19 +222,42 @@ def _dd_extreme_rays(constraints: list[tuple[Q, ...]], d: int) -> list[tuple[int
 
 
 def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
-    """All points of (1/q)Z^m inside P, by exact bounding-box enumeration."""
+    """All points of (1/q)Z^m inside P, by a Fraction prefix walk over the
+    bounding box in lexicographic order.  A prefix k_1..k_j is dropped only
+    when some facet's value, at its maximum over the rest of the box, is
+    negative; every complete point is tested with `contains`."""
     if q < 1:
         raise PolytopeError("q must be a positive integer")
     if P.is_empty:
         return []
-    ranges = []
-    for lo, hi in P.bounding_box():
-        ranges.append(range(math.ceil(lo * q), math.floor(hi * q) + 1))
+    ranges = [range(math.ceil(lo * q), math.floor(hi * q) + 1) for lo, hi in P.bounding_box()]
+    if not all(ranges):
+        return []
+    m = len(ranges)
+    normals = [f.normal for f in P.facets]
+    # steps[j][k]: the terms n_j k / q, one per facet; low[j]: minus the
+    # largest value of sum_{t >= j} n_t k_t / q over the box, per facet, so a
+    # prefix k_1..k_{j-1} survives iff offset + its sum >= low[j] everywhere
+    steps = [{k: [Q(n[j] * k, q) for n in normals] for k in r} for j, r in enumerate(ranges)]
+    low = [[Q(0)] * len(normals)]
+    for j in reversed(range(m)):
+        first, last = steps[j][ranges[j][0]], steps[j][ranges[j][-1]]
+        low.insert(0, [b - max(x, y) for b, x, y in zip(low[0], first, last)])
     out = []
-    for combo in itertools.product(*ranges):
-        p = tuple(Q(k, q) for k in combo)
-        if contains(P, p):
-            out.append(p)
+
+    def walk(prefix, partial):  # partial[i]: offset_i + sum_{t < j} n_t k_t / q
+        j = len(prefix)
+        if j == m:
+            p = tuple(Q(k, q) for k in prefix)
+            if contains(P, p):
+                out.append(p)
+            return
+        for k, step in steps[j].items():
+            nxt = [s + x if x else s for s, x in zip(partial, step)]
+            if all(s >= b for s, b in zip(nxt, low[j + 1])):
+                walk(prefix + (k,), nxt)
+
+    walk((), [f.offset for f in P.facets])
     return out
 
 

@@ -461,6 +461,20 @@ def _golden_inputs(tmp_path, case):
         if sub == "lattice_q2":
             return ["polytope", "lattice-points", "--in", str(p), "--q", "2"]
         return ["polytope", sub, "--in", str(p)]
+    if case == "seed_c3":
+        return ["seed", "--type", "C3", "--word", NINE]
+    if case in ("restrict_c3", "mutate_c3r"):
+        # the README pipeline: each step reads the previous step's golden stdout
+        m = tmp_path / "m.json"
+        if case == "restrict_c3":
+            m.write_text((GOLDEN / "seed_c3.json").read_text())
+            return ["restrict", "--in", str(m), "--keep", "1,2,3,6,8"]
+        m.write_text((GOLDEN / "restrict_c3.json").read_text())
+        return ["mutate", "--in", str(m), "--seq", "6,2,3"]
+    if case == "quiver_a5":
+        return ["quiver", "--type", "A5", "--word", "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1"]
+    if case == "fixtures_run":
+        return ["fixtures", "run"]
     if case == "class_bfs_ft_a22":
         m = tmp_path / "m.json"
         fx = json.loads((resources.files("clustrop") / "fixtures" / "ft_a22.json").read_text())
@@ -510,14 +524,20 @@ def _golden_inputs(tmp_path, case):
         ("polytope_qgf", 0),
         ("polytope_lattice_q2", 0),
         ("polytope_slice", 0),
+        ("seed_c3", 0),
+        ("restrict_c3", 0),
+        ("mutate_c3r", 0),
+        ("quiver_a5", 0),
+        ("fixtures_run", 0),
     ],
 )
 def test_golden_stdout(capsys, tmp_path, case, code):
     """Exact stdout bytes against tests/golden; change a golden file only
-    with an intended change of the output format or of the mathematics."""
+    with an intended change of the output format or of the mathematics.
+    `fixtures run` prints lines of text, so its golden file is .txt."""
     got, stdout, _ = run(capsys, *_golden_inputs(tmp_path, case))
     assert got == code
-    assert stdout == (GOLDEN / f"{case}.json").read_text()
+    assert stdout == (GOLDEN / f"{case}.{'txt' if case == 'fixtures_run' else 'json'}").read_text()
 
 
 def test_cached_parser_matches_fresh_parsers(capsys, tmp_path):

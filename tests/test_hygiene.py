@@ -1,7 +1,8 @@
 """Source checks: no runtime `assert` statements in the package, no call of
-`HalfSpace.value` in it, no unused package import that the benchmark tracer
-does not wrap, every name in `clustrop.__all__` resolves, every module
-attribute the tracer wraps still exists, and the benchmark's self-checks pass.
+`HalfSpace.value` in it, no `fractions` import in `mutation`, no unused
+package import that the benchmark tracer does not wrap, every name in
+`clustrop.__all__` resolves, every module attribute the tracer wraps still
+exists, and the benchmark's self-checks pass.
 
 `python -O` strips `assert`, so invariants the package checks at run time
 raise AssertionError explicitly instead."""
@@ -40,6 +41,19 @@ def test_no_value_calls(path):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "value"
     ]
     assert not lines, f"{path.name} calls .value( at lines {lines}"
+
+
+def test_mutation_imports_no_fractions():
+    """The mutation layer reads integer data only (exchange-matrix entries
+    and d), so it stays integer-only: no import from `fractions`."""
+    tree = ast.parse((ROOT / "src" / "clustrop" / "mutation.py").read_text())
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    ]
+    assert not lines, f"mutation.py imports from fractions at lines {lines}"
 
 
 def _spans():

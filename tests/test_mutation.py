@@ -14,10 +14,8 @@ from clustrop.mutation import (
     ExtendedExchangeMatrix,
     FrozenIndexError,
     MutationError,
-    SeedBasis,
+    MutationTrace,
     exchange_matrix,
-    make_trace,
-    mutate_seed_basis,
 )
 from clustrop.rootsys import cartan_matrix
 
@@ -28,14 +26,8 @@ def load_fixture(name):
     return json.loads((resources.files("clustrop") / "fixtures" / name).read_text())
 
 
-def random_matrix(rng, n_mut=None, n_frozen=None, span=3, lattice_frozen=False):
-    """Random skew-symmetrizable extended matrix with small entries.
-
-    lattice_frozen makes the induced frozen-row entries integral (the setting
-    needed by seed-basis mutation); plain matrix operations do not need it.
-    """
-    from math import gcd
-
+def random_matrix(rng, n_mut=None, n_frozen=None, span=3):
+    """Random skew-symmetrizable extended matrix with small entries."""
     n_mut = n_mut if n_mut is not None else rng.randint(2, 4)
     n_frozen = n_frozen if n_frozen is not None else rng.randint(0, 2)
     cols = list(range(1, n_mut + n_frozen + 1))
@@ -50,12 +42,8 @@ def random_matrix(rng, n_mut=None, n_frozen=None, span=3, lattice_frozen=False):
     rows = []
     for i in range(n_mut):
         row = [omega[i][j] * d[j] for j in range(n_mut)]
-        for jf in range(n_frozen):
-            if lattice_frozen:
-                unit = d[n_mut + jf] // gcd(d[n_mut + jf], d[i])
-                row.append(rng.randint(-span, span) * unit)
-            else:
-                row.append(rng.randint(-span, span))
+        for _ in range(n_frozen):
+            row.append(rng.randint(-span, span))
         rows.append(row)
     return exchange_matrix(cols, frozen, d, rows)
 
@@ -148,56 +136,43 @@ def test_constructor_rejects_bad_symmetrizer():
         exchange_matrix([1, 2], [], [1, 1], [[0, 2], [-1, 0]])
 
 
+def test_exchange_matrix_refuses_non_integer_entries():
+    """An entry is taken only if it equals an integer; int() would read 3/2
+    as 1 and give a skew-symmetric matrix that was never asked for."""
+    with pytest.raises(MutationError, match="^rows entry 3/2 is not an integer$"):
+        exchange_matrix([1, 2], [], [1, 1], [[0, Q(3, 2)], [Q(-3, 2), 0]])
+    with pytest.raises(MutationError, match="^rows entry 0.5 is not an integer$"):
+        exchange_matrix([1, 2], [2], [1, 1], [[0, 0.5]])
+
+
+def test_exchange_matrix_refuses_non_integer_d():
+    with pytest.raises(MutationError, match="^d entry 1.9 is not an integer$"):
+        exchange_matrix([1, 2], [], [1.9, 1], [[0, 1], [-1, 0]])
+    with pytest.raises(MutationError, match="^d entry 1/2 is not an integer$"):
+        exchange_matrix([1, 2], [], [1, Q(1, 2)], [[0, 1], [-1, 0]])
+
+
+def test_exchange_matrix_refuses_bools_and_non_numbers():
+    with pytest.raises(MutationError, match="^rows entry True is not an integer$"):
+        exchange_matrix([1, 2], [], [1, 1], [[0, True], [-1, 0]])
+    with pytest.raises(MutationError, match="^d entry True is not an integer$"):
+        exchange_matrix([1, 2], [], [True, 1], [[0, 1], [-1, 0]])
+    for bad in ("1", None, float("inf"), float("nan")):
+        with pytest.raises(MutationError, match="^rows entry .* is not an integer$"):
+            exchange_matrix([1, 2], [2], [1, 1], [[0, bad]])
+
+
+def test_exchange_matrix_takes_values_equal_to_integers():
+    eps = exchange_matrix([1, 2], [], [Q(2), 1.0], [[0, Q(-1)], [2.0, 0]])
+    assert eps == exchange_matrix([1, 2], [], [2, 1], [[0, -1], [2, 0]])
+    assert all(type(x) is int for x in (*eps.d, *eps.rows[0], *eps.rows[1]))
+
+
 def test_trace_replay():
     eps = gls_exchange_matrix(cartan_matrix("C", 3), NINE).restrict({1, 2, 3, 6, 8})
-    tr = make_trace(eps, (6, 2, 3))
+    tr = MutationTrace(eps, (6, 2, 3), eps.mutate_seq((6, 2, 3)))
     assert tr.verify()
-
-
-def test_full_entry_recovers_frozen_rows():
-    eps = gls_exchange_matrix(cartan_matrix("C", 3), NINE)
-    # against the paper-like square extension: eps_{r,s} d_r = -eps_{s,r} d_s
-    for s in eps.mutable:
-        for r in eps.frozen:
-            assert eps.full_entry(r, s) * eps.dcol(r) == -eps.entry(s, r) * eps.dcol(s)
-    with pytest.raises(MutationError):
-        eps.full_entry(7, 8)
-
-
-# -- seed bases ---------------------------------------------------------------
-
-
-def test_seed_basis_mutation_negates_e_k():
-    eps = exchange_matrix([1, 2], [], [1, 1], [[0, 1], [-1, 0]])
-    b = SeedBasis.initial(eps.cols, eps.d)
-    b2 = mutate_seed_basis(b, eps, 1)
-    assert b2.e[0] == (-1, 0)
-    # [eps_{2,1}]_+ = 0 here, so e_2 is untouched
-    assert b2.e[1] == (0, 1)
-
-
-def test_seed_basis_duality_is_preserved():
-    rng = random.Random(20243)
-    for _ in range(300):
-        eps = random_matrix(rng, n_mut=rng.randint(2, 3), n_frozen=rng.randint(0, 1), span=2,
-                            lattice_frozen=True)
-        basis = SeedBasis.initial(eps.cols, eps.d)
-        for _ in range(rng.randint(1, 4)):
-            k = rng.choice(eps.mutable)
-            basis = mutate_seed_basis(basis, eps, k)
-            eps = eps.mutate(k)
-            n = len(eps.cols)
-            for i in range(n):
-                for j in range(n):
-                    want = Q(1, eps.d[j]) if i == j else Q(0)
-                    assert basis.pairing(j, i) == want
-
-
-def test_seed_basis_rejects_frozen_direction():
-    eps = exchange_matrix([1, 2], [2], [1, 1], [[0, 1]])
-    b = SeedBasis.initial(eps.cols, eps.d)
-    with pytest.raises(FrozenIndexError):
-        mutate_seed_basis(b, eps, 2)
+    assert not MutationTrace(eps, (6, 2), tr.result).verify()
 
 
 # -- differential and rejection checks against the pairwise rules ---------------

@@ -84,6 +84,21 @@ def test_graded_set_levels_and_cardinality():
         GradedPointSet.of([(0, (1, 1))])
 
 
+def test_graded_set_refuses_non_integers():
+    """A level or coordinate is taken only if it equals an integer: 3/2, 2.7
+    and True raise, where int() would read 1, 2 and 1."""
+    for pairs, msg in (
+        ([(Q(3, 2), (1, 1))], "level 3/2 is not an integer"),
+        ([(True, (1, 1))], "level True is not an integer"),
+        ([(1, (2.7, 1))], "coordinate 2.7 is not an integer"),
+        ([(1, (1, False))], "coordinate False is not an integer"),
+    ):
+        with pytest.raises(TropicalError, match=f"^{msg}$"):
+            GradedPointSet.of(pairs)
+    S = GradedPointSet.of([(Q(2), (2.0, Q(-3)))])
+    assert S.sorted() == [(2, (2, -3))] and all(type(x) is int for x in S.sorted()[0][1])
+
+
 def test_graded_mutation_round_trip():
     rng = random.Random(33)
     pts = [(rng.randint(1, 4), (rng.randint(-5, 5), rng.randint(-5, 5))) for _ in range(30)]
@@ -200,6 +215,14 @@ def test_center_fixedness_conditions():
     assert center_fixedness(eps3, (0, 0, 5)).fixed
     rep = center_fixedness(eps3, (0, 1, 5))
     assert not rep.fixed and rep.violations == ((2, 1),)
+
+
+def test_center_fixedness_checks_the_point_length():
+    """A short point raises the error a long one gets, not an IndexError."""
+    eps3 = exchange_matrix([1, 2, 3], [3], [1, 1, 1], [[0, 1, -2], [-1, 0, -2]])
+    for u0 in ((0,), (0, 0), (0, 0, 0, 0)):
+        with pytest.raises(TropicalError, match="^point dimension does not match column count$"):
+            center_fixedness(eps3, u0)
 
 
 def test_center_fixedness_equivalence_randomized():
