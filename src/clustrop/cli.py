@@ -26,13 +26,13 @@ from .mutation import (
 from .polytopes import (
     PolytopeError,
     halfspace,
-    hull,
+    hull,  # noqa: F401  unused here; bench/spans.py wraps cli.hull by name
     lattice_points,
     polar_dual,
     qgf_solve,
     slice_polytope,
 )
-from .rootsys import CartanError, parse_cartan_type, parse_word
+from .rootsys import CartanError, parse_cartan_type, parse_int, parse_word
 from .tropical import TropicalError, distinguish_certificate, trop_mutate_polytope
 
 OK, USAGE, NEGATIVE, BUDGET = 0, 1, 2, 3
@@ -47,11 +47,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
@@ -99,29 +103,26 @@ def _load_matrix(args):
 
 def _parse_labels(text: str, field: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
+        return [parse_int(p.strip()) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise UsageError(f"field {field} must be a comma-separated integer list") from None
 
 
 def cmd_seed(args):
     eps = gls_exchange_matrix(parse_cartan_type(args.type), parse_word(args.word))
-    _emit(jsonio.dumps(jsonio.matrix_to_obj(eps)), args.out)
-    return OK
+    return jsonio.matrix_to_obj(eps), OK
 
 
 def cmd_mutate(args):
     eps = _load_matrix(args)
     eps = eps.mutate_seq(_parse_labels(args.seq, "--seq"))
-    _emit(jsonio.dumps(jsonio.matrix_to_obj(eps)), args.out)
-    return OK
+    return jsonio.matrix_to_obj(eps), OK
 
 
 def cmd_restrict(args):
     eps = _load_matrix(args)
     eps = eps.restrict(_parse_labels(args.keep, "--keep"))
-    _emit(jsonio.dumps(jsonio.matrix_to_obj(eps)), args.out)
-    return OK
+    return jsonio.matrix_to_obj(eps), OK
 
 
 def cmd_quiver(args):
@@ -129,16 +130,14 @@ def cmd_quiver(args):
         q = to_quiver(_load_matrix(args))
     else:
         q = gls_quiver(parse_cartan_type(args.type), parse_word(args.word))
-    _emit(jsonio.dumps(jsonio.quiver_to_obj(q)), args.out)
-    return OK
+    return jsonio.quiver_to_obj(q), OK
 
 
 def cmd_search_large_entry(args):
     eps = _load_matrix(args)
     wit = large_entry_search(eps, args.target, budget=args.budget, beam_width=args.beam)
     if wit is None:
-        _emit(jsonio.dumps({"found": False, "budget": args.budget}), args.out)
-        return BUDGET
+        return {"found": False, "budget": args.budget}, BUDGET
     obj = {
         "found": True,
         "seq": list(wit.trace.seq),
@@ -147,8 +146,7 @@ def cmd_search_large_entry(args):
         "value": wit.value,
         "matrix": jsonio.matrix_to_obj(wit.trace.result),
     }
-    _emit(jsonio.dumps(obj), args.out)
-    return OK
+    return obj, OK
 
 
 def cmd_class_bfs(args):
@@ -158,8 +156,7 @@ def cmd_class_bfs(args):
     if res.trace is not None:
         obj["seq"] = list(res.trace.seq)
         obj["max_entry"] = res.trace.result.max_abs_entry()
-    _emit(jsonio.dumps(obj), args.out)
-    return BUDGET if res.status == "cap_exhausted" else OK
+    return obj, BUDGET if res.status == "cap_exhausted" else OK
 
 
 def _load_polytope(args):
@@ -167,18 +164,15 @@ def _load_polytope(args):
 
 
 def cmd_polytope(args):
+    P = _load_polytope(args)
     if args.sub == "hull":
-        P = _load_polytope(args)
-        _emit(jsonio.dumps(jsonio.polytope_to_obj(P)), args.out)
-        return OK
+        return jsonio.polytope_to_obj(P), OK
     if args.sub == "dual":
-        _emit(jsonio.dumps(jsonio.polytope_to_obj(polar_dual(_load_polytope(args)))), args.out)
-        return OK
+        return jsonio.polytope_to_obj(polar_dual(P)), OK
     if args.sub == "qgf":
-        cert, msg = qgf_solve(_load_polytope(args))
+        cert, msg = qgf_solve(P)
         if cert is None:
-            _emit(jsonio.dumps({"certified": False, "reason": msg}), args.out)
-            return NEGATIVE
+            return {"certified": False, "reason": msg}, NEGATIVE
         obj = {
             "certified": True,
             "center": [jsonio.rat_to_str(x) for x in cert.center],
@@ -186,15 +180,11 @@ def cmd_polytope(args):
             "dual_vertices": [list(v) for v in cert.dual_vertices],
             "dual": jsonio.polytope_to_obj(cert.dual),
         }
-        _emit(jsonio.dumps(obj), args.out)
-        return OK
+        return obj, OK
     if args.sub == "lattice-points":
-        pts = lattice_points(_load_polytope(args), args.q)
-        obj = {"q": args.q, "count": len(pts), "points": [[jsonio.rat_to_str(x) for x in p] for p in pts]}
-        _emit(jsonio.dumps(obj), args.out)
-        return OK
+        pts = lattice_points(P, args.q)
+        return {"q": args.q, "count": len(pts), "points": [[jsonio.rat_to_str(x) for x in p] for p in pts]}, OK
     # "slice": argparse choices rule out any other subcommand
-    P = _load_polytope(args)
     if not args.normal:
         raise UsageError("slice needs --normal (and optionally --offset)")
     normal = [jsonio.rat_from_str(x) for x in args.normal.split(",")]
@@ -209,8 +199,7 @@ def cmd_polytope(args):
         "plus": jsonio.polytope_to_obj(res.plus) | {"dim": res.plus.dim},
         "minus": jsonio.polytope_to_obj(res.minus) | {"dim": res.minus.dim},
     }
-    _emit(jsonio.dumps(obj), args.out)
-    return OK
+    return obj, OK
 
 
 def cmd_trop_mutate(args):
@@ -218,22 +207,19 @@ def cmd_trop_mutate(args):
     P = _load_polytope(args)
     img = trop_mutate_polytope(eps, args.k, P)
     if img.convex:
-        obj = {"convex": True, "polytope": jsonio.polytope_to_obj(img.polytope)}
-    else:
-        obj = {
-            "convex": False,
-            "plus_image": jsonio.polytope_to_obj(img.plus_image),
-            "minus_image": jsonio.polytope_to_obj(img.minus_image),
-        }
-    _emit(jsonio.dumps(obj), args.out)
-    return OK if img.convex else NEGATIVE
+        return {"convex": True, "polytope": jsonio.polytope_to_obj(img.polytope)}, OK
+    obj = {
+        "convex": False,
+        "plus_image": jsonio.polytope_to_obj(img.plus_image),
+        "minus_image": jsonio.polytope_to_obj(img.minus_image),
+    }
+    return obj, NEGATIVE
 
 
 def cmd_certify_distinct(args):
     fam = jsonio.family_from_obj(_read_json(args.family, "family"))
     cert = distinguish_certificate(fam)
-    _emit(jsonio.dumps(jsonio.certificate_to_obj(cert)), args.out)
-    return OK if cert.pairwise_distinct else NEGATIVE
+    return jsonio.certificate_to_obj(cert), OK if cert.pairwise_distinct else NEGATIVE
 
 
 def cmd_fixtures(args):
@@ -243,8 +229,7 @@ def cmd_fixtures(args):
         lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f": {r.detail}" if r.detail else ""))
     ok = all(r.passed for r in results)
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} fixtures passed")
-    _emit("\n".join(lines) + "\n", args.out)
-    return OK if ok else NEGATIVE
+    return "\n".join(lines) + "\n", OK if ok else NEGATIVE
 
 
 @functools.cache
@@ -261,24 +246,20 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("seed", help="seed matrix of a reduced word")
     sp.add_argument("--type", required=True)
     sp.add_argument("--word", required=True)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_seed)
 
     sp = sub.add_parser("mutate", help="apply a mutation sequence by column label")
     add_matrix_source(sp)
     sp.add_argument("--seq", required=True)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_mutate)
 
     sp = sub.add_parser("restrict", help="restrict to a label subset")
     add_matrix_source(sp)
     sp.add_argument("--keep", required=True)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_restrict)
 
     sp = sub.add_parser("quiver", help="arrow view of a skew-symmetric matrix")
     add_matrix_source(sp)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_quiver)
 
     sp = sub.add_parser("search-large-entry", help="beam search for a large frozen-column entry")
@@ -286,14 +267,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--target", type=_positive_int, required=True)
     sp.add_argument("--budget", type=_positive_int, default=20000)
     sp.add_argument("--beam", type=_positive_int, default=64)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_search_large_entry)
 
     sp = sub.add_parser("class-bfs", help="exhaustive mutation-class enumeration")
     add_matrix_source(sp)
     sp.add_argument("--node-cap", type=_positive_int, default=10000)
     sp.add_argument("--entry-cap", type=_positive_int, default=64)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_class_bfs)
 
     sp = sub.add_parser("polytope", help="polytope operations")
@@ -302,26 +281,24 @@ def build_parser() -> _Parser:
     sp.add_argument("--q", type=_positive_int, default=1)
     sp.add_argument("--normal", help="hyperplane normal for slice, comma-separated (--normal=-1,0 if negative)")
     sp.add_argument("--offset", default="0", help="hyperplane offset for slice (--offset=-1/2 if negative)")
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_polytope)
 
     sp = sub.add_parser("trop-mutate", help="tropical mutation of a polytope")
     sp.add_argument("--in", dest="infile", required=True, help="polytope JSON file")
     sp.add_argument("--matrix", required=True, help="matrix JSON file")
-    sp.add_argument("--k", type=int, required=True, help="mutation direction (column label)")
-    sp.add_argument("--out")
+    sp.add_argument("--k", type=_int, required=True, help="mutation direction (column label)")
     sp.set_defaults(func=cmd_trop_mutate)
 
     sp = sub.add_parser("certify-distinct", help="distinguishing certificate for a family")
     sp.add_argument("--family", required=True)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_certify_distinct)
 
     sp = sub.add_parser("fixtures", help="run the committed fixture suite")
     sp.add_argument("action", choices=["run"])
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_fixtures)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out")
     return p
 
 
@@ -329,7 +306,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        result, code = args.func(args)
+        _emit(result if isinstance(result, str) else jsonio.dumps(result), args.out)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE

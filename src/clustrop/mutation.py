@@ -200,9 +200,11 @@ def _integer(x, what: str, error=MutationError) -> int:
 
 
 def exchange_matrix(cols, frozen, d, rows) -> ExtendedExchangeMatrix:
-    """The matrix of plain data; every entry and every d must be an integer."""
+    """The matrix of plain data; every label, entry and d must be an integer."""
+    cols = tuple(_integer(x, "cols entry") for x in cols)
+    frozen = frozenset(_integer(x, "frozen entry") for x in frozen)
     rows = tuple(tuple(_integer(x, "rows entry") for x in row) for row in rows)
-    return ExtendedExchangeMatrix(tuple(cols), frozenset(frozen), tuple(_integer(x, "d entry") for x in d), rows)
+    return ExtendedExchangeMatrix(cols, frozen, tuple(_integer(x, "d entry") for x in d), rows)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ Roots are integer coefficient vectors in the simple-root basis, indices are
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
@@ -147,10 +148,20 @@ def parse_cartan_type(text: str) -> CartanMatrix:
     return cartan_matrix(text[0], int(text[1:]))
 
 
+def parse_int(text: str) -> int:
+    """An integer written -?[0-9]+, the JSON reader's rule: int() alone would
+    also read "1_0" as 10 and take "+2" or " 2".  Anything else, or a digit
+    string too long for int(), raises ValueError."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def parse_word(text: str) -> Word:
-    """Parse a comma-separated letter list like "3,2,3,2,1" into a word."""
+    """Parse a comma-separated letter list like "3,2,3,2,1" into a word;
+    whitespace around a letter is allowed."""
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return tuple(parse_int(part.strip()) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise CartanError(f"cannot parse word {text!r}") from None
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 from importlib import resources
 from pathlib import Path
@@ -336,6 +337,54 @@ def test_non_positive_numbers_are_usage_errors(capsys, tmp_path, flag, argv):
     assert f"argument {flag}: must be a positive integer" in err
 
 
+TOO_LONG = "1" * 5000  # past int()'s digit limit, which raises ValueError
+NOT_PLAIN = pytest.mark.parametrize("form", ["1_0", "+1", "1.0", "١", TOO_LONG], ids=lambda f: ascii(f)[:8])
+
+
+@NOT_PLAIN
+@pytest.mark.parametrize("flag", ["--seq", "--keep"])
+def test_label_lists_take_plain_integers(capsys, tmp_path, flag, form):
+    """A --seq or --keep item must match -?[0-9]+, with whitespace around it
+    allowed; int() alone would read "1_0" as label 10."""
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(MATRIX3))
+    cmd = "mutate" if flag == "--seq" else "restrict"
+    plain = run(capsys, cmd, "--in", str(m), flag, "1,2")
+    assert plain[0] == 0 and run(capsys, cmd, "--in", str(m), flag, " 1 , 2,") == plain
+    code, stdout, err = run(capsys, cmd, "--in", str(m), flag, f"1,{form}")
+    assert (code, stdout, err) == (1, "", f"usage error: field {flag} must be a comma-separated integer list\n")
+
+
+@NOT_PLAIN
+def test_word_takes_plain_integers(capsys, form):
+    plain = run(capsys, "seed", "--type", "A2", "--word", "1,2,1")
+    assert plain[0] == 0 and run(capsys, "seed", "--type", "A2", "--word", "1, 2 ,1") == plain
+    code, stdout, err = run(capsys, "seed", "--type", "A2", "--word", f"1,2,{form}")
+    assert (code, stdout) == (1, "") and err.startswith("parse error: cannot parse word")
+
+
+@NOT_PLAIN
+def test_k_takes_a_plain_integer(capsys, tmp_path, form):
+    argv = _golden_inputs(tmp_path, "trop_k1")
+    code, stdout, err = run(capsys, *argv[:-1], form)
+    assert (code, stdout, err) == (1, "", f"usage error: argument --k: invalid int value: {form!r}\n")
+
+
+@NOT_PLAIN
+@pytest.mark.parametrize("flag", ["--q", "--target", "--budget", "--beam", "--node-cap", "--entry-cap"])
+def test_positive_int_flags_take_plain_integers(capsys, tmp_path, flag, form):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(MATRIX3))
+    if flag == "--q":
+        argv = _golden_inputs(tmp_path, "polytope_lattice_q2")[:-2]
+    elif flag in ("--node-cap", "--entry-cap"):
+        argv = ["class-bfs", "--in", str(m)]
+    else:
+        argv = ["search-large-entry", "--in", str(m)] + ([] if flag == "--target" else ["--target", "2"])
+    code, stdout, err = run(capsys, *argv, flag, form)
+    assert (code, stdout, err) == (1, "", f"usage error: argument {flag}: invalid int value: {form!r}\n")
+
+
 def test_certify_distinct_command(capsys, tmp_path):
     fam = json.loads((resources.files("clustrop") / "fixtures" / "family_2stage.json").read_text())["family"]
     f = tmp_path / "f.json"
@@ -509,35 +558,86 @@ def _golden_inputs(tmp_path, case):
     return ["trop-mutate", "--in", str(paths["polytope"]), "--matrix", str(paths["matrix"]), "--k", k]
 
 
-@pytest.mark.parametrize(
-    "case, code",
-    [
-        ("certify_2stage", 0),
-        ("certify_blocked", 2),
-        ("trop_k1", 0),
-        ("trop_k2", 0),
-        ("trop_nonconvex", 2),
-        ("class_bfs_ft_a22", 3),
-        ("search_c3_target8", 0),
-        ("polytope_hull", 0),
-        ("polytope_dual", 0),
-        ("polytope_qgf", 0),
-        ("polytope_lattice_q2", 0),
-        ("polytope_slice", 0),
-        ("seed_c3", 0),
-        ("restrict_c3", 0),
-        ("mutate_c3r", 0),
-        ("quiver_a5", 0),
-        ("fixtures_run", 0),
-    ],
-)
+GOLDEN_CASES = [
+    ("certify_2stage", 0),
+    ("certify_blocked", 2),
+    ("trop_k1", 0),
+    ("trop_k2", 0),
+    ("trop_nonconvex", 2),
+    ("class_bfs_ft_a22", 3),
+    ("search_c3_target8", 0),
+    ("polytope_hull", 0),
+    ("polytope_dual", 0),
+    ("polytope_qgf", 0),
+    ("polytope_lattice_q2", 0),
+    ("polytope_slice", 0),
+    ("seed_c3", 0),
+    ("restrict_c3", 0),
+    ("mutate_c3r", 0),
+    ("quiver_a5", 0),
+    ("fixtures_run", 0),
+]
+
+
+@pytest.mark.parametrize("case, code", GOLDEN_CASES)
 def test_golden_stdout(capsys, tmp_path, case, code):
     """Exact stdout bytes against tests/golden; change a golden file only
     with an intended change of the output format or of the mathematics.
     `fixtures run` prints lines of text, so its golden file is .txt."""
     got, stdout, _ = run(capsys, *_golden_inputs(tmp_path, case))
     assert got == code
-    assert stdout == (GOLDEN / f"{case}.{'txt' if case == 'fixtures_run' else 'json'}").read_text()
+    assert stdout == _golden_file(case).read_text()
+
+
+def _golden_file(case):
+    return GOLDEN / f"{case}.{'txt' if case == 'fixtures_run' else 'json'}"
+
+
+@pytest.mark.parametrize("case, code", GOLDEN_CASES)
+def test_golden_out_file(capsys, tmp_path, case, code):
+    """Every subcommand writes with --out exactly the bytes it prints without
+    it: same exit code, nothing on stdout, no temporary file left."""
+    argv = _golden_inputs(tmp_path, case)
+    (tmp_path / "out").mkdir()
+    out = tmp_path / "out" / "result"
+    assert run(capsys, *argv, "--out", str(out))[:2] == (code, "")
+    assert out.read_bytes() == _golden_file(case).read_bytes()
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["result"]
+
+
+def test_every_subcommand_has_a_golden_case(tmp_path):
+    """A new subcommand or polytope action lands with a golden stdout file."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    actions = next(a for a in commands["polytope"]._actions if a.dest == "sub").choices
+    wanted = {c for c in commands if c != "polytope"} | {f"polytope {a}" for a in actions}
+    covered = set()
+    for case, _code in GOLDEN_CASES:
+        argv = _golden_inputs(tmp_path, case)
+        covered.add(" ".join(argv[:2]) if argv[0] == "polytope" else argv[0])
+    assert wanted <= covered, f"no golden case for {sorted(wanted - covered)}"
+
+
+@pytest.mark.parametrize("kind", ["usage", "parse", "negative"])
+def test_error_exit_writes_no_out_file(capsys, tmp_path, kind):
+    """An exit on a usage error, a parse error or a raised mathematical
+    negative leaves no --out file, temporary or final."""
+    (tmp_path / "out").mkdir()
+    out = tmp_path / "out" / "result"
+    f = tmp_path / "in.json"
+    if kind == "usage":
+        argv, want = ["mutate", "--seq", "1"], (1, "usage error")
+    elif kind == "parse":
+        f.write_text(json.dumps({"cols": [1, 2], "frozen": [], "d": [1, 1]}))
+        argv, want = ["mutate", "--in", str(f), "--seq", "1"], (1, "parse error")
+    else:
+        fam = _family_2stage()
+        fam["stages"].append({"seq": [1, 2], "r": 99, "s": 3})
+        f.write_text(json.dumps(fam))
+        argv, want = ["certify-distinct", "--family", str(f)], (2, "error: stage pair row 99 unknown")
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (want[0], "") and err.startswith(want[1])
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_cached_parser_matches_fresh_parsers(capsys, tmp_path):

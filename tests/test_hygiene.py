@@ -1,8 +1,9 @@
 """Source checks: no runtime `assert` statements in the package, no call of
-`HalfSpace.value` in it, no `fractions` import in `mutation`, no unused
-package import that the benchmark tracer does not wrap, every name in
-`clustrop.__all__` resolves, every module attribute the tracer wraps still
-exists, and the benchmark's self-checks pass.
+`HalfSpace.value` in it, no `fractions` import in `mutation`, `cli` writes
+its output only from `main`, no unused package import that the benchmark
+tracer does not wrap, every name in `clustrop.__all__` resolves, every
+module attribute the tracer wraps still exists, and the benchmark's
+self-checks pass.
 
 `python -O` strips `assert`, so invariants the package checks at run time
 raise AssertionError explicitly instead."""
@@ -54,6 +55,20 @@ def test_mutation_imports_no_fractions():
         or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
     ]
     assert not lines, f"mutation.py imports from fractions at lines {lines}"
+
+
+def test_cli_writes_output_only_from_main():
+    """Each `cmd_*` handler returns its result; `main` alone calls `_emit`,
+    once, so every subcommand shares one output path and its --out rules."""
+    tree = ast.parse((ROOT / "src" / "clustrop" / "cli.py").read_text())
+    callers = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit"
+    ]
+    assert callers == ["main"], f"cli.py calls _emit from {callers}"
 
 
 def _spans():

@@ -168,6 +168,26 @@ def test_exchange_matrix_takes_values_equal_to_integers():
     assert all(type(x) is int for x in (*eps.d, *eps.rows[0], *eps.rows[1]))
 
 
+def test_exchange_matrix_refuses_non_integer_cols():
+    """A label that is not an integer would build and mutate, and then be
+    written to a matrix file that `matrix_from_obj` refuses."""
+    with pytest.raises(MutationError, match="^cols entry 1.5 is not an integer$"):
+        exchange_matrix([1.5, "x"], [], [1, 1], [[0, 1], [-1, 0]])
+    with pytest.raises(MutationError, match="^cols entry True is not an integer$"):
+        exchange_matrix([True, 2], [], [1, 1], [[0, 1], [-1, 0]])
+    eps = exchange_matrix([1.0, Q(2)], [], [1, 1], [[0, 1], [-1, 0]])
+    assert eps.cols == (1, 2) and all(type(k) is int for k in eps.cols)
+
+
+def test_exchange_matrix_refuses_non_integer_frozen():
+    with pytest.raises(MutationError, match="^frozen entry 2.5 is not an integer$"):
+        exchange_matrix([1, 2], [2.5], [1, 1], [[0, 1]])
+    with pytest.raises(MutationError, match="^frozen entry 2 is not an integer$"):
+        exchange_matrix([1, 2], ["2"], [1, 1], [[0, 1]])
+    eps = exchange_matrix([1, 2], [2.0], [1, 1], [[0, 1]])
+    assert eps.frozen == {2} and all(type(k) is int for k in eps.frozen)
+
+
 def test_trace_replay():
     eps = gls_exchange_matrix(cartan_matrix("C", 3), NINE).restrict({1, 2, 3, 6, 8})
     tr = MutationTrace(eps, (6, 2, 3), eps.mutate_seq((6, 2, 3)))
