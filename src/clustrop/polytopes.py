@@ -21,6 +21,7 @@ Every non-empty polytope carries integer facet rows, whatever its dimension
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -368,16 +369,16 @@ def _dual(P: RationalPolytope, c, nu: int) -> RationalPolytope:
     facet with normal y/g and offset nu s t / g."""
     m = P.ambient_dim
     *C, s = _homog(c, m)
-    verts = []
-    for *a, num in (f.row for f in P.facets):
-        d = sum(map(mul, C, a)) + s * num
-        verts.append(tuple(Q(nu * s * x, d) for x in a))
+    rows = [(a, sum(map(mul, C, a)) + s * num) for *a, num in (f.row for f in P.facets)]
+    L = math.lcm(*(d for _, d in rows))  # d = s den (value of the facet at c) > 0
+    rows.sort(key=lambda r: [x * (L // r[1]) for x in r[0]])  # a/d over one denominator: the vertices' order
+    verts = [tuple(Q(nu * s * x, d) for x in a) for a, d in rows]
     facets = []
     for *U, t in _homog_all(P.vertices):
         y = [s * x - t * z for x, z in zip(U, C)]
         g = math.gcd(*y)
         facets.append((tuple(x // g for x in y), Q(nu * s * t, g)))
-    return RationalPolytope(tuple(sorted(verts)), m, m, tuple(HalfSpace(n, b) for n, b in sorted(facets)))
+    return RationalPolytope(tuple(verts), m, m, tuple(HalfSpace(n, b) for n, b in sorted(facets)))
 
 
 def polar_dual(P: RationalPolytope) -> RationalPolytope:
@@ -448,13 +449,20 @@ class QGFCertificate:
 
     For every facet <u, n_F> >= beta_F (primitive integer inward normal) the
     center satisfies <u0, n_F> - beta_F = size; the combinatorial dual is the
-    hull of the raw facet normals.
+    hull of the raw facet normals, read off `polytope` on first access and
+    cached.  `center`, `size` and `dual_vertices` fix equality and the hash.
     """
 
     center: Point
     size: int
     dual_vertices: tuple[tuple[int, ...], ...]
-    dual: RationalPolytope
+    polytope: RationalPolytope = field(repr=False, compare=False)
+    dual = functools.cached_property(lambda self: _dual(self.polytope, self.center, self.size))
+
+
+def _qgf_identity(f: HalfSpace, C, s: int, size: int) -> bool:
+    """<C/s, n> + offset == size on the facet (n, offset), in integers: <C, den n> + s num == size s den."""
+    return sum(map(mul, C, f.row)) + s * f.row[-1] == size * s * f.offset.denominator
 
 
 def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
@@ -463,7 +471,8 @@ def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
     Writes each facet as <u, n_F> >= beta_F with primitive integer inward
     normal and solves <u0, n_F> = beta_F + nu exactly; certifies only when nu
     is a positive integer.  One fraction-free elimination of the rows (den n_F,
-    -den | -num), beta_F = -num/den, gives the rank and the solution, if any.
+    -den | -num), beta_F = -num/den, gives the rank and the solution, if any,
+    and `_qgf_identity` checks it on every facet.  No dual is built here.
     """
     P.require_full_dim()
     m = P.ambient_dim
@@ -481,10 +490,10 @@ def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
     if nu.denominator != 1:
         return None, f"solved size {nu} is not an integer"
     # <center, n_F> + b_F = nu on every facet, so the dual's vertices are exactly the n_F
-    dual = _dual(P, center, int(nu))
-    cert = QGFCertificate(center, int(nu), tuple(sorted(f.normal for f in P.facets)), dual)
+    cert = QGFCertificate(center, int(nu), tuple(sorted(f.normal for f in P.facets)), P)
+    *C, s = _homog(center, m)
     for f in P.facets:
-        if dot(cert.center, f.normal) + f.offset != cert.size:
+        if not _qgf_identity(f, C, s, cert.size):
             raise AssertionError(f"QGF identity fails on facet normal {f.normal}")
     return cert, "ok"
 

@@ -141,11 +141,15 @@ def _symmetrizer(a) -> tuple[int, ...]:
 
 
 def parse_cartan_type(text: str) -> CartanMatrix:
-    """Parse strings like "C3" or "g2" into a Cartan matrix."""
+    """Parse strings like "C3" or "g2" into a Cartan matrix; the rank is [0-9]+, as `parse_int` reads it unsigned."""
     text = text.strip()
-    if not text or text[0].upper() not in _VALID_TYPES or not text[1:].isdigit():
+    try:
+        rank = parse_int(text[1:]) if text[1:2] != "-" else -1
+    except ValueError:  # not [0-9]+, or too long for int()
+        rank = -1
+    if not text or text[0].upper() not in _VALID_TYPES or rank < 0:
         raise CartanError(f"cannot parse Cartan type {text!r}")
-    return cartan_matrix(text[0], int(text[1:]))
+    return cartan_matrix(text[0], rank)
 
 
 def parse_int(text: str) -> int:

@@ -23,6 +23,7 @@ from .polytopes import (
     Point,
     QGFCertificate,
     RationalPolytope,
+    _homog,
     _homog_all,
     _keep,
     _tight_sets,
@@ -218,15 +219,16 @@ class CenterReport:
 
 
 def center_fixedness(eps: ExtendedExchangeMatrix, u0) -> CenterReport:
-    """True iff u0 has coordinate 0 at every mutable label; cross-checked
-    against the direct fixed-point computation in each direction."""
+    """True iff u0 has coordinate 0 at every mutable label; cross-checked in each direction by
+    `_trop` on u0's integer homogeneous coordinates, which the map fixes iff it fixes u0."""
     u0 = qvec(u0)
     if len(u0) != len(eps.cols):
         raise TropicalError("point dimension does not match column count")
+    hu = _homog(u0, len(u0))
     violations = []
     for k in eps.mutable:
         coord = u0[eps.col_index(k)]
-        fixed_direct = trop_mutate_point(eps, k, u0) == u0
+        fixed_direct = _trop(eps.row(k) + (0,), eps.col_index(k), hu) == hu
         if fixed_direct != (coord == 0):
             raise AssertionError("fixed-point check disagrees with coordinate test")
         if coord != 0:

@@ -48,6 +48,8 @@ functions, so no oracle goes through the integer rows.
 were read off the face lattice: the hull of the points n/b over the facets
 <u, n> + b >= 0, here through this module's Fraction `hull`, the same route
 by which this module's `qgf_solve` takes its dual (the hull of the normals).
+That `qgf_solve` returns its own record, `QGFRecord`, with the dual built at
+once, so no oracle answer goes through the package's `QGFCertificate`.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
 from operator import mul
@@ -65,7 +68,6 @@ from clustrop.polytopes import (
     DegenerateError,
     HalfSpace,
     PolytopeError,
-    QGFCertificate,
     RationalPolytope,
     halfspace,
 )
@@ -515,7 +517,17 @@ def contains_strictly(P: RationalPolytope, p) -> bool:
     return P.is_full_dim and all(f.value(p) > 0 for f in P.facets)
 
 
-def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
+@dataclass(frozen=True)
+class QGFRecord:
+    """Center, size, sorted facet normals and the Fraction hull of the normals."""
+
+    center: Point
+    size: int
+    dual_vertices: tuple[tuple[int, ...], ...]
+    dual: RationalPolytope
+
+
+def qgf_solve(P: RationalPolytope) -> tuple[QGFRecord | None, str]:
     """(certificate, diagnostic) for the Q-Gorenstein Fano property.
 
     Writes each facet as <u, n_F> >= beta_F with primitive integer inward
@@ -538,7 +550,7 @@ def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
     if nu.denominator != 1:
         return None, f"solved size {nu} is not an integer"
     dual = hull(norms, m)
-    cert = QGFCertificate(tuple(center), int(nu), tuple(sorted(norms)), dual)
+    cert = QGFRecord(tuple(center), int(nu), tuple(sorted(norms)), dual)
     for n, beta in zip(norms, rhs):
         if dot(cert.center, n) - beta != cert.size:
             raise AssertionError(f"QGF identity fails on facet normal {n}")

@@ -363,6 +363,16 @@ def test_word_takes_plain_integers(capsys, form):
     assert (code, stdout) == (1, "") and err.startswith("parse error: cannot parse word")
 
 
+@pytest.mark.parametrize("rank", ["\u00b2", "\u0663", "1" * 5000], ids=["superscript", "arabic_indic", "5000_digits"])
+def test_cartan_rank_takes_plain_digits(capsys, rank):
+    """"A²" ended in a ValueError traceback, "A٣" printed the A3 seed, and a
+    5000-digit rank hit int()'s digit limit; each is now a parse error."""
+    for good in ("C3", "g2"):
+        assert run(capsys, "seed", "--type", good, "--word", "1,2,1")[0] == 0
+    code, stdout, err = run(capsys, "seed", "--type", "A" + rank, "--word", "1,2,1")
+    assert (code, stdout) == (1, "") and err.startswith("parse error: cannot parse Cartan type")
+
+
 @NOT_PLAIN
 def test_k_takes_a_plain_integer(capsys, tmp_path, form):
     argv = _golden_inputs(tmp_path, "trop_k1")

@@ -5,8 +5,9 @@ affine-basis rules of `crossing_points` and `hull_any`, the integer rows of
 flat hulls against the Fraction affine chart, hull facets read off the dual
 cone's integer rays, tropical mutation of polytopes by one point map, the
 sign tests, crossings, hull input and `qgf_solve` on integer rows, moves and
-slices against the Fraction volume, and the polar and QGF duals read off the
-face lattice."""
+slices against the Fraction volume, the polar and QGF duals read off the
+face lattice, and the QGF identity and center fixedness checked on integer
+homogeneous coordinates."""
 
 import itertools
 import math
@@ -18,12 +19,14 @@ import fraction_oracle as oracle
 import pytest
 
 from clustrop.glsseed import gls_exchange_matrix
-from clustrop.linalg import mat_inverse, rank, rref, solve, vadd
+from clustrop.linalg import dot, mat_inverse, rank, rref, solve, vadd
 from clustrop.polytopes import (
     DegenerateError,
     PolytopeError,
     RationalPolytope,
     _dd_extreme_rays,
+    _homog,
+    _qgf_identity,
     crossing_points,
     halfspace,
     hull,
@@ -36,7 +39,7 @@ from clustrop.polytopes import (
     vertices_from_facets,
 )
 from clustrop.rootsys import cartan_matrix
-from clustrop.tropical import trop_mutate_polytope
+from clustrop.tropical import CenterReport, center_fixedness, trop_mutate_point, trop_mutate_polytope
 from genutil import random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
 
 
@@ -462,6 +465,19 @@ def _same_rows(got, want):
     return _same(got, want) and [f.row for f in got.facets] == [f.row for f in want.facets]
 
 
+def _same_qgf(got, want):
+    """qgf_solve against the oracle's: the diagnostic, then center, size and
+    dual vertices, and the dual as a polytope with its rows."""
+    (cert, msg), (ref, ref_msg) = got, want
+    if msg != ref_msg or (cert is None) != (ref is None):
+        return False
+    return cert is None or (
+        (cert.center, cert.size, cert.dual_vertices) == (ref.center, ref.size, ref.dual_vertices)
+        and cert.dual == ref.dual
+        and _same_rows(cert.dual, ref.dual)
+    )
+
+
 def _raises_alike(f, g, *args):
     """f and g raise the same exception type with the same message."""
     with pytest.raises(PolytopeError) as want:
@@ -698,9 +714,7 @@ def test_qgf_solve_matches_fraction_oracle():
     cases.append(RationalPolytope((x[:1],), 1, 1, (halfspace((1,), -1), halfspace((-1,), -1))))
     for P in cases:
         got, want = qgf_solve(P), oracle.qgf_solve(P)
-        assert got == want
-        if want[0] is not None:
-            assert _same_rows(got[0].dual, want[0].dual)
+        assert _same_qgf(got, want)
         key = want[1].split(":")[0].split(" is ")[-1]
         diagnostics[key] = diagnostics.get(key, 0) + 1
     assert set(diagnostics) == {
@@ -766,8 +780,7 @@ def test_qgf_dual_matches_fraction_oracle(m):
         P, _nu = random_qgf_polytope(rng, m)
         for R in (P, P.translate(tuple(rat(rng, 2) for _ in range(m))).scale(2)):
             got, want = qgf_solve(R), oracle.qgf_solve(R)
-            assert got == want and want[1] == "ok"
-            assert _same_rows(got[0].dual, want[0].dual)
+            assert _same_qgf(got, want) and want[1] == "ok"
             assert got[0].dual.vertices == tuple(tuple(map(Q, n)) for n in got[0].dual_vertices)
             centers.add(any(got[0].center))
     assert centers == {False, True}
@@ -797,3 +810,60 @@ def test_polar_dual_errors_match_fraction_oracle():
             _raises_alike(polar_dual, oracle.polar_dual, F)
             cases += 1
     assert cases >= 50
+
+
+# ---------------------------------------------------------------------------
+# (h) the QGF identity and the center-fixedness cross-check on integers
+
+
+def test_qgf_identity_matches_fraction_identity():
+    """`_qgf_identity` on a facet's integer row against <center, n> + offset
+    == size in Fraction, on seeded QGF polytopes, their translates and their
+    scalings to another integer size: it holds on every facet at the solved
+    center and size, and a center moved along one coordinate or a size off by
+    one breaks it on some facet."""
+    rng = random.Random(590)
+    fractional = 0
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        P, nu = random_qgf_polytope(rng, m)
+        T = P.translate(tuple(rat(rng, 3, (1, 2, 3, 5)) for _ in range(m)))
+        for R in (P, T, T.scale(Q(rng.randint(1, 4), nu))):
+            cert, msg = qgf_solve(R)
+            assert msg == "ok"
+            fractional += any(x.denominator != 1 for x in cert.center)
+            i = rng.randrange(m)
+            moved = tuple(x + Q(1, rng.choice((1, 2, 7))) * (j == i) for j, x in enumerate(cert.center))
+            for center, size, holds in ((cert.center, cert.size, True), (moved, cert.size, False),
+                                        (cert.center, cert.size + 1, False)):
+                *C, s = _homog(center, m)
+                got = [_qgf_identity(f, C, s, size) for f in R.facets]
+                assert got == [dot(center, f.normal) + f.offset == size for f in R.facets]
+                assert all(got) == holds
+    assert fractional >= 40
+
+
+def test_center_fixedness_matches_fraction_rule():
+    """center_fixedness, whose cross-check maps integer homogeneous
+    coordinates, gives the report of the Fraction rule
+    trop_mutate_point(eps, k, u0) == u0 on seeded rational points with zero,
+    negative and non-unit-denominator coordinates, fixed or not."""
+    rng = random.Random(595)
+    seen = dict.fromkeys(("zero", "negative", "fraction", "fixed", "moved", "negative mutable"), 0)
+    for case in range(400):
+        eps = random_exchange(rng)
+        u0 = [rng.choice((0, rng.randint(-3, 3), rat(rng, 3, (2, 3, 5)))) for _ in eps.cols]
+        if case % 4 == 0:  # tropical-fixed: zero at every mutable label
+            u0 = [0 if c in eps.mutable else x for c, x in zip(eps.cols, u0)]
+        point = tuple(map(Q, u0))
+        violations = tuple(
+            (k, point[eps.col_index(k)]) for k in eps.mutable if trop_mutate_point(eps, k, u0) != point
+        )
+        rep = center_fixedness(eps, u0)
+        assert rep == CenterReport(not violations, violations)
+        seen["zero"] += 0 in point
+        seen["negative"] += any(x < 0 for x in point)
+        seen["fraction"] += any(x.denominator != 1 for x in point)
+        seen["fixed" if rep.fixed else "moved"] += 1
+        seen["negative mutable"] += any(point[eps.col_index(k)] < 0 for k in eps.mutable)
+    assert min(seen.values()) >= 50, seen

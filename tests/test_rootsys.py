@@ -102,6 +102,19 @@ def test_parse_cartan_type():
         parse_cartan_type("3C")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["A\u00b2", "A\u0663", "A" + "1" * 5000, "A-3", "A-0"],
+    ids=["superscript", "arabic_indic", "5000_digits", "minus", "minus_zero"],
+)
+def test_parse_cartan_type_rank_is_plain_digits(text):
+    """A rank str.isdigit() takes but int() refuses, one int() reads as a non-ASCII
+    three, one past int()'s digit limit, and signed ones: each a CartanError."""
+    with pytest.raises(CartanError, match="^cannot parse Cartan type"):
+        parse_cartan_type(text)
+    assert parse_cartan_type("C3").a == cartan_matrix("C", 3).a and parse_cartan_type("g2").a == cartan_matrix("G", 2).a
+
+
 def test_parse_word():
     assert parse_word("3,2,3,2,1,2,3,2,1") == C3_WORD
     with pytest.raises(CartanError):

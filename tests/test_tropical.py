@@ -3,17 +3,18 @@ from fractions import Fraction as Q
 
 import fraction_oracle as oracle
 import pytest
-from genutil import random_exchange, random_polytope_with_interior_origin
+from genutil import random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
 
 from clustrop import polytopes, tropical
 from clustrop.mutation import FrozenIndexError, exchange_matrix
-from clustrop.polytopes import halfspace, hull, hull_any, qgf_certificate, slice_polytope
+from clustrop.polytopes import halfspace, hull, hull_any, qgf_certificate, qgf_solve, slice_polytope
 from clustrop.tropical import (
     FamilySpec,
     GradedPointSet,
     PreconditionError,
     Stage,
     TropicalError,
+    TropImage,
     center_fixedness,
     distinguish_certificate,
     qgf_preservation_check,
@@ -257,6 +258,104 @@ def test_qgf_preservation_rejects_moving_center():
     with pytest.raises(PreconditionError) as err:
         qgf_preservation_check(eps, 1, P)
     assert err.value.which == "center_fixed"
+
+
+# ---------------------------------------------------------------------------
+# QGF checks build the combinatorial dual only when it is read
+
+
+@pytest.fixture
+def dual_calls(monkeypatch):
+    """The argument tuples of every `polytopes._dual` call, recorded by a wrapper."""
+    calls, real = [], polytopes._dual
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytopes, "_dual", counted)
+    return calls
+
+
+def _moved_qgf_polytopes(rng, count):
+    """Seeded QGF polytopes in dimensions 1-4, as drawn, moved off the origin
+    and scaled by 2."""
+    out = []
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        P, _nu = random_qgf_polytope(rng, m)
+        out += [P, P.translate(tuple(Q(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(m))).scale(2)]
+    return out
+
+
+def test_qgf_solve_builds_no_dual(dual_calls):
+    rng = random.Random(610)
+    cases = _moved_qgf_polytopes(rng, 15)
+    cases += [random_polytope_with_interior_origin(rng, rng.randint(1, 4)) for _ in range(15)]
+    dual_calls.clear()  # the generators run polar_dual
+    diagnostics = {qgf_solve(P)[1].split(":")[0] for P in cases}
+    assert dual_calls == []
+    assert "ok" in diagnostics and len(diagnostics) >= 2, diagnostics
+
+
+def test_preservation_check_builds_no_dual(dual_calls, monkeypatch):
+    """A seeded batch of preservation checks reaches accepted (convex) images,
+    non-convex images and each precondition, and never builds a dual.  An
+    input passing the first three preconditions cannot fail "mutated_qgf" (a
+    convex image keeps the identity on every facet), so that one is reached
+    with a non-QGF image put in place of the tropical image."""
+    rng = random.Random(620)
+    cases = []
+    for case in range(60):
+        dim = rng.choice((2, 3))
+        n_mut = rng.randint(1, dim)
+        eps = random_exchange(rng, n_mut=n_mut, n_frozen=dim - n_mut)
+        P, _nu = random_qgf_polytope(rng, dim, max_size=2)
+        if case % 4 == 1:  # moved along the frozen coordinates: the center stays fixed
+            P = P.translate(tuple(0 if c in eps.mutable else Q(rng.randint(-3, 3), 2) for c in eps.cols))
+        elif case % 4 == 2:
+            P = P.translate(tuple(Q(rng.randint(-3, 3), 2) for _ in range(dim)))
+        elif case % 4 == 3:
+            P = random_polytope_with_interior_origin(rng, dim)
+        cases.append((eps, rng.choice(eps.mutable), P))
+    dual_calls.clear()  # the generators run polar_dual
+    outcomes = {}
+
+    def check(eps, k, P):
+        try:
+            qgf_preservation_check(eps, k, P)
+            which = "accepted"
+        except PreconditionError as err:
+            which = err.which
+        outcomes[which] = outcomes.get(which, 0) + 1
+
+    for eps, k, P in cases:
+        check(eps, k, P)
+    not_qgf = hull([(1, 2), (1, -2), (-1, 2), (-1, -2)])
+    monkeypatch.setattr(tropical, "trop_mutate_polytope", lambda eps, k, P: TropImage(True, not_qgf))
+    check(eps_row([0, -2]), 1, hull([(1, 1), (1, -1), (-1, 1), (-1, -1)]).translate((0, 1)))
+    assert dual_calls == []
+    assert set(outcomes) == {"accepted", "qgf", "center_fixed", "convex_image", "mutated_qgf"}, outcomes
+    assert min(outcomes[w] for w in ("accepted", "qgf", "center_fixed", "convex_image")) >= 3, outcomes
+
+
+def test_certificate_builds_its_dual_once_on_first_read(dual_calls):
+    """The first `dual` read makes one `_dual` call on the certificate's
+    polytope, center and size, a second read none; reading it changes neither
+    equality nor the hash."""
+    rng = random.Random(630)
+    for P in _moved_qgf_polytopes(rng, 12):
+        cert, msg = qgf_solve(P)
+        assert msg == "ok"
+        before = hash(cert)
+        dual_calls.clear()
+        D = cert.dual
+        assert dual_calls == [(P, cert.center, cert.size)]
+        assert cert.dual is D and len(dual_calls) == 1
+        want = polytopes._dual(P, cert.center, cert.size)
+        assert (D.vertices, D.dim, D.facets) == (want.vertices, want.dim, want.facets)
+        assert [f.row for f in D.facets] == [f.row for f in want.facets]
+        assert hash(cert) == before and cert == qgf_solve(P)[0]
 
 
 def test_supporting_halfspace_lemma_2d_instance():
