@@ -55,6 +55,38 @@ def _labels(cols: tuple[int, ...], frozen: frozenset[int], d: tuple[int, ...]) -
     return _Labels(ci, mutable, ri, mcols, tuple((s, ci[s]) for s in sorted(frozen)), pairs)
 
 
+def _mutated_rows(lab: _Labels, frozen: frozenset[int], rows: tuple, k: int) -> tuple:
+    """The one mutation kernel: the rows of mu_k of the matrix with label record lab and these
+    rows.  Mutation keeps skew-symmetrizability with the same d, so valid rows give valid rows.
+    eps_rs + sgn(eps_ks)[eps_rk eps_ks]_+ is eps_rs + eps_rk [±eps_ks]_+ with the sign of
+    eps_rk; -2 at k in both vectors negates column k; row k changes sign.  A row is one map
+    into an exact-size list: tuple(map(...)) over-allocates and shrinks, so freed rows are
+    not reused and peak memory grows, for no speed-up."""
+    kr = lab.ri.get(k)
+    if kr is None:
+        if k in frozen:
+            raise FrozenIndexError(f"cannot mutate at frozen label {k}")
+        raise MutationError(f"unknown label {k}")
+    ki = lab.mcols[kr]
+    krow = rows[kr]
+    kpos = [x if x > 0 else 0 for x in krow]
+    kneg = [-x if x < 0 else 0 for x in krow]
+    kpos[ki] = kneg[ki] = -2
+    new_rows = []
+    for row in rows:
+        e_rk = row[ki]
+        if not e_rk:
+            new_rows.append(row)  # eps_rk == 0 leaves the row as it is (and eps_kk == 0: row k is set below)
+        elif e_rk == 1:
+            new_rows.append(tuple([*map(add, row, kpos)]))
+        elif e_rk == -1:
+            new_rows.append(tuple([*map(sub, row, kneg)]))
+        else:
+            new_rows.append(tuple([*map(add, row, map(mul, kpos if e_rk > 0 else kneg, repeat(e_rk)))]))
+    new_rows[kr] = tuple([*map(neg, krow)])
+    return tuple(new_rows)
+
+
 @dataclass(frozen=True, init=False)
 class ExtendedExchangeMatrix:
     """Integer exchange matrix with mutable rows, all columns, and skew-symmetrizer d.
@@ -64,11 +96,11 @@ class ExtendedExchangeMatrix:
     d:      positive integer per column, aligned with cols
     rows:   one integer row per mutable label, aligned with cols
 
-    Every instance, mutated ones included, is validated by the one explicit
-    constructor: `_labels` checks (cols, frozen, d) and shares its record
-    (label lookups and skew pairs); each matrix checks its row count, row
-    lengths and skew, then stores the four fields, the record and its hash
-    (neither is a field, so dict lookups do not rehash rows) in slots, once
+    Every instance, mutated ones included, is validated by the one explicit constructor:
+    `_labels` checks (cols, frozen, d), normalised to tuple, frozenset and tuple, and shares
+    its record (label lookups and skew pairs); each matrix checks that rows is a tuple of
+    tuples, its row count, row lengths and skew, then stores the normalised fields, the record
+    and its hash (not fields: dict lookups do not rehash rows) through `_SLOT_SETTERS`, once
     each.  `__reduce__` rebuilds through the constructor, so copies revalidate.
     """
 
@@ -79,23 +111,24 @@ class ExtendedExchangeMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, cols, frozen, d, rows):
-        lab = _labels(tuple(cols), frozenset(frozen), tuple(d))
-        if len(rows) != len(lab.mutable):
-            raise MutationError("need one row per mutable label")
+        cols, frozen, d = tuple(cols), frozenset(frozen), tuple(d)  # no copy when already normalised
+        lab = _labels(cols, frozen, d)
+        if type(rows) is not tuple or len(rows) != len(lab.mutable):
+            raise MutationError("need one row per mutable label" if type(rows) is tuple else "rows must be tuples")
         n = len(cols)
         for row in rows:
-            if len(row) != n:
-                raise MutationError("row length must match column count")
+            if len(row) != n or type(row) is not tuple:
+                raise MutationError("row length must match column count" if len(row) != n else "rows must be tuples")
         for a, b, ca, cb, da, db in lab.pairs:
             if rows[a][cb] * da + rows[b][ca] * db != 0:
                 raise MutationError(f"not skew-symmetrizable at ({lab.mutable[a]},{lab.mutable[b]})")
-        put = object.__setattr__
-        put(self, "cols", cols)
-        put(self, "frozen", frozen)
-        put(self, "d", d)
-        put(self, "rows", rows)
-        put(self, "_lab", lab)
-        put(self, "_hash", hash((cols, frozen, d, rows)))
+        set_cols, set_frozen, set_d, set_rows, set_lab, set_hash = _SLOT_SETTERS  # no name lookups
+        set_cols(self, cols)
+        set_frozen(self, frozen)
+        set_d(self, d)
+        set_rows(self, rows)
+        set_lab(self, lab)
+        set_hash(self, hash((cols, frozen, d, rows)))
 
     def __reduce__(self):
         return ExtendedExchangeMatrix, (self.cols, self.frozen, self.d, self.rows)
@@ -131,35 +164,9 @@ class ExtendedExchangeMatrix:
         return self.rows[self.row_index(r)]
 
     def mutate(self, k: int) -> "ExtendedExchangeMatrix":
-        """Matrix mutation in direction k (a mutable label); involutive, keeps d.
-
-        eps_rs + sgn(eps_ks)[eps_rk eps_ks]_+ is eps_rs + eps_rk [±eps_ks]_+ with
-        the sign of eps_rk; -2 at k in both vectors negates column k; row k changes sign.
-        A row is one map into an exact-size list: tuple(map(...)) over-allocates and
-        shrinks, so freed rows are not reused and peak memory grows, for no speed-up."""
-        kr = self._lab.ri.get(k)
-        if kr is None:
-            if k in self.frozen:
-                raise FrozenIndexError(f"cannot mutate at frozen label {k}")
-            raise MutationError(f"unknown label {k}")
-        ki = self._lab.mcols[kr]
-        krow = self.rows[kr]
-        kpos = [x if x > 0 else 0 for x in krow]
-        kneg = [-x if x < 0 else 0 for x in krow]
-        kpos[ki] = kneg[ki] = -2
-        new_rows = []
-        for row in self.rows:
-            e_rk = row[ki]
-            if not e_rk:
-                new_rows.append(row)  # eps_rk == 0 leaves the row as it is (and eps_kk == 0: row k is set below)
-            elif e_rk == 1:
-                new_rows.append(tuple([*map(add, row, kpos)]))
-            elif e_rk == -1:
-                new_rows.append(tuple([*map(sub, row, kneg)]))
-            else:
-                new_rows.append(tuple([*map(add, row, map(mul, kpos if e_rk > 0 else kneg, repeat(e_rk)))]))
-        new_rows[kr] = tuple([*map(neg, krow)])
-        return ExtendedExchangeMatrix(self.cols, self.frozen, self.d, tuple(new_rows))
+        """Matrix mutation in direction k (a mutable label); involutive, keeps d.  `_mutated_rows` gives the rows."""
+        rows = _mutated_rows(self._lab, self.frozen, self.rows, k)
+        return ExtendedExchangeMatrix(self.cols, self.frozen, self.d, rows)
 
     def mutate_seq(self, seq) -> "ExtendedExchangeMatrix":
         eps = self
@@ -186,6 +193,9 @@ class ExtendedExchangeMatrix:
     def is_skew_symmetric(self) -> bool:
         mut = self.mutable
         return all(self.entry(r, s) == -self.entry(s, r) for r in mut for s in mut)
+
+
+_SLOT_SETTERS = tuple(getattr(ExtendedExchangeMatrix, f).__set__ for f in ExtendedExchangeMatrix.__slots__)
 
 
 def _integer(x, what: str, error=MutationError) -> int:
@@ -538,10 +548,11 @@ class LargeEntryWitness:
     value: int
 
 
-def _best_frozen_drop(eps: ExtendedExchangeMatrix):
+def _best_frozen_drop(lab: _Labels, rows: tuple):
+    """(value, r, s) of the largest -eps_{r,s}, r mutable and s frozen; the first in row order wins ties."""
     best = None
-    fcols = eps._lab.fcols
-    for r, row in zip(eps.mutable, eps.rows):
+    fcols = lab.fcols
+    for r, row in zip(lab.mutable, rows):
         for s, i in fcols:
             v = -row[i]
             if best is None or v > best[0]:
@@ -569,8 +580,10 @@ def large_entry_search(
     A state is not mutated back along the last label of its sequence (that
     gives its parent, reached by a strict prefix), but the skipped move still
     counts against the budget, so the search stops where it always did.  A
-    matrix that re-enters the beam takes its children from `kids` instead of
-    mutating again; its expansions count all the same.
+    state that re-enters the beam takes its children from `kids` instead of
+    mutating again; its expansions count all the same.  Every state shares
+    eps's cols, frozen and d, so the beam mutates, dedups and scores row tuples
+    (`_mutated_rows`) and builds, and so validates, a matrix only for a witness.
     """
     if type(target) is not int or target < 1:
         raise MutationError("target must be a positive integer")
@@ -579,37 +592,39 @@ def large_entry_search(
     if not eps.frozen:
         raise MutationError("matrix has no frozen column")
 
-    hit = _best_frozen_drop(eps)
+    lab, frozen = eps._lab, eps.frozen
+    hit = _best_frozen_drop(lab, eps.rows)
     if hit and hit[0] >= target:
         return LargeEntryWitness(MutationTrace(eps, (), eps), hit[1], hit[2], hit[0])
 
-    beam = [(eps, ())]
-    seen = {eps: ()}
-    kids = {}  # matrix -> {label: child}: a matrix that re-enters the beam is not mutated again
+    beam = [(eps.rows, ())]
+    seen = {eps.rows: ()}
+    kids = {}  # rows -> {label: child rows}: a state that re-enters the beam is not mutated again
     expanded = 0
     while beam and expanded < budget:
         children = []
         for cur, seq in beam:
             last = seq[-1] if seq else None
             memo = kids.setdefault(cur, {})
-            for k in cur.mutable:
+            for k in lab.mutable:
                 expanded += 1
                 if k == last:
                     continue
                 child = memo.get(k)
                 if child is None:
-                    child = memo[k] = cur.mutate(k)
+                    child = memo[k] = _mutated_rows(lab, frozen, cur, k)
                 cseq = seq + (k,)
                 prev = seen.get(child)
                 if prev is not None and prev <= cseq:
                     continue
                 seen[child] = cseq
                 # one scan of the frozen columns gives both the hit test and the beam key
-                children.append((child, cseq, _best_frozen_drop(child)))
+                children.append((child, cseq, _best_frozen_drop(lab, child)))
         hits = [(cseq, child, best) for child, cseq, best in children if best[0] >= target]
         if hits:
             cseq, child, (val, r, s) = min(hits, key=lambda t: t[0])
-            return LargeEntryWitness(MutationTrace(eps, cseq, child), r, s, val)
+            found = ExtendedExchangeMatrix(eps.cols, frozen, eps.d, child)
+            return LargeEntryWitness(MutationTrace(eps, cseq, found), r, s, val)
         children.sort(key=lambda t: (-max(0, t[2][0]), t[1]))
         beam = [(child, cseq) for child, cseq, _ in children[:beam_width]]
     return None

@@ -3,8 +3,9 @@ the parent-pointer BFS, copied verbatim: `apq_normalize`,
 `ft_infinite_witness`, `mutation_class_bfs` and `large_entry_search`.  Every
 node carries its full `seq` tuple and is mutated along every label.  They live
 only here, as the oracle of the differential tests in
-`test_search_differential.py`; the data types and the scoring helpers are the
-package's own.
+`test_search_differential.py`.  The data types are the package's own; the
+scoring helpers are copies written on `entry()`, so the oracle shares no
+search code with the package.
 """
 
 from __future__ import annotations
@@ -19,11 +20,38 @@ from clustrop.mutation import (
     MutationError,
     MutationTrace,
     Quiver,
-    _best_frozen_drop,
-    _ft_candidates,
     affine_a_type,
     mutable_finiteness,
 )
+
+
+def _ft_candidates(eps: ExtendedExchangeMatrix, f: int):
+    """Qualifying (v1, v2, b1, b2) witnesses in eps, best first."""
+    out = []
+    mut = eps.mutable
+    for v1 in mut:
+        for v2 in mut:
+            if v1 == v2 or eps.entry(v2, v1) < 2:
+                continue
+            b1 = -eps.entry(v1, f)
+            b2 = -eps.entry(v2, f)
+            if b1 != -b2 or b2 < 0:
+                out.append((v1, v2, b1, b2))
+    # prefer the clean shape: b2 == 0 with b1 as positive as possible
+    out.sort(key=lambda t: (t[3] != 0, -t[2], t[0], t[1]))
+    return out
+
+
+def _best_frozen_drop(eps: ExtendedExchangeMatrix):
+    """(value, r, s) of the largest -eps_{r,s} over mutable r (column order)
+    and frozen s (ascending); the first such pair wins ties."""
+    best = None
+    for r in eps.mutable:
+        for s in sorted(eps.frozen):
+            v = -eps.entry(r, s)
+            if best is None or v > best[0]:
+                best = (v, r, s)
+    return best
 
 
 def apq_normalize(q: Quiver, a: int) -> MutationTrace:

@@ -241,13 +241,14 @@ def test_search_stops_when_beam_empties(capsys, tmp_path, monkeypatch):
     """A2 with one frozen column: every child repeats a shorter sequence after
     28 budget-counted expansions, far inside the budget; the CLI still reports
     exit 3 and the same {"budget", "found"} object as a spent budget.  Only 15
-    of the 28 expansions call mutate: the other 13 would mutate a state back
-    along its last label, which gives its parent, so the search skips them."""
-    from clustrop.mutation import ExtendedExchangeMatrix
+    of the 28 expansions call the mutation kernel: the other 13 would mutate a
+    state back along its last label, which gives its parent, so the search
+    skips them."""
+    from clustrop import mutation
 
     calls = []
-    mutate = ExtendedExchangeMatrix.mutate
-    monkeypatch.setattr(ExtendedExchangeMatrix, "mutate", lambda self, k: calls.append(k) or mutate(self, k))
+    kernel = mutation._mutated_rows
+    monkeypatch.setattr(mutation, "_mutated_rows", lambda *args: calls.append(args[-1]) or kernel(*args))
     m = tmp_path / "m.json"
     m.write_text(json.dumps({"cols": [1, 2, 3], "frozen": [3], "d": [1, 1, 1], "rows": {"1": [0, 1, -1], "2": [-1, 0, 1]}}))
     code, stdout, _ = run(capsys, "search-large-entry", "--in", str(m), "--target", "100")

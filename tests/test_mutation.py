@@ -9,7 +9,7 @@ from importlib import resources
 import pytest
 
 from clustrop.glsseed import gls_exchange_matrix
-from clustrop.jsonio import matrix_from_obj
+from clustrop.jsonio import matrix_from_obj, matrix_to_obj
 from clustrop.mutation import (
     ExtendedExchangeMatrix,
     FrozenIndexError,
@@ -373,6 +373,40 @@ def test_pickle_and_copy_round_trips():
             assert (twin.cols, twin.frozen, twin.d, twin.rows) == (eps.cols, eps.frozen, eps.d, eps.rows)
             for k in eps.mutable:
                 assert twin.mutate(k) == eps.mutate(k) and hash(twin.mutate(k)) == hash(eps.mutate(k))
+
+
+ROWS3 = ((0, 1, 1), (-1, 0, 2))
+
+
+def test_constructor_stores_normalised_fields():
+    """A tuple of frozen labels and a frozenset build one matrix with one hash."""
+    a = ExtendedExchangeMatrix((1, 2, 3), (3,), (1, 1, 1), ROWS3)
+    b = ExtendedExchangeMatrix((1, 2, 3), frozenset({3}), (1, 1, 1), ROWS3)
+    assert a == b and hash(a) == hash(b)
+    assert a.frozen == frozenset({3}) and type(a.frozen) is frozenset
+    assert a.mutate(1) == b.mutate(1) and hash(a.mutate(1)) == hash(b.mutate(1))
+
+
+def test_restrict_and_json_round_trip_of_tuple_frozen_compare_equal():
+    a = ExtendedExchangeMatrix((1, 2, 3), (3,), (1, 1, 1), ROWS3)
+    assert a.restrict(a.cols) == a
+    assert matrix_from_obj(json.loads(json.dumps(matrix_to_obj(a)))) == a
+
+
+def test_constructor_takes_list_labels():
+    a = ExtendedExchangeMatrix([1, 2, 3], [3], [1, 1, 1], ROWS3)
+    assert a == ExtendedExchangeMatrix((1, 2, 3), frozenset({3}), (1, 1, 1), ROWS3)
+    assert (type(a.cols), type(a.frozen), type(a.d)) == (tuple, frozenset, tuple)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [list(ROWS3), [], [list(row) for row in ROWS3], (ROWS3[0], list(ROWS3[1])), (list(ROWS3[0]), ROWS3[1])],
+)
+def test_constructor_refuses_rows_that_are_not_tuples(rows):
+    with pytest.raises(MutationError) as exc:
+        ExtendedExchangeMatrix((1, 2, 3), (3,), (1, 1, 1), rows)
+    assert type(exc.value) is MutationError and str(exc.value) == "rows must be tuples"
 
 
 def test_restrict_refuses_labels_that_are_not_columns():

@@ -3,9 +3,10 @@
 The searches never mutate a node back along the label it was reached by, and
 the BFS searches rebuild sequences from parent pointers.  Both must leave
 every result unchanged: status, class size, matrix list, trace sequences and
-witnesses.  They must also call `mutate` strictly less often once the oracle
-has expanded a node other than the start, since that expansion includes the
-move back to its parent.  The BFS also skips commuting squares, and the beam
+witnesses.  They must also call the mutation kernel `_mutated_rows` (once per
+`mutate`, and directly from the beam) strictly less often once the oracle has
+expanded a node other than the start, since that expansion includes the move
+back to its parent.  The BFS also skips commuting squares, and the beam
 takes a re-entering matrix's children from a memo; both are checked below.
 """
 
@@ -19,7 +20,7 @@ import search_oracle as oracle
 from clustrop import mutation
 from clustrop.glsseed import gls_exchange_matrix
 from clustrop.jsonio import matrix_from_obj
-from clustrop.mutation import ExtendedExchangeMatrix, MutationError, exchange_matrix, to_quiver
+from clustrop.mutation import ExtendedExchangeMatrix, FrozenIndexError, MutationError, exchange_matrix, to_quiver
 from clustrop.rootsys import cartan_matrix
 from test_quivers import A12, A21, A22, cycle_matrix, load_fixture
 
@@ -35,11 +36,17 @@ GLS_SEEDS = {
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Logs each `mutate` call as (matrix, label); read and reset it between
-    the two sides."""
+    """Logs each call of the mutation kernel `_mutated_rows` as (rows, label);
+    `mutate` calls it once, and within one search the rows name the matrix.
+    Read and reset it between the two sides."""
     log = []
-    mutate = ExtendedExchangeMatrix.mutate
-    monkeypatch.setattr(ExtendedExchangeMatrix, "mutate", lambda self, k: log.append((self, k)) or mutate(self, k))
+    kernel = mutation._mutated_rows
+
+    def logged(lab, frozen, rows, k):
+        log.append((rows, k))
+        return kernel(lab, frozen, rows, k)
+
+    monkeypatch.setattr(mutation, "_mutated_rows", logged)
     return log
 
 
@@ -188,6 +195,85 @@ def test_large_entry_search_beam_empties_like_oracle(calls):
     old, n_old = counted(calls, oracle.large_entry_search, eps, 100)
     assert new is old is None
     assert (n_new, n_old) == (15, 28)
+
+
+def test_kernel_matches_mutate():
+    """`mutate(k).rows` is `_mutated_rows` of the parent's rows along seeded
+    walks from restrictions of every GLS seed (G2 has non-unit d); a frozen or
+    an unknown label raises the same exception type and message from both."""
+    rng = random.Random(20264)
+    steps = 0
+    raised = set()
+    for name in GLS_SEEDS:
+        for eps in restrictions(rng, name, 4, (2, 5)):
+            for _ in range(6):
+                for k in eps.mutable:
+                    assert eps.mutate(k).rows == mutation._mutated_rows(eps._lab, eps.frozen, eps.rows, k)
+                    steps += 1
+                for k in (min(eps.frozen), 99):
+                    outcomes = []
+                    for call in (eps.mutate, lambda k: mutation._mutated_rows(eps._lab, eps.frozen, eps.rows, k)):
+                        with pytest.raises(MutationError) as exc:
+                            call(k)
+                        outcomes.append((type(exc.value), str(exc.value)))
+                    assert outcomes[0] == outcomes[1]
+                    raised.add(outcomes[0][0])
+                eps = eps.mutate(rng.choice(eps.mutable))
+            assert name != "G2" or set(eps.d) != {1}
+    assert raised == {FrozenIndexError, MutationError}
+    assert steps >= 300
+
+
+def test_frozen_drop_scorer_matches_oracle():
+    """The beam's row scorer gives the oracle's (value, r, s) along seeded
+    walks, ties included: the first pair in row order, then frozen label order."""
+    tie = exchange_matrix([1, 2, 3, 4], [3, 4], [1, 1, 1, 1], [[0, 1, -2, -2], [-1, 0, -2, -2]])
+    assert mutation._best_frozen_drop(tie._lab, tie.rows) == oracle._best_frozen_drop(tie) == (2, 1, 3)
+    rng = random.Random(20265)
+    ties = 0
+    for eps in (eps for name in GLS_SEEDS for eps in restrictions(rng, name, 4, (2, 5))):
+        for _ in range(8):
+            best = mutation._best_frozen_drop(eps._lab, eps.rows)
+            assert best == oracle._best_frozen_drop(eps)
+            ties += sum(-eps.entry(r, s) == best[0] for r in eps.mutable for s in eps.frozen) > 1
+            eps = eps.mutate(rng.choice(eps.mutable))
+    assert ties >= 20
+
+
+def test_every_beam_state_is_a_valid_matrix(monkeypatch):
+    """Every row tuple the beam makes builds through the validating constructor
+    with the root's cols, frozen and d, over the oracle-differential cases."""
+    kernel = mutation._mutated_rows
+    built = []
+
+    def checked(lab, frozen, rows, k):
+        out = kernel(lab, frozen, rows, k)
+        built.append(ExtendedExchangeMatrix(root.cols, frozen, root.d, out))
+        return out
+
+    monkeypatch.setattr(mutation, "_mutated_rows", checked)
+    rng = random.Random(20262)
+    for root in (eps for name in GLS_SEEDS for eps in restrictions(rng, name, 6, (2, 5))):
+        for target, budget, width in [(2, 300, 8), (4, 600, 16), (8, 1500, 64), (30, 400, 4)]:
+            wit = mutation.large_entry_search(root, target, budget, width)
+            assert wit is None or wit.trace.verify()
+    assert len(built) > 10000
+
+
+def test_beam_builds_a_matrix_only_for_its_witness(monkeypatch):
+    """The constructor runs once for a witness past the root, and never for
+    None or for a root that is its own witness."""
+    init = ExtendedExchangeMatrix.__init__
+    built = []
+    monkeypatch.setattr(ExtendedExchangeMatrix, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    empties = exchange_matrix([1, 2, 3], [3], [1, 1, 1], [[0, 1, -1], [-1, 0, 1]])
+    c3 = gls_exchange_matrix(cartan_matrix("C", 3), NINE).restrict({1, 2, 3, 6, 8})
+    for eps, target, want in [(empties, 100, 0), (c3, 8, 1), (c3, 1, 1), (c3.mutate(6), 1, 0)]:
+        del built[:]
+        wit = mutation.large_entry_search(eps, target)
+        assert len(built) == want
+        assert (wit is None) == (eps is empties)
+        assert wit is None or (wit.trace.seq != ()) == (want == 1)
 
 
 def one_frozen_cycles():
