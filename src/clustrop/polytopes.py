@@ -1,22 +1,20 @@
 """Exact rational polytopes: hulls, facets, duals, lattice points, QGF certificates.
 
-The kernel is integer: the double description, incidence tests and lattice
-enumeration clear denominators once and run on int, and Fraction stays only
-at the API boundary (vertices, offsets, centers).  There is no floating point
-anywhere in this module.  `HalfSpace` alone fixes the facet format: a
-primitive integer normal, a Fraction offset, and the integer row they make.
-Points are cleared once at the boundary to integer homogeneous coordinates,
-and every membership, side and tightness test is the sign of a row against
-them.  Two vertices span an edge, and a double-description ray pair is
-adjacent, by one combinatorial rule (`_adjacent`).  Only the two conversions
-run the double description method on a homogenization cone of integer rows
-(`_bounded_rays`): `vertices_from_facets` on the facet rows, and `hull` on the
-polar dual about the centroid, reading each facet straight off an integer ray
-(`facets_from_points`); this is practical for the dense low-dimensional
-polytopes handled here (roughly m <= 6).  The polar and QGF duals are read off
-the face lattice in integers, with no hull (`_dual`), as is a tropical image.
-Every non-empty polytope carries integer facet rows, whatever its dimension
-(`hull_any`), so one sign test decides membership.
+The kernel is integer and has no floating point: points are cleared once to
+integer homogeneous coordinates, Fraction stays at the API boundary
+(vertices, offsets, centers), and every membership, side and tightness test
+is the sign of a facet row against them.  `HalfSpace` alone fixes the facet
+format: a primitive integer normal, a Fraction offset, and the row they make.
+Two vertices span an edge, and a double-description ray pair is adjacent, by
+one rule (`_adjacent`).  Only `vertices_from_facets` and `hull` run the double
+description, on a homogenization cone of integer rows (`_bounded_rays`); `hull`
+reads each facet off an integer ray of the polar dual about the centroid
+(`facets_from_points`), practical for the dense polytopes here (m <= 6 or so).
+The polar and QGF duals are read off the face lattice with no hull (`_dual`).
+One cut rule (`_cut`) gives the crossings and both pieces of a polytope cut by
+a hyperplane, for slicing and tropical images.  Every non-empty polytope
+carries integer facet rows, whatever its dimension (`hull_any`), so one sign
+test decides membership.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from operator import add, mul
+from operator import add, mul, or_
 
 from .linalg import (
     _bareiss,
@@ -516,53 +514,66 @@ class SliceResult:
     minus: RationalPolytope
 
 
-def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
-    """Points where the boundary hyperplane of h meets segments between
-    vertices of P on strictly opposite sides.
+def _cut(P: RationalPolytope, h: HalfSpace):
+    """The one cut rule: P's vertices, then the crossings, integer homogeneous
+    over one t; their rows against h (0 at a crossing); and the pieces.
 
-    For full-dimensional P only true edges are used: pairs with no third
-    vertex on every facet that holds both (`_adjacent`, the double
-    description's rule).  Otherwise all pairs are used, whose extra interior
-    crossings are harmless to downstream hulls and membership tests.  The
-    crossings come in the order of the vertex pairs.
+    A crossing is where the hyperplane meets a true edge (`_adjacent`), or for
+    lower-dimensional P any segment, between vertices strictly on opposite
+    sides.  If P is full-dimensional with vertices strictly on both sides,
+    piece s = 1, -1 is the points with s row >= 0 and the facets tight at a
+    vertex strictly on side s: with h facing side s, exactly that half's.
     """
+    m = P.ambient_dim
     hpts = _homog_all(P.vertices)
     vals = [sum(map(mul, h.row, hp)) for hp in hpts]
+    if not (vals and min(vals) < 0 < max(vals)):
+        return hpts, vals, None
     tight = _tight_sets(P.facets, hpts) if P.is_full_dim else None
-    out = []
+    crossings = []
     for i, j in itertools.combinations(range(len(hpts)), 2):
         a, b = vals[i], vals[j]
-        if not ((a > 0 > b) or (b > 0 > a)):
-            continue
         # an edge lies on at least m - 1 facets, as in the double description's adjacency test
-        if tight is not None and ((tight[i] & tight[j]).bit_count() < P.ambient_dim - 1 or not _adjacent(tight, i, j)):
+        if a * b >= 0 or tight and ((tight[i] & tight[j]).bit_count() < m - 1 or not _adjacent(tight, i, j)):
             continue
-        # a and b are positive multiples of the values at the two vertices, so the
-        # crossing is (a V_j - b V_i) / (a - b) in homogeneous coordinates
-        *x, t = (a * vj - b * vi for vi, vj in zip(hpts[i], hpts[j]))
-        out.append(tuple(Q(c, t) for c in x))
-    return out
+        # a and b are positive multiples of the values at the two vertices, so the crossing
+        # is (a V_j - b V_i) / (a - b), here times (a - b)^2 > 0, in homogeneous coordinates
+        crossings.append(primitive(tuple((a * y - b * x) * (a - b) for x, y in zip(hpts[i], hpts[j]))))
+    T, t = hpts[0][m], math.lcm(hpts[0][m], *(c[m] for c in crossings))
+    vals = [t // T * v for v in vals] + [0] * len(crossings)
+    hpts = [tuple(t // p[m] * x for x in p) for p in hpts + crossings]
+    pieces = []
+    for s in (1, -1) if tight else ():
+        held = functools.reduce(or_, (u for u, v in zip(tight, vals) if s * v > 0))
+        facets = [f for j, f in enumerate(P.facets) if held >> j & 1]
+        pieces.append(([i for i, v in enumerate(vals) if s * v >= 0], facets))
+    return hpts, vals, pieces or None
+
+
+def _polytope(m: int, hverts, facets) -> RationalPolytope:
+    """The full-dimensional polytope with these facets and vertices (integer homogeneous, one t)."""
+    verts = tuple(tuple(Q(x, hp[m]) for x in hp[:m]) for hp in sorted(hverts))
+    return RationalPolytope(verts, m, m, tuple(sorted(facets, key=lambda f: f.normal)))
+
+
+def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
+    """The crossings of `_cut(P, h)` as Fraction points; P may be lower-dimensional."""
+    return [tuple(Q(x, hp[-1]) for x in hp[:-1]) for hp in _cut(P, h)[0][len(P.vertices):]]
 
 
 def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:
-    """Exact intersection of P with the hyperplane and both closed half-spaces.
-
-    Piece vertices are the original vertices on the matching side plus the
-    edge-hyperplane crossing points.
-    """
+    """The full-dimensional P cut by h (`_cut`).  The section is the hull of
+    the points on the hyperplane, the only hull here.  A P on one side is
+    that half, and the section the other; otherwise each half is its piece
+    with h facing that side as the wall."""
     m = P.ambient_dim
     if len(h.normal) != m:
         raise PolytopeError(f"hyperplane normal has {len(h.normal)} entries, polytope is in R^{m}")
-    if P.is_empty:
-        empty = RationalPolytope((), m, -1, ())
-        return SliceResult(empty, empty, empty)
-    vals = [sum(map(mul, h.row, hp)) for hp in _homog_all(P.vertices)]
-    on = [v for v, x in zip(P.vertices, vals) if x == 0]
-    plus_pts = [v for v, x in zip(P.vertices, vals) if x >= 0]
-    minus_pts = [v for v, x in zip(P.vertices, vals) if x <= 0]
-    crossings = crossing_points(P, h)
-    section = hull_any(on + crossings, m)
-    plus = hull_any(plus_pts + crossings, m)
-    minus = hull_any(minus_pts + crossings, m)
+    P.require_full_dim()
+    hpts, vals, pieces = _cut(P, h)
+    section = hull_any([tuple(Q(x, hp[m]) for x in hp[:m]) for hp, v in zip(hpts, vals) if v == 0], m)
+    if pieces is None:
+        return SliceResult(section, P, section) if max(vals) > 0 else SliceResult(section, section, P)
+    walls = (h, HalfSpace(tuple(-x for x in h.normal), -h.offset))
+    plus, minus = (_polytope(m, [hpts[i] for i in idx], facets + [w]) for (idx, facets), w in zip(pieces, walls))
     return SliceResult(section, plus, minus)
-

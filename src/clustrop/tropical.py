@@ -4,16 +4,15 @@ plus the distinguishing-certificate pipeline built on them.
 The tropical map in direction k fixes the hyperplane u_k = 0 and acts by one
 unimodular integer map on each side.  One point map (`_trop`) serves points
 and the integer homogeneous coordinates of polytope vertices.  A polytope's
-image is read off its facets and vertices, and its convexity is decided by
-sign tests, so no hull or double description runs here.
+image is read off its cut by the wall (`polytopes._cut`), and its convexity
+is decided by sign tests, so no hull or double description runs here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import reduce
-from operator import mul, or_
+from operator import mul
 
 # mat_inverse is unused here; bench/spans.py wraps tropical.mat_inverse by name
 from .linalg import mat_inverse, qvec  # noqa: F401
@@ -23,11 +22,12 @@ from .polytopes import (
     Point,
     QGFCertificate,
     RationalPolytope,
+    _cut,
     _homog,
-    _homog_all,
     _keep,
+    _polytope,
     _tight_sets,
-    crossing_points,
+    crossing_points,  # noqa: F401  unused here; bench/spans.py wraps tropical.crossing_points by name
     halfspace,
     hull,  # noqa: F401  unused here; bench/spans.py wraps tropical.hull by name
     lattice_points,
@@ -123,14 +123,12 @@ def trop_mutate_graded(S: GradedPointSet, eps: ExtendedExchangeMatrix, k: int) -
 def saturation_probe(S: GradedPointSet, window: int = 8) -> list[tuple[int, tuple[int, tuple[int, ...]]]]:
     """Divisibility counterexamples (n, x) with n*x stored but x missing,
     for 2 <= n <= window.  An empty list is evidence at this scale, not a proof."""
-    if window < 1:
-        raise TropicalError("window must be >= 1")
+    if type(window) is not int or window < 1:
+        raise TropicalError("window must be a positive integer")
     violations = []
     for level, pt in S.sorted():
         for n in range(2, window + 1):
-            if level % n:
-                continue
-            if any(c % n for c in pt):
+            if level % n or any(c % n for c in pt):
                 continue
             x = (level // n, tuple(c // n for c in pt))
             if x not in S:
@@ -161,40 +159,34 @@ class TropImage:
 
 
 def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytope) -> TropImage:
-    """Image of P under the tropical map in direction k, read off P's minimal
-    representations by sign tests.  On the closed half s u_k >= 0 (s = ±1)
-    the map is one unimodular integer map; a P on one side maps whole.
-    Otherwise the piece on side s has P's vertices on that side plus the wall
-    crossings, and as facets the wall and those of P holding a vertex strictly
-    on that side.  The union of the images is convex iff each satisfies the
-    other's non-wall facets, which are then the hull's; if not, both pieces
-    are returned with the non-convexity flag."""
+    """Image of P under the tropical map in direction k, one unimodular integer
+    map on each closed half s u_k >= 0 (s = ±1): P maps whole, or each piece
+    of `_cut(P, wall)` maps with its facets and the wall.  The union of the
+    images is convex iff each satisfies the other's non-wall facets, which are
+    then the hull's; if not, both piece images are returned, convex False."""
     _check_direction(eps, k)
     P.require_full_dim()
     m = P.ambient_dim
     if m != len(eps.cols):
         raise TropicalError("polytope ambient dimension does not match column count")
     ki, row = eps.col_index(k), eps.row(k)
-    sides = {(v[ki] > 0) - (v[ki] < 0) for v in P.vertices} - {0}
     wall = halfspace([int(i == ki) for i in range(m)], 0)
-    # crossings lie on the wall, which the map fixes; all points share one denominator
-    hpts = _homog_all(P.vertices + tuple(crossing_points(P, wall) if len(sides) == 2 else ()))
-    img = [_trop(row + (0,), ki, hp) for hp in hpts]  # the 0 keeps the homogenizing coordinate
-    if len(sides) == 1:
-        return TropImage(True, _image(m, img, [_map_facet(f, row, s, ki) for s in sides for f in P.facets]))
-    tight = _tight_sets(P.facets, hpts[:len(P.vertices)])
-    pieces = []
-    for s in (1, -1):
-        held = reduce(or_, (t for t, hp in zip(tight, hpts) if s * hp[ki] > 0))
-        facets = [_map_facet(f, row, s, ki) for j, f in enumerate(P.facets) if held >> j & 1]
-        verts = [u for u, hp in zip(img, hpts) if s * hp[ki] >= 0]
-        pieces.append((verts, facets, halfspace([-s * x for x in wall.normal], 0)))
-    (va, fa, wa), (vb, fb, wb) = pieces
+    hpts, vals, pieces = _cut(P, wall)
+    # crossings lie on the wall, which the map fixes; the 0 keeps the homogenizing coordinate
+    img = [_trop(row + (0,), ki, hp) for hp in hpts]
+    if pieces is None:
+        s = 1 if max(vals) > 0 else -1
+        return TropImage(True, _polytope(m, img, [_map_facet(f, row, s, ki) for f in P.facets]))
+    (va, fa), (vb, fb) = (
+        ([img[i] for i in idx], [_map_facet(f, row, s, ki) for f in fs]) for (idx, fs), s in zip(pieces, (1, -1))
+    )
     if all(sum(map(mul, f.row, u)) >= 0 for fs, vs in ((fa, vb), (fb, va)) for f in fs for u in vs):
         facets = list(set(fa + fb))
         keep = _keep(_tight_sets(facets, img))
-        return TropImage(True, _image(m, [u for u, kept in zip(img, keep) if kept], facets))
-    return TropImage(False, None, _image(m, va, fa + [wa]), _image(m, vb, fb + [wb]))
+        return TropImage(True, _polytope(m, [u for u, kept in zip(img, keep) if kept], facets))
+    # the piece on side s maps into -s u_k >= 0
+    minus_wall = halfspace([-x for x in wall.normal], 0)
+    return TropImage(False, None, _polytope(m, va, fa + [minus_wall]), _polytope(m, vb, fb + [wall]))
 
 
 def _map_facet(f: HalfSpace, row, s: int, ki: int) -> HalfSpace:
@@ -202,12 +194,6 @@ def _map_facet(f: HalfSpace, row, s: int, ki: int) -> HalfSpace:
     u_j -> u_j + p_j u_k (p = [s row]_+, p_k = 0): n'_k = <n, p> - n_k, primitive."""
     n = f.normal
     return HalfSpace(n[:ki] + (sum(x * _pos(s * e) for x, e in zip(n, row)) - n[ki],) + n[ki + 1:], f.offset)
-
-
-def _image(m: int, hverts, facets) -> RationalPolytope:
-    """The full-dimensional polytope with these facets and vertices (integer homogeneous, one denominator)."""
-    verts = tuple(tuple(Q(x, hp[m]) for x in hp[:m]) for hp in sorted(hverts))
-    return RationalPolytope(verts, m, m, tuple(sorted(facets, key=lambda f: f.normal)))
 
 
 @dataclass(frozen=True)
@@ -336,6 +322,9 @@ class FamilySpec:
             raise TropicalError("polytope dimension does not match matrix columns")
         prev: tuple[int, ...] = ()
         for st in self.stages:
+            for what, x in (("r", st.r), ("s", st.s), *(("seq entry", k) for k in st.seq)):
+                if type(x) is not int:
+                    raise TropicalError(f"stage {what} {x!r} is not an integer")
             if st.seq[: len(prev)] != prev:
                 raise TropicalError(f"stage sequence {st.seq} does not extend {prev}")
             prev = st.seq

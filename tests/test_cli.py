@@ -514,6 +514,11 @@ def _golden_inputs(tmp_path, case):
         p = tmp_path / "p.json"
         p.write_text(json.dumps(json.loads((GOLDEN / "trop_nonconvex.json").read_text())["minus_image"]))
         return ["polytope", "slice", "--in", str(p), "--normal", "2,4", "--offset", "1/2"]
+    if case == "polytope_slice_diamond":
+        # both sides reached, but the wall holds two vertices and crosses no edge strictly
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"vertices": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]}))
+        return ["polytope", "slice", "--in", str(p), "--normal", "1,0"]
     if case.startswith("polytope_"):
         p = tmp_path / "p.json"
         p.write_text(json.dumps({"vertices": POLYTOPE_4D}))
@@ -582,6 +587,7 @@ GOLDEN_CASES = [
     ("polytope_qgf", 0),
     ("polytope_lattice_q2", 0),
     ("polytope_slice", 0),
+    ("polytope_slice_diamond", 0),
     ("seed_c3", 0),
     ("restrict_c3", 0),
     ("mutate_c3r", 0),

@@ -6,8 +6,9 @@ flat hulls against the Fraction affine chart, hull facets read off the dual
 cone's integer rays, tropical mutation of polytopes by one point map, the
 sign tests, crossings, hull input and `qgf_solve` on integer rows, moves and
 slices against the Fraction volume, the polar and QGF duals read off the
-face lattice, and the QGF identity and center fixedness checked on integer
-homogeneous coordinates."""
+face lattice, the QGF identity and center fixedness checked on integer
+homogeneous coordinates, and the halves that slicing reads off the one cut
+rule against hulls of each side's vertices and crossings."""
 
 import itertools
 import math
@@ -18,6 +19,7 @@ from operator import mul
 import fraction_oracle as oracle
 import pytest
 
+from clustrop import polytopes
 from clustrop.glsseed import gls_exchange_matrix
 from clustrop.linalg import dot, mat_inverse, rank, rref, solve, vadd
 from clustrop.polytopes import (
@@ -867,3 +869,68 @@ def test_center_fixedness_matches_fraction_rule():
         seen["fixed" if rep.fixed else "moved"] += 1
         seen["negative mutable"] += any(point[eps.col_index(k)] < 0 for k in eps.mutable)
     assert min(seen.values()) >= 50, seen
+
+
+# ---------------------------------------------------------------------------
+# (i) slices read off the one cut rule, against hulls of each side
+
+
+def _cross_polytope(m):
+    """Vertices ±e_i: cut by u_1 = 0 it reaches both sides, but no edge crosses strictly."""
+    return hull([tuple(s * (i == j) for j in range(m)) for i in range(m) for s in (1, -1)], m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_slice_halves_match_hulls_of_side_vertices_and_crossings(m):
+    """Each half is the hull of P's vertices on that side plus the oracle's
+    crossings, and the section the hull of those on the hyperplane, facets
+    and rows included: on clouds cut by coordinate walls through a vertex and
+    by generic hyperplanes, and on the cross-polytope cut through vertices."""
+    rng = random.Random(600 + m)
+    cases = [(_cross_polytope(m), halfspace((1,) + (0,) * (m - 1), 0))]
+    for _ in range(10 if m < 4 else 4):
+        P = _cloud(rng, m)
+        P = P.translate(tuple(-x for x in rng.choice(P.vertices)))
+        cases += [(P, halfspace(tuple(int(i == k) for i in range(m)), 0)) for k in range(m)]
+        cases.append((P, halfspace(tuple(rng.randint(-3, 3) for _ in range(m - 1)) + (2,), rat(rng, 2, (2, 3, 5)))))
+    seen = {"two-sided": 0, "one-sided": 0, "through a vertex": 0, "no strict crossing": 0}
+    for P, h in cases:
+        crossings = oracle.crossing_points(P, h)
+        got = slice_polytope(P, h)
+        for s, half in ((1, got.plus), (-1, got.minus)):
+            assert _same_rows(half, hull_any([v for v in P.vertices if s * h.value(v) >= 0] + crossings, m))
+        assert _same_rows(got.section, hull_any([v for v in P.vertices if h.value(v) == 0] + crossings, m))
+        vals = [h.value(v) for v in P.vertices]
+        two_sided = min(vals) < 0 < max(vals)
+        seen["two-sided" if two_sided else "one-sided"] += 1
+        seen["through a vertex"] += two_sided and 0 in vals
+        seen["no strict crossing"] += two_sided and not crossings
+    if m == 1:  # a segment's vertices are its ends, so a cut through one is one-sided
+        assert seen.pop("through a vertex") == seen.pop("no strict crossing") == 0
+    assert min(seen.values()) >= 1, seen
+
+
+def test_slice_polytope_runs_one_hull(monkeypatch):
+    """Both halves are read off the cut: slice_polytope calls hull_any once,
+    for the section, and runs a double description only inside that call."""
+    cases = [
+        (hull([(1, 1), (1, -1), (-1, 1), (-1, -1)]), halfspace((1, 0), 0)),
+        (hull(list(itertools.product((0, 2), repeat=3))), halfspace((1, 1, 1), -3)),
+        (_cross_polytope(3), halfspace((1, 0, 0), 0)),
+        (hull([(0, 0), (2, 0), (0, 2)]), halfspace((-1, 0), 1)),
+        (hull([(0, 0), (2, 0), (0, 2)]), halfspace((1, 0), 0)),  # one side, touching
+    ]
+    calls = []
+    for name in ("hull_any", "_dd_extreme_rays"):
+        real = getattr(polytopes, name)
+        monkeypatch.setattr(polytopes, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for P, h in cases:
+        calls.clear()
+        res = slice_polytope(P, h)
+        assert calls == ["hull_any"] + ["_dd_extreme_rays"] * (res.section.dim > 0), (P.vertices, h)
+
+
+def test_slice_polytope_needs_a_full_dimensional_polytope():
+    for P in (hull_any([(0, 0), (2, 2)], 2), hull_any([], 2)):
+        with pytest.raises(DegenerateError, match="^operation needs a full-dimensional polytope"):
+            slice_polytope(P, halfspace((1, 0), -1))

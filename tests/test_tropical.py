@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import fraction_oracle as oracle
@@ -118,6 +119,13 @@ def test_saturation_probe_detects_missing_half():
     assert saturation_probe(closed, window=4) == []
 
 
+@pytest.mark.parametrize("window", [True, False, 2.5, 2.0, "3", None, 0, -1])
+def test_saturation_probe_needs_a_positive_int_window(window):
+    """A bool would pass as 1 and return the empty list that reads as evidence."""
+    with pytest.raises(TropicalError, match="^window must be a positive integer$"):
+        saturation_probe(GradedPointSet.of([(2, (2,))]), window=window)
+
+
 def test_saturation_violation_count_preserved_by_mutation():
     rng = random.Random(34)
     for _ in range(100):
@@ -181,6 +189,31 @@ def test_trop_mutate_polytope_runs_no_hull(monkeypatch):
             g, w = getattr(got, part), getattr(want[name], part)
             assert (g and (g.vertices, g.dim, g.facets)) == (w and (w.vertices, w.dim, w.facets)), (name, part)
     assert calls == []
+
+
+def test_diamond_cut_through_two_vertices_matches_fraction_oracle():
+    """The diamond reaches both sides of u_1 = 0, but the wall holds two of
+    its vertices and crosses no edge strictly: the tropical image, convex and
+    not, and both slice halves match the Fraction oracle."""
+    diamond = hull([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    wall = halfspace((1, 0), 0)
+    assert oracle.crossing_points(diamond, wall) == []
+    convex = set()
+    for row in ([0, -2], [0, 2], [0, 3], [0, -3]):
+        eps = eps_row(row)
+        got, want = trop_mutate_polytope(eps, 1, diamond), oracle.trop_mutate_polytope(eps, 1, diamond)
+        assert got.convex == want.convex
+        for part in ("polytope", "plus_image", "minus_image"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert (g and (g.vertices, g.dim, g.facets)) == (w and (w.vertices, w.dim, w.facets)), (row, part)
+        convex.add(got.convex)
+    assert convex == {True, False}
+    res = slice_polytope(diamond, wall)
+    for s, half in ((1, res.plus), (-1, res.minus)):
+        want = oracle.hull([v for v in diamond.vertices if s * v[0] >= 0], 2)
+        assert (half.vertices, half.dim, half.facets) == (want.vertices, want.dim, want.facets)
+    want = oracle.hull_any([(0, 1), (0, -1)], 2)
+    assert (res.section.vertices, res.section.dim) == (want.vertices, want.dim) == (((0, -1), (0, 1)), 1)
 
 
 def test_polytope_convexity_matches_volume_oracle():
@@ -401,6 +434,25 @@ def test_family_spec_validation():
         FamilySpec(eps, P, (Stage((1, 2), 99, 3),))
     with pytest.raises(TropicalError, match="stage sequence mutates unknown label 77"):
         FamilySpec(eps, P, (Stage((1,), 1, 3), Stage((1, 2, 77), 1, 3)))
+
+
+@pytest.mark.parametrize(
+    "stage, message",
+    [
+        (Stage((), True, 3), "stage r True"),
+        (Stage((), 1.0, 3), "stage r 1.0"),
+        (Stage((), 1, True), "stage s True"),
+        (Stage((), 1, 3.0), "stage s 3.0"),
+        (Stage((True,), 1, 3), "stage seq entry True"),
+        (Stage((1, 2.0), 1, 3), "stage seq entry 2.0"),
+    ],
+)
+def test_family_spec_refuses_non_integer_stage_labels(stage, message):
+    """True == 1 and 1.0 == 1 name columns, but the certificate would write
+    them as true and 1.0, which the family reader refuses."""
+    eps, P = family_fixture()
+    with pytest.raises(TropicalError, match=f"^{re.escape(message)} is not an integer$"):
+        FamilySpec(eps, P, (stage,))
 
 
 def test_distinguish_certificate_two_stages():
