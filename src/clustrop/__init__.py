@@ -30,14 +30,11 @@ from .rootsys import CartanMatrix, cartan_matrix, is_longest, is_reduced, reflec
 from .tropical import (
     DistinguishCertificate,
     FamilySpec,
-    GradedPointSet,
     Stage,
     center_fixedness,
     distinguish_certificate,
     qgf_preservation_check,
-    saturation_probe,
     supporting_halfspace_lemma,
-    trop_mutate_graded,
     trop_mutate_point,
     trop_mutate_polytope,
 )
@@ -49,7 +46,6 @@ __all__ = [
     "DistinguishCertificate",
     "ExtendedExchangeMatrix",
     "FamilySpec",
-    "GradedPointSet",
     "HalfSpace",
     "MutationTrace",
     "QGFCertificate",
@@ -77,11 +73,9 @@ __all__ = [
     "qgf_certificate",
     "qgf_preservation_check",
     "reflect",
-    "saturation_probe",
     "slice_polytope",
     "supporting_halfspace_lemma",
     "to_quiver",
-    "trop_mutate_graded",
     "trop_mutate_point",
     "trop_mutate_polytope",
     "word_indices",

@@ -187,7 +187,7 @@ def cmd_polytope(args):
     # "slice": argparse choices rule out any other subcommand
     if not args.normal:
         raise UsageError("slice needs --normal (and optionally --offset)")
-    normal = [jsonio.rat_from_str(x) for x in args.normal.split(",")]
+    normal = [jsonio.rat_from_str(x.strip()) for x in args.normal.split(",")]
     if len(normal) != P.ambient_dim:
         raise UsageError(f"slice --normal has {len(normal)} entries, polytope is in R^{P.ambient_dim}")
     if not any(normal):

@@ -39,9 +39,15 @@ def _array(obj: dict, key: str) -> list:
     return val
 
 
+# an integer string, or with a denominator a rational one: int() and Fraction()
+# would also read "1_0" as 10, "+2" and " 2" as 2, "1e2" as 100 and a non-ASCII
+# digit as its value
+_NUMERAL = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
 def _int(x) -> int:
     """A JSON integer or a -?[0-9]+ string; int() would truncate a float, read a bool, or take "1_0" or "+2"."""
-    if isinstance(x, (bool, float)) or isinstance(x, str) and not re.fullmatch("-?[0-9]+", x):
+    if isinstance(x, (bool, float)) or isinstance(x, str) and not (_NUMERAL.fullmatch(x) and "/" not in x):
         raise FormatError(f"integer field holds {json.dumps(x)}")
     return int(x)
 
@@ -58,10 +64,14 @@ def rat_to_str(x) -> str:
 
 
 def rat_from_str(s) -> Q:
+    """A JSON integer (not a bool) or a -?[0-9]+(/[0-9]+)? string with a
+    nonzero denominator; a float such as 1.5 is refused, not read as 3/2."""
     try:
-        return Q(str(s))
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"cannot parse rational {s!r}") from None
+        if type(s) is int or isinstance(s, str) and _NUMERAL.fullmatch(s):
+            return Q(s)
+    except (ValueError, ZeroDivisionError):  # a zero denominator, or more digits than int() reads
+        pass
+    raise FormatError(f"cannot parse rational {s!r}")
 
 
 # -- matrices ---------------------------------------------------------------

@@ -198,15 +198,15 @@ class ExtendedExchangeMatrix:
 _SLOT_SETTERS = tuple(getattr(ExtendedExchangeMatrix, f).__set__ for f in ExtendedExchangeMatrix.__slots__)
 
 
-def _integer(x, what: str, error=MutationError) -> int:
+def _integer(x, what: str) -> int:
     """x as an int if it equals one (2, Fraction(2), 2.0); a bool or any
-    other value raises error naming what, so nothing is truncated."""
+    other value raises MutationError naming what, so nothing is truncated."""
     try:
         if type(x) is not bool and x == int(x):
             return int(x)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise error(f"{what} {x} is not an integer")
+    raise MutationError(f"{what} {x} is not an integer")
 
 
 def exchange_matrix(cols, frozen, d, rows) -> ExtendedExchangeMatrix:

@@ -238,32 +238,20 @@ def is_longest(C: CartanMatrix, w: Word) -> bool:
 
 @dataclass(frozen=True)
 class WordIndices:
-    """Position bookkeeping of a word: successors k+, predecessors k-,
-    frozen positions (last occurrence of each letter), and support."""
+    """Position bookkeeping of a word: successors k+ and the frozen (last
+    occurrence of each letter) and unfrozen positions."""
 
-    word: Word
     kplus: tuple[int, ...]
-    kminus: tuple[int, ...]
     j_fr: tuple[int, ...]
     j_uf: tuple[int, ...]
-    supp: tuple[int, ...]
 
     def kp(self, k: int) -> int:
         return self.kplus[k - 1]
 
-    def km(self, k: int) -> int:
-        return self.kminus[k - 1]
-
 
 def word_indices(w: Word) -> WordIndices:
     m = len(w)
-    kplus = []
-    kminus = []
-    for k in range(1, m + 1):
-        nxt = next((j for j in range(k + 1, m + 1) if w[j - 1] == w[k - 1]), m + 1)
-        prv = max((j for j in range(1, k) if w[j - 1] == w[k - 1]), default=0)
-        kplus.append(nxt)
-        kminus.append(prv)
+    kplus = tuple(next((j for j in range(k + 1, m + 1) if w[j - 1] == w[k - 1]), m + 1) for k in range(1, m + 1))
     j_fr = tuple(k for k in range(1, m + 1) if kplus[k - 1] == m + 1)
     j_uf = tuple(k for k in range(1, m + 1) if kplus[k - 1] != m + 1)
-    return WordIndices(tuple(w), tuple(kplus), tuple(kminus), j_fr, j_uf, tuple(sorted(set(w))))
+    return WordIndices(kplus, j_fr, j_uf)

@@ -1,5 +1,5 @@
-"""Tropicalized cluster mutations on points, graded point sets, and polytopes,
-plus the distinguishing-certificate pipeline built on them.
+"""Tropicalized cluster mutations on points and polytopes, plus the
+distinguishing-certificate pipeline built on them.
 
 The tropical map in direction k fixes the hyperplane u_k = 0 and acts by one
 unimodular integer map on each side.  One point map (`_trop`) serves points
@@ -16,7 +16,7 @@ from operator import mul
 
 # mat_inverse is unused here; bench/spans.py wraps tropical.mat_inverse by name
 from .linalg import mat_inverse, qvec  # noqa: F401
-from .mutation import ExtendedExchangeMatrix, FrozenIndexError, _integer
+from .mutation import ExtendedExchangeMatrix, FrozenIndexError
 from .polytopes import (
     HalfSpace,
     Point,
@@ -42,9 +42,9 @@ class TropicalError(ValueError):
 class PreconditionError(TropicalError):
     """A named precondition failed; `which` identifies it."""
 
-    def __init__(self, which: str, detail: str = ""):
+    def __init__(self, which: str, detail: str):
         self.which = which
-        super().__init__(f"precondition {which} failed" + (f": {detail}" if detail else ""))
+        super().__init__(f"precondition {which} failed: {detail}")
 
 
 def _check_direction(eps: ExtendedExchangeMatrix, k: int):
@@ -77,63 +77,6 @@ def _trop(row, ki: int, u) -> Point:
     out = [uj + _pos(sign * e) * uk for uj, e in zip(u, row)]
     out[ki] = -uk
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class GradedPointSet:
-    """Finite set of (level, integer point) pairs, levels positive, duplicates
-    collapsed; a desk-scale shadow of a graded semigroup."""
-
-    elements: frozenset[tuple[int, tuple[int, ...]]]
-
-    @classmethod
-    def of(cls, pairs) -> "GradedPointSet":
-        elems = set()
-        for level, pt in pairs:
-            level = _integer(level, "level", TropicalError)
-            if level <= 0:
-                raise TropicalError(f"level {level} must be positive")
-            elems.add((level, tuple(_integer(x, "coordinate", TropicalError) for x in pt)))
-        return cls(frozenset(elems))
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, pair):
-        return pair in self.elements
-
-    def sorted(self):
-        return sorted(self.elements)
-
-
-def trop_mutate_graded(S: GradedPointSet, eps: ExtendedExchangeMatrix, k: int) -> GradedPointSet:
-    """Level-preserving mutation of every stored point; bijective on the set."""
-    out = []
-    for level, pt in S.elements:
-        img = trop_mutate_point(eps, k, pt)
-        if any(x.denominator != 1 for x in img):
-            raise TropicalError("tropical image of an integer point must be integral")
-        out.append((level, tuple(int(x) for x in img)))
-    res = GradedPointSet.of(out)
-    if len(res) != len(S):
-        raise AssertionError("tropical mutation merged points of the graded set")
-    return res
-
-
-def saturation_probe(S: GradedPointSet, window: int = 8) -> list[tuple[int, tuple[int, tuple[int, ...]]]]:
-    """Divisibility counterexamples (n, x) with n*x stored but x missing,
-    for 2 <= n <= window.  An empty list is evidence at this scale, not a proof."""
-    if type(window) is not int or window < 1:
-        raise TropicalError("window must be a positive integer")
-    violations = []
-    for level, pt in S.sorted():
-        for n in range(2, window + 1):
-            if level % n or any(c % n for c in pt):
-                continue
-            x = (level // n, tuple(c // n for c in pt))
-            if x not in S:
-                violations.append((n, x))
-    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +332,10 @@ class DistinguishCertificate:
         return all(st.valid for st in self.stages)
 
 
-# dual candidate cells (bounding box of the dual in (1/q)Z^J) a stage may scan
+# a stage counts its dual's points only if the product over J of int((hi - lo) * q) + 1,
+# [lo, hi] the dual's bounding box, is at most this cap: an upper bound on the box's
+# points of (1/q)Z^J, each factor exceeding them by at most one ([1/3, 2/3] at q = 1
+# gives 1 and holds none)
 ENUMERATION_CAP = 2_000_000
 
 

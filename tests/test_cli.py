@@ -492,6 +492,55 @@ def test_rational_parse_rejects_garbage():
         jsonio.rat_from_str("pi")
 
 
+SQUARE = {"vertices": [["2", "2"], ["2", "-2"], ["-2", "2"], ["-2", "-2"]]}
+
+
+@pytest.mark.parametrize("form", ["1_0", "+2", "1e2", "\u0661", "1.5", "2/0", "1/-2", "1/2/3", ""])
+@pytest.mark.parametrize("where", ["vertex", "--normal", "--offset"])
+def test_rational_strings_follow_the_integer_rule(capsys, tmp_path, form, where):
+    """Fraction() reads "1_0" as 10, "+2" as 2, "1e2" as 100, the
+    Arabic-Indic digit one as 1 and "1.5" as 3/2; a rational string must
+    match -?[0-9]+(/[0-9]+)? with a nonzero denominator, so each form is a
+    parse error (exit 1, nothing on stdout) in a polytope vertex, a slice
+    normal and a slice offset, where the same input with "2" is valid."""
+    f = tmp_path / "p.json"
+
+    def slice_argv(x):
+        vertices = [list(v) for v in SQUARE["vertices"]]
+        normal, offset = "1,0", "0"
+        if where == "vertex":
+            vertices[0][0] = x
+        elif where == "--normal":
+            normal = f"{x},0"
+        else:
+            offset = x
+        f.write_text(json.dumps({"vertices": vertices}))
+        return ["polytope", "slice", "--in", str(f), f"--normal={normal}", f"--offset={offset}"]
+
+    assert run(capsys, *slice_argv("2"))[0] == 0
+    code, stdout, err = run(capsys, *slice_argv(form))
+    assert (code, stdout) == (1, "") and "parse error" in err
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, None, [2], " 2"])
+def test_vertex_coordinates_refuse_other_json_values(capsys, tmp_path, value):
+    """A vertex coordinate is a JSON integer or a rational string: the float
+    1.5 would read as 3/2, 2.0 as 2, true as 1 and " 2" as 2."""
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"vertices": [[value, 2], [2, -2], [-2, 2], [-2, -2]]}))
+    code, stdout, err = run(capsys, "polytope", "hull", "--in", str(f))
+    assert (code, stdout) == (1, "") and "parse error" in err
+
+
+def test_slice_normal_items_may_carry_spaces(capsys, tmp_path):
+    """--normal strips the spaces around each item, as the label lists do."""
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(SQUARE))
+    plain = run(capsys, "polytope", "slice", "--in", str(f), "--normal", "1,2")
+    assert plain[0] == 0
+    assert run(capsys, "polytope", "slice", "--in", str(f), "--normal", " 1 , 2 ") == plain
+
+
 def _family_2stage():
     return json.loads((resources.files("clustrop") / "fixtures" / "family_2stage.json").read_text())["family"]
 
@@ -561,6 +610,10 @@ def _golden_inputs(tmp_path, case):
             {"seq": [1], "r": 1, "s": 3},
             {"seq": [1, 2], "r": 2, "s": 3},
         ]
+    if case == "certify_negative_a_s":
+        # the polytope translated by (0, 0, -3): the center (0, 0, -2) gives a_s = -2
+        # and q = 2, so the segment walks toward -e_r and only its start is in the dual
+        fam["polytope"] = {"vertices": [["0", "0", "-3"], ["-1", "0", "-1"], ["0", "2", "-1"], ["5/3", "-4/3", "-1"]]}
     if case == "trop_nonconvex":
         fam["matrix"] = {"cols": [1, 2], "frozen": [2], "d": [1, 1], "rows": {"1": [0, -2]}}
         fam["polytope"] = {"vertices": [["2", "2"], ["2", "-2"], ["-2", "2"], ["-2", "-2"]]}
@@ -577,6 +630,7 @@ def _golden_inputs(tmp_path, case):
 GOLDEN_CASES = [
     ("certify_2stage", 0),
     ("certify_blocked", 2),
+    ("certify_negative_a_s", 2),
     ("trop_k1", 0),
     ("trop_k2", 0),
     ("trop_nonconvex", 2),

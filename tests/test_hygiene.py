@@ -1,5 +1,5 @@
-"""Source checks: no runtime `assert` statements in the package, no call of
-`HalfSpace.value` in it, no `fractions` import in `mutation`, `cli` writes
+"""Source checks: no runtime `assert` statements in the package, no float
+literal or `float(` call in it, no call of `HalfSpace.value` in it, no `fractions` import in `mutation`, `cli` writes
 its output only from `main`, no unused package import that the benchmark
 tracer does not wrap, every name in `clustrop.__all__` resolves, every
 module attribute the tracer wraps still exists, and the benchmark's
@@ -28,6 +28,20 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    """The computational core is exact: no float literal and no `float(`
+    call.  Naming `float` to refuse one (`isinstance(x, float)`) is allowed."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+    ]
+    assert not lines, f"{path.name} has a float literal or float( call at lines {lines}"
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)

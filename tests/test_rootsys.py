@@ -210,7 +210,6 @@ def test_word_indices_c3():
     assert idx.j_fr == (7, 8, 9)
     assert idx.j_uf == (1, 2, 3, 4, 5, 6)
     assert idx.kp(1) == 3 and idx.kp(2) == 4 and idx.kp(7) == 10
-    assert idx.km(3) == 1 and idx.km(1) == 0
 
 
 def test_word_indices_g2():
@@ -222,4 +221,3 @@ def test_word_indices_distinct_letters():
     idx = word_indices((2, 4, 1, 3))
     assert idx.j_fr == (1, 2, 3, 4)
     assert idx.j_uf == ()
-    assert idx.supp == (1, 2, 3, 4)

@@ -11,7 +11,6 @@ from clustrop.mutation import FrozenIndexError, exchange_matrix
 from clustrop.polytopes import halfspace, hull, hull_any, qgf_certificate, qgf_solve, slice_polytope
 from clustrop.tropical import (
     FamilySpec,
-    GradedPointSet,
     PreconditionError,
     Stage,
     TropicalError,
@@ -19,9 +18,7 @@ from clustrop.tropical import (
     center_fixedness,
     distinguish_certificate,
     qgf_preservation_check,
-    saturation_probe,
     supporting_halfspace_lemma,
-    trop_mutate_graded,
     trop_mutate_point,
     trop_mutate_polytope,
 )
@@ -77,63 +74,6 @@ def test_integer_points_stay_integer():
         u = (rng.randint(-5, 5), rng.randint(-5, 5))
         v = trop_mutate_point(eps, 1, u)
         assert all(x.denominator == 1 for x in v)
-
-
-def test_graded_set_levels_and_cardinality():
-    S = GradedPointSet.of([(1, (2, -1)), (2, (0, 3)), (1, (2, -1))])
-    assert len(S) == 2
-    with pytest.raises(TropicalError):
-        GradedPointSet.of([(0, (1, 1))])
-
-
-def test_graded_set_refuses_non_integers():
-    """A level or coordinate is taken only if it equals an integer: 3/2, 2.7
-    and True raise, where int() would read 1, 2 and 1."""
-    for pairs, msg in (
-        ([(Q(3, 2), (1, 1))], "level 3/2 is not an integer"),
-        ([(True, (1, 1))], "level True is not an integer"),
-        ([(1, (2.7, 1))], "coordinate 2.7 is not an integer"),
-        ([(1, (1, False))], "coordinate False is not an integer"),
-    ):
-        with pytest.raises(TropicalError, match=f"^{msg}$"):
-            GradedPointSet.of(pairs)
-    S = GradedPointSet.of([(Q(2), (2.0, Q(-3)))])
-    assert S.sorted() == [(2, (2, -3))] and all(type(x) is int for x in S.sorted()[0][1])
-
-
-def test_graded_mutation_round_trip():
-    rng = random.Random(33)
-    pts = [(rng.randint(1, 4), (rng.randint(-5, 5), rng.randint(-5, 5))) for _ in range(30)]
-    S = GradedPointSet.of(pts)
-    T = trop_mutate_graded(S, EPS, 1)
-    assert len(T) == len(S)
-    assert {lvl for lvl, _ in T.elements} <= {lvl for lvl, _ in S.elements}
-    back = trop_mutate_graded(T, EPS.mutate(1), 1)
-    assert back == S
-
-
-def test_saturation_probe_detects_missing_half():
-    S = GradedPointSet.of([(2, (2,))])
-    assert saturation_probe(S, window=2) == [(2, (1, (1,)))]
-    closed = GradedPointSet.of([(1, (1,)), (2, (2,))])
-    assert saturation_probe(closed, window=4) == []
-
-
-@pytest.mark.parametrize("window", [True, False, 2.5, 2.0, "3", None, 0, -1])
-def test_saturation_probe_needs_a_positive_int_window(window):
-    """A bool would pass as 1 and return the empty list that reads as evidence."""
-    with pytest.raises(TropicalError, match="^window must be a positive integer$"):
-        saturation_probe(GradedPointSet.of([(2, (2,))]), window=window)
-
-
-def test_saturation_violation_count_preserved_by_mutation():
-    rng = random.Random(34)
-    for _ in range(100):
-        pts = [(rng.choice([1, 2, 4]), (rng.randint(-4, 4) * 2, rng.randint(-4, 4))) for _ in range(12)]
-        S = GradedPointSet.of(pts)
-        before = len(saturation_probe(S, window=4))
-        T = trop_mutate_graded(S, EPS, 1)
-        assert len(saturation_probe(T, window=4)) == before
 
 
 def test_polytope_single_branch_when_one_sided():
