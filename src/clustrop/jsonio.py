@@ -12,12 +12,12 @@ deterministic so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import fields
 from fractions import Fraction as Q
 
 from .mutation import ExtendedExchangeMatrix, Quiver, exchange_matrix
 from .polytopes import RationalPolytope, hull
+from .rootsys import _NUMERAL
 from .tropical import DistinguishCertificate, FamilySpec, Stage, StageRecord
 
 
@@ -37,12 +37,6 @@ def _array(obj: dict, key: str) -> list:
     if not isinstance(val, list):
         raise FormatError(f"field {key!r} must be a JSON array")
     return val
-
-
-# an integer string, or with a denominator a rational one: int() and Fraction()
-# would also read "1_0" as 10, "+2" and " 2" as 2, "1e2" as 100 and a non-ASCII
-# digit as its value
-_NUMERAL = re.compile("-?[0-9]+(/[0-9]+)?")
 
 
 def _int(x) -> int:

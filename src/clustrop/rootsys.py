@@ -152,11 +152,18 @@ def parse_cartan_type(text: str) -> CartanMatrix:
     return cartan_matrix(text[0], rank)
 
 
+# the one numeral rule: an integer string, or with a denominator a rational one
+# (`jsonio` reads both); int() and Fraction() would also read "1_0" as 10, "+2"
+# and " 2" as 2, "1e2" as 100 and a non-ASCII digit as its value
+_NUMERAL = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
 def parse_int(text: str) -> int:
-    """An integer written -?[0-9]+, the JSON reader's rule: int() alone would
-    also read "1_0" as 10 and take "+2" or " 2".  Anything else, or a digit
-    string too long for int(), raises ValueError."""
-    if not re.fullmatch("-?[0-9]+", text):
+    """An integer written -?[0-9]+ (`_NUMERAL` with no denominator), the JSON
+    reader's rule: int() alone would also read "1_0" as 10 and take "+2" or
+    " 2".  Anything else, or a digit string too long for int(), raises
+    ValueError."""
+    if not (_NUMERAL.fullmatch(text) and "/" not in text):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
 

@@ -5,7 +5,10 @@ The tropical map in direction k fixes the hyperplane u_k = 0 and acts by one
 unimodular integer map on each side.  One point map (`_trop`) serves points
 and the integer homogeneous coordinates of polytope vertices.  A polytope's
 image is read off its cut by the wall (`polytopes._cut`), and its convexity
-is decided by sign tests, so no hull or double description runs here.
+is decided by sign tests on the mapped facets' integer rows, so no hull or
+double description runs here.  A non-convex image's half-spaces and piece
+polytopes are built when a caller first reads them (`TropImage`), so a
+caller that stops at the convexity flag builds none.
 """
 
 from __future__ import annotations
@@ -83,17 +86,43 @@ def _trop(row, ki: int, u) -> Point:
 # Polytope mutation
 
 
-@dataclass(frozen=True)
+_PIECES = ("plus_image", "minus_image")
+
+
+@dataclass(frozen=True, init=False)
 class TropImage:
     """Image of a polytope under one tropical mutation.
 
     convex=True carries only the image polytope; otherwise both piece images
-    are returned so callers can refuse explicitly."""
+    are returned so callers can refuse explicitly.  A non-convex image made
+    by `trop_mutate_polytope` builds its pieces when one is first read
+    (directly, by `piece_vertices`, equality, hash or repr), then keeps them,
+    so a caller that stops at `convex` builds nothing; its `polytope` is None
+    at once."""
 
     convex: bool
-    polytope: RationalPolytope | None = None
-    plus_image: RationalPolytope | None = None
-    minus_image: RationalPolytope | None = None
+    polytope: RationalPolytope | None
+    plus_image: RationalPolytope | None
+    minus_image: RationalPolytope | None
+
+    def __init__(self, convex, polytope=None, plus_image=None, minus_image=None):
+        self.__dict__.update(convex=convex, polytope=polytope, plus_image=plus_image, minus_image=minus_image)
+
+    @classmethod
+    def _deferred(cls, build) -> TropImage:
+        """A non-convex image whose pieces build() = (plus_image, minus_image) makes on first read."""
+        img = cls.__new__(cls)
+        img.__dict__.update(convex=False, polytope=None, _build=build)
+        return img
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails, so a built piece is read at no extra cost
+        build = self.__dict__.get("_build")
+        if build is None or name not in _PIECES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(zip(_PIECES, build()))
+        del self.__dict__["_build"]
+        return self.__dict__[name]
 
     def piece_vertices(self):
         if self.convex:
@@ -106,7 +135,10 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     map on each closed half s u_k >= 0 (s = ±1): P maps whole, or each piece
     of `_cut(P, wall)` maps with its facets and the wall.  The union of the
     images is convex iff each satisfies the other's non-wall facets, which are
-    then the hull's; if not, both piece images are returned, convex False."""
+    then the hull's; if not, both piece images are returned, convex False.
+    Convexity is read off the mapped facets' integer rows; a convex image,
+    which every caller reads, is built at once, a non-convex one on first
+    read (`TropImage`)."""
     _check_direction(eps, k)
     P.require_full_dim()
     m = P.ambient_dim
@@ -119,24 +151,33 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     img = [_trop(row + (0,), ki, hp) for hp in hpts]
     if pieces is None:
         s = 1 if max(vals) > 0 else -1
-        return TropImage(True, _polytope(m, img, [_map_facet(f, row, s, ki) for f in P.facets]))
+        return TropImage(True, _polytope(m, img, [HalfSpace(*_map_facet(f, row, s, ki)) for f in P.facets]))
     (va, fa), (vb, fb) = (
         ([img[i] for i in idx], [_map_facet(f, row, s, ki) for f in fs]) for (idx, fs), s in zip(pieces, (1, -1))
     )
-    if all(sum(map(mul, f.row, u)) >= 0 for fs, vs in ((fa, vb), (fb, va)) for f in fs for u in vs):
-        facets = list(set(fa + fb))
+    # the row of HalfSpace(n, b) is (den n, num) for b = num/den, read here as <n, .> den + num
+    ra, rb = ([(n, b.denominator, b.numerator) for n, b in fs] for fs in (fa, fb))
+    if all(sum(map(mul, n, u)) * d + c * u[m] >= 0 for rs, vs in ((ra, vb), (rb, va)) for n, d, c in rs for u in vs):
+        facets = [HalfSpace(n, b) for n, b in set(fa + fb)]
         keep = _keep(_tight_sets(facets, img))
         return TropImage(True, _polytope(m, [u for u, kept in zip(img, keep) if kept], facets))
-    # the piece on side s maps into -s u_k >= 0
-    minus_wall = halfspace([-x for x in wall.normal], 0)
-    return TropImage(False, None, _polytope(m, va, fa + [minus_wall]), _polytope(m, vb, fb + [wall]))
+
+    def build():
+        # the piece on side s maps into -s u_k >= 0
+        walls = (HalfSpace(tuple(-x for x in wall.normal), 0), wall)
+        return [
+            _polytope(m, vs, [HalfSpace(n, b) for n, b in fs] + [w]) for vs, fs, w in zip((va, vb), (fa, fb), walls)
+        ]
+
+    return TropImage._deferred(build)
 
 
-def _map_facet(f: HalfSpace, row, s: int, ki: int) -> HalfSpace:
+def _map_facet(f: HalfSpace, row, s: int, ki: int) -> tuple[tuple[int, ...], Q]:
     """The facet (n, b) of a polytope in s u_k >= 0 under the map u_k -> -u_k,
-    u_j -> u_j + p_j u_k (p = [s row]_+, p_k = 0): n'_k = <n, p> - n_k, primitive."""
+    u_j -> u_j + p_j u_k (p = [s row]_+, p_k = 0), as (n', b) with
+    n'_k = <n, p> - n_k: primitive and never zero, since the map is unimodular."""
     n = f.normal
-    return HalfSpace(n[:ki] + (sum(x * _pos(s * e) for x, e in zip(n, row)) - n[ki],) + n[ki + 1:], f.offset)
+    return n[:ki] + (sum(x * _pos(s * e) for x, e in zip(n, row)) - n[ki],) + n[ki + 1:], f.offset
 
 
 @dataclass(frozen=True)

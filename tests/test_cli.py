@@ -541,6 +541,23 @@ def test_slice_normal_items_may_carry_spaces(capsys, tmp_path):
     assert run(capsys, "polytope", "slice", "--in", str(f), "--normal", " 1 , 2 ") == plain
 
 
+def test_single_value_flags_take_no_spaces(capsys, tmp_path):
+    """List items are stripped and single values are not: --normal " 1, 0"
+    reads as 1,0, while --offset=" 1/2" and --k " 1" exit 1 with nothing on
+    stdout, where the same values without the space are valid."""
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(SQUARE))
+    argv = ["polytope", "slice", "--in", str(f)]
+    plain = run(capsys, *argv, "--normal", "1,0", "--offset=1/2")
+    assert plain[0] == 0 and run(capsys, *argv, "--normal", " 1, 0", "--offset=1/2") == plain
+    code, stdout, err = run(capsys, *argv, "--normal", "1,0", "--offset= 1/2")
+    assert (code, stdout) == (1, "") and "parse error" in err
+    argv = _golden_inputs(tmp_path, "trop_k1")
+    assert argv[-2:] == ["--k", "1"] and run(capsys, *argv)[0] == 0
+    code, stdout, err = run(capsys, *argv[:-1], " 1")
+    assert (code, stdout, err) == (1, "", "usage error: argument --k: invalid int value: ' 1'\n")
+
+
 def _family_2stage():
     return json.loads((resources.files("clustrop") / "fixtures" / "family_2stage.json").read_text())["family"]
 

@@ -1,9 +1,10 @@
 """Source checks: no runtime `assert` statements in the package, no float
-literal or `float(` call in it, no call of `HalfSpace.value` in it, no `fractions` import in `mutation`, `cli` writes
-its output only from `main`, no unused package import that the benchmark
-tracer does not wrap, every name in `clustrop.__all__` resolves, every
-module attribute the tracer wraps still exists, and the benchmark's
-self-checks pass.
+literal or `float(` call in it, no call of `HalfSpace.value` in it, no
+`fractions` import in `mutation`, one call into `re` (the numeral rule in
+`rootsys`), `cli` writes its output only from `main`, no unused package
+import that the benchmark tracer does not wrap, every name in
+`clustrop.__all__` resolves, every module attribute the tracer wraps still
+exists, and the benchmark's self-checks pass.
 
 `python -O` strips `assert`, so invariants the package checks at run time
 raise AssertionError explicitly instead."""
@@ -69,6 +70,23 @@ def test_mutation_imports_no_fractions():
         or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
     ]
     assert not lines, f"mutation.py imports from fractions at lines {lines}"
+
+
+def test_one_numeral_rule():
+    """What an integer or rational string looks like is one compiled pattern,
+    `rootsys._NUMERAL`, read by the CLI's integer flags and the JSON reader:
+    only `rootsys` imports `re`, and the package makes one call into it."""
+    importers, calls = [], []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import) and any(a.name == "re" for a in node.names) or (
+                isinstance(node, ast.ImportFrom) and node.module == "re"
+            ):
+                importers.append(path.name)
+            if isinstance(node, ast.Call) and getattr(getattr(node.func, "value", None), "id", None) == "re":
+                calls.append(f"{path.name}: re.{node.func.attr}")
+    assert importers == ["rootsys.py"], importers
+    assert calls == ["rootsys.py: re.compile"], calls
 
 
 def test_cli_writes_output_only_from_main():

@@ -331,6 +331,94 @@ def test_certificate_builds_its_dual_once_on_first_read(dual_calls):
         assert hash(cert) == before and cert == qgf_solve(P)[0]
 
 
+# ---------------------------------------------------------------------------
+# Tropical images build their half-spaces and polytopes only when read
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The name of every `_polytope` call and `HalfSpace` construction that
+    `tropical` makes, recorded by wrappers."""
+    calls = []
+    for name in ("_polytope", "HalfSpace"):
+        real = getattr(tropical, name)
+        monkeypatch.setattr(tropical, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+    return calls
+
+
+SQUARE = hull([(2, 2), (2, -2), (-2, 2), (-2, -2)])  # its image under EPS in direction 1 is not convex
+
+
+def test_preservation_check_builds_no_refused_image(builds):
+    """A QGF polytope with a fixed center whose image is not convex is refused
+    on the convexity flag alone: no image half-space, no image polytope."""
+    P = hull([(1, 1), (1, -1), (-1, 1), (-1, -1)]).translate((0, 1))
+    for row in ([0, -2], [0, 2], [0, -1]):
+        with pytest.raises(PreconditionError) as err:
+            qgf_preservation_check(eps_row(row), 1, P)
+        assert err.value.which == "convex_image"
+    assert builds == []
+
+
+def test_certificate_builds_nothing_for_a_blocking_image(builds):
+    """The replay takes the convex image in direction 1 and stops at the
+    non-convex one in direction 2: the certificate builds exactly what the
+    first image builds."""
+    eps, P = family_fixture()
+    assert not trop_mutate_polytope(eps.mutate(1), 2, trop_mutate_polytope(eps, 1, P).polytope).convex
+    builds.clear()
+    trop_mutate_polytope(eps, 1, P).polytope
+    want = list(builds)
+    assert want
+    builds.clear()
+    cert = distinguish_certificate(FamilySpec(eps, P, (Stage((1, 2), 1, 3),)))
+    assert cert.stages[0].notes == ("replay blocked: non-convex tropical image at direction 2 after (1,)",)
+    assert builds == want
+    builds.clear()
+    distinguish_certificate(FamilySpec(eps, P, (Stage((1, 2), 1, 3), Stage((1, 2, 1), 2, 3))))
+    assert builds == want
+
+
+def test_image_builds_its_pieces_once_on_first_read(builds):
+    """A non-convex image builds nothing until a piece is read; the first
+    read builds both pieces, later reads return the same objects, and
+    `TropImage` leaves ordinary attribute lookup alone.  A convex image,
+    which every caller reads, is built by `trop_mutate_polytope` once."""
+    assert "__getattribute__" not in vars(TropImage)
+    img = trop_mutate_polytope(EPS, 1, SQUARE)
+    assert not img.convex and img.polytope is None and builds == []
+    plus = img.plus_image
+    minus = img.minus_image
+    assert builds.count("_polytope") == 2 and 0 < builds.count("HalfSpace") <= len(plus.facets + minus.facets)
+    built = len(builds)
+    assert img.plus_image is plus and img.minus_image is minus and img.polytope is None
+    assert img.piece_vertices() == list(plus.vertices + minus.vertices) and len(builds) == built
+    for P in (hull([(1, 0), (2, 0), (1, 5), (2, 5)]), hull([(0, 0), (-1, 2), (1, 0), (1, 2)])):  # one-sided, two pieces
+        builds.clear()
+        img = trop_mutate_polytope(EPS, 1, P)
+        H = img.polytope
+        assert img.convex and builds.count("_polytope") == 1 and builds.count("HalfSpace") == len(H.facets)
+        assert img.polytope is H and img.plus_image is None and img.minus_image is None
+        assert img.piece_vertices() == list(H.vertices) and len(builds) == len(H.facets) + 1
+    with pytest.raises(AttributeError):
+        img.other
+
+
+def test_deferred_image_equals_the_image_made_from_its_parts():
+    """A non-convex image made on first read compares, hashes and prints as
+    `TropImage(False, None, plus, minus)` made from the pieces it reads
+    back, whichever of the three is asked first."""
+    parts = trop_mutate_polytope(EPS, 1, SQUARE)
+    ready = TropImage(False, None, parts.plus_image, parts.minus_image)
+    for first in (repr, hash, lambda img: img == ready):
+        img = trop_mutate_polytope(EPS, 1, SQUARE)
+        first(img)
+        assert img == ready and hash(img) == hash(ready) and repr(img) == repr(ready)
+    img = trop_mutate_polytope(EPS, 1, SQUARE)
+    assert repr(img) == repr(TropImage(False, None, img.plus_image, img.minus_image))
+    assert img == TropImage(False, None, img.plus_image, img.minus_image)
+
+
 def test_supporting_halfspace_lemma_2d_instance():
     P = hull([(0, 0), (-1, 2), (1, 0), (1, 2)])
     chk = supporting_halfspace_lemma(EPS, 1, 2, P)
