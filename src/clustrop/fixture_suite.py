@@ -1,8 +1,12 @@
 """Run the committed fixture files against the implementation.
 
-Each fixture is one JSON file under fixtures/ with a `kind` selecting the
-comparison; a corrupted file is reported as its own named failure without
-affecting the rest.
+Each fixture is one JSON file under fixtures/ with a `kind` selecting its
+runner.  Every runner returns (got, want), two dicts keyed like the fixture's
+`expected`, and one rule decides every fixture: it passes iff both dicts have
+the same keys and the same values, and its detail lists `key: got != want`
+for each key that differs, in sorted key order (a key missing on one side
+reads None there).  A corrupted file is reported as its own named failure
+without affecting the rest.
 """
 
 from __future__ import annotations
@@ -25,21 +29,9 @@ class FixtureResult:
     detail: str
 
 
-def _matrix_diff(actual, expected_obj) -> str:
-    exp = jsonio.matrix_from_obj(expected_obj)
-    if actual == exp:
-        return ""
-    lines = []
-    if actual.cols != exp.cols:
-        lines.append(f"cols {actual.cols} != {exp.cols}")
-    if actual.frozen != exp.frozen:
-        lines.append(f"frozen {sorted(actual.frozen)} != {sorted(exp.frozen)}")
-    if actual.d != exp.d:
-        lines.append(f"d {actual.d} != {exp.d}")
-    for r in exp.mutable:
-        if r in actual.mutable and actual.row(r) != exp.row(r):
-            lines.append(f"row {r}: {actual.row(r)} != {exp.row(r)}")
-    return "; ".join(lines) or "matrices differ"
+def _matrix_keys(m) -> dict:
+    rows = {f"row {r}": list(m.row(r)) for r in m.mutable}
+    return {"cols": list(m.cols), "frozen": sorted(m.frozen), "d": list(m.d), **rows}
 
 
 def _run_matrix(fx):
@@ -48,67 +40,44 @@ def _run_matrix(fx):
     eps = glsseed.gls_exchange_matrix(parse_cartan_type(fx["type"]), tuple(fx["word"]))
     if "keep" in fx:
         eps = eps.restrict(fx["keep"])
-    return _matrix_diff(eps.mutate_seq(fx.get("seq", ())), fx["expected"])
+    return _matrix_keys(eps.mutate_seq(fx.get("seq", ()))), _matrix_keys(jsonio.matrix_from_obj(fx["expected"]))
 
 
 def _run_gls_quiver(fx):
-    C = parse_cartan_type(fx["type"])
-    q = glsseed.gls_quiver(C, tuple(fx["word"]))
+    q = glsseed.gls_quiver(parse_cartan_type(fx["type"]), tuple(fx["word"]))
     exp = fx["expected"]
-    problems = []
-    if sorted(q.frozen) != exp["frozen"]:
-        problems.append(f"frozen {sorted(q.frozen)} != {exp['frozen']}")
-    expected_arrows = sorted(tuple(a) for a in exp["arrows"])
-    if list(q.arrows) != expected_arrows:
-        missing = set(expected_arrows) - set(q.arrows)
-        extra = set(q.arrows) - set(expected_arrows)
-        problems.append(f"arrows differ: missing {sorted(missing)}, extra {sorted(extra)}")
-    return "; ".join(problems)
+    got = {"frozen": sorted(q.frozen), **{f"arrow {i}->{j}": m for i, j, m in q.arrows}}
+    return got, {"frozen": exp["frozen"], **{f"arrow {i}->{j}": m for i, j, m in exp["arrows"]}}
 
 
 def _run_qgf_pair(fx):
-    problems = []
-    pos = jsonio.polytope_from_obj(fx["positive"])
-    cert, msg = qgf_solve(pos)
-    if cert is None:
-        problems.append(f"positive example not certified: {msg}")
-    else:
-        want_center = tuple(jsonio.rat_from_str(x) for x in fx["positive"]["center"])
-        if cert.center != want_center or cert.size != fx["positive"]["size"]:
-            problems.append(
-                f"certificate ({cert.center}, {cert.size}) != ({want_center}, {fx['positive']['size']})"
-            )
-    neg = jsonio.polytope_from_obj(fx["negative"])
-    ncert, _ = qgf_solve(neg)
-    if ncert is not None:
-        problems.append("negative example unexpectedly certified")
-    return "; ".join(problems)
+    """The positive polytope is certified with the given center and size; the
+    negative one is refused."""
+    pos = fx["positive"]
+    cert, msg = qgf_solve(jsonio.polytope_from_obj(pos))
+    ncert, _ = qgf_solve(jsonio.polytope_from_obj(fx["negative"]))
+    got = {"positive": msg if cert is None else "certified", "negative": "refused" if ncert is None else "certified"}
+    if cert is not None:
+        got |= {"center": [jsonio.rat_to_str(x) for x in cert.center], "size": cert.size}
+    center = [jsonio.rat_to_str(jsonio.rat_from_str(x)) for x in pos["center"]]
+    return got, {"positive": "certified", "negative": "refused", "center": center, "size": pos["size"]}
 
 
 def _run_ft_witness(fx):
-    eps = jsonio.matrix_from_obj(fx["matrix"])
-    wit = ft_infinite_witness(eps)
-    exp = fx["expected"]
-    problems = []
-    if (wit is not None) != exp["found"]:
-        return f"witness found={wit is not None}, expected {exp['found']}"
+    """A found witness must replay and satisfy the double-arrow condition; the
+    b1_positive and b2_zero flags are checked where the fixture gives them."""
+    wit = ft_infinite_witness(jsonio.matrix_from_obj(fx["matrix"]))
+    got, want = {"found": wit is not None}, dict(fx["expected"])
     if wit is not None:
-        if not wit.trace.verify():
-            problems.append("witness trace does not replay")
-        if not wit.condition():
-            problems.append("witness fails the double-arrow condition")
-        if exp.get("b1_positive") and not wit.b1 > 0:
-            problems.append(f"b1 = {wit.b1} not positive")
-        if exp.get("b2_zero") and wit.b2 != 0:
-            problems.append(f"b2 = {wit.b2} not zero")
-    return "; ".join(problems)
+        flags = {"b1_positive": wit.b1 > 0, "b2_zero": wit.b2 == 0}
+        got |= {"replays": wit.trace.verify(), "condition": wit.condition()}
+        got |= {k: v for k, v in flags.items() if k in want}
+        want |= {"replays": True, "condition": True}
+    return got, want
 
 
 def _run_family(fx):
-    fam = jsonio.family_from_obj(fx["family"])
-    cert = distinguish_certificate(fam)
-    exp = fx["expected"]
-    problems = []
+    cert = distinguish_certificate(jsonio.family_from_obj(fx["family"]))
     got = {
         "entries": [st.entry for st in cert.stages],
         "lower_bounds": [st.lower_bound for st in cert.stages],
@@ -121,10 +90,7 @@ def _run_family(fx):
         "strictly_increasing": cert.counts_strictly_increasing,
         "pairwise_distinct": cert.pairwise_distinct,
     }
-    for key, want in exp.items():
-        if got.get(key) != want:
-            problems.append(f"{key}: {got.get(key)} != {want}")
-    return "; ".join(problems)
+    return got, fx["expected"]
 
 
 _RUNNERS = {
@@ -146,16 +112,17 @@ def fixture_names() -> list[str]:
 def run_fixture_file(name: str) -> FixtureResult:
     root = resources.files(__package__) / "fixtures"
     try:
-        fx = json.loads((root / name).read_text())
-        kind = fx["kind"]
-        runner = _RUNNERS[kind]
-    except (json.JSONDecodeError, KeyError, OSError) as exc:
+        fx = json.loads((root / name).read_text(encoding="utf-8"))
+        runner = _RUNNERS[fx["kind"]]
+    except (ValueError, LookupError, TypeError, OSError) as exc:  # bad JSON or UTF-8, no such kind
         return FixtureResult(name, False, f"unreadable fixture: {exc}")
+    name = fx.get("name", name)
     try:
-        detail = runner(fx)
+        got, want = runner(fx)
     except Exception as exc:  # a broken fixture must not sink the others
-        return FixtureResult(fx.get("name", name), False, f"error: {exc}")
-    return FixtureResult(fx.get("name", name), detail == "", detail)
+        return FixtureResult(name, False, f"error: {exc}")
+    differ = [k for k in sorted(got.keys() | want.keys()) if k not in got or k not in want or got[k] != want[k]]
+    return FixtureResult(name, not differ, "; ".join(f"{k}: {got.get(k)} != {want.get(k)}" for k in differ))
 
 
 def fixture_suite() -> list[FixtureResult]:

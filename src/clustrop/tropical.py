@@ -248,10 +248,6 @@ class SupportCheck:
         return self.holds
 
 
-def _unit(n: int, i: int) -> tuple[Q, ...]:
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
-
-
 def supporting_halfspace_lemma(
     eps: ExtendedExchangeMatrix, r: int, s: int, P: RationalPolytope
 ) -> SupportCheck:
@@ -460,7 +456,6 @@ def _certify_stage(
     silently skipped.
     """
     notes: list[str] = []
-    n = len(eps.cols)
     entry = eps.entry(st.r, st.s)
     entry_np = entry <= 0
     if not entry_np:
@@ -497,14 +492,14 @@ def _certify_stage(
     frac = Q(cert.size) / a_s
     p_num, q = frac.numerator, frac.denominator
     lower = 1 - min(entry, 0)
-    start = tuple(frac * x for x in _unit(n, si))
-    step = tuple(Q(1, q) * x for x in _unit(n, eps.col_index(st.r)))
+    # point j is k/q, k = p e_s + sign j e_r: in the dual iff <a, k> + q num >= 0 on every row (a, num)
     count_on_seg = abs(p_num) * abs(min(entry, 0))
     sign = 1 if p_num >= 0 else -1
-    seg_pts = [tuple(a + sign * j * b for a, b in zip(start, step)) for j in range(count_on_seg + 1)]
-    seg_count = sum(1 for ppt in seg_pts if scert.dual.contains(ppt))
-    if seg_count < len(seg_pts):
-        notes.append(f"only {seg_count}/{len(seg_pts)} segment points inside the dual")
+    ri = eps.col_index(st.r)
+    rows = [(f.row[si] * p_num + q * f.row[-1], sign * f.row[ri]) for f in scert.dual.facets]
+    seg_count = sum(all(b + j * c >= 0 for b, c in rows) for j in range(count_on_seg + 1))
+    if seg_count < count_on_seg + 1:
+        notes.append(f"only {seg_count}/{count_on_seg + 1} segment points inside the dual")
     cells = 1
     for lo, hi in scert.dual.bounding_box():
         cells *= int((hi - lo) * q) + 1

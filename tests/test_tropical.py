@@ -513,3 +513,46 @@ def test_distinguish_certificate_condition_violation_recorded():
     cert = distinguish_certificate(FamilySpec(eps, P, (Stage((), 1, 3),)))
     st = cert.stages[0]
     assert not st.cond_polytope and not st.valid
+
+
+def test_enumeration_cap_reports_the_infeasible_stage(monkeypatch):
+    """Above ENUMERATION_CAP candidate cells a stage names the cap in a note,
+    counts no dual points and is invalid; both stages here have 90 cells."""
+    calls = []
+    monkeypatch.setattr(tropical, "ENUMERATION_CAP", 89)
+    monkeypatch.setattr(tropical, "lattice_points", lambda *args: calls.append(args))
+    eps, P = family_fixture()
+    cert = distinguish_certificate(FamilySpec(eps, P, (Stage((), 1, 3), Stage((1,), 2, 3))))
+    st = cert.stages[0]
+    assert st.notes == ("dual enumeration infeasible: 90 candidate cells exceed cap 89",)
+    assert st.dual_count is None and not st.valid
+    assert not cert.pairwise_distinct and not cert.counts_strictly_increasing
+    assert calls == []
+
+
+def test_segment_count_matches_fraction_points():
+    """The stage's segment count, read off the dual's integer rows, equals the
+    count of the segment's Fraction points k/q that `contains` accepts, on
+    random QGF polytopes moved off the origin, so a_s and p/q take either sign."""
+    rng = random.Random(24)
+    partial = negative = 0
+    for _ in range(80):
+        dim = rng.randint(2, 3)
+        P0, _ = random_qgf_polytope(rng, dim)
+        P = P0.translate([Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(dim)])
+        n_mut = rng.randint(1, dim)
+        eps = random_exchange(rng, n_mut=n_mut, n_frozen=dim - n_mut)
+        r, s = rng.choice(eps.mutable), rng.choice(eps.cols)
+        cert, msg = qgf_solve(P)
+        rec = tropical._certify_stage(Stage((), r, s), eps, P, cert, (cert, msg), {})
+        si, ri = eps.col_index(s), eps.col_index(r)
+        frac = Q(cert.size) / cert.center[si]
+        sign = 1 if frac > 0 else -1
+        pts = [
+            tuple(frac * (i == si) + Q(sign * j, frac.denominator) * (i == ri) for i in range(dim))
+            for j in range(abs(frac.numerator) * max(-eps.entry(r, s), 0) + 1)
+        ]
+        assert rec.segment_count == sum(map(cert.dual.contains, pts))
+        partial += 0 < rec.segment_count < len(pts)
+        negative += frac < 0 and len(pts) > 1
+    assert partial and negative
