@@ -493,6 +493,8 @@ def mutation_class_bfs(eps: ExtendedExchangeMatrix, node_cap: int, entry_cap: in
     cap_exhausted   node_cap hit first (no claim either way)
 
     The BFS (`_bfs`) never mutates a node back along the label it was reached by.
+    A child mu_k(parent) is capped on its rows with a nonzero entry in column k:
+    mu_k keeps the other rows but row k, which it negates, and the parent is within the cap.
     """
     if not all(type(c) is int and c > 0 for c in (node_cap, entry_cap)):
         raise MutationError("caps must be positive integers")
@@ -500,7 +502,9 @@ def mutation_class_bfs(eps: ExtendedExchangeMatrix, node_cap: int, entry_cap: in
         return BFSResult("entry_exceeded", 1, (), MutationTrace(eps, (), eps))
     parents = {eps: (None, None)}
     for child in _bfs(eps, parents, eps.mutable):
-        if child.max_abs_entry() > entry_cap:  # the class size leaves this child out
+        c = eps._lab.ci[parents[child][1]]
+        if max(map(abs, chain.from_iterable(r for r in child.rows if r[c])), default=0) > entry_cap:
+            # the class size leaves this child out
             return BFSResult("entry_exceeded", len(parents) - 1, (), MutationTrace(eps, _path(parents, child), child))
         if len(parents) > node_cap:
             return BFSResult("cap_exhausted", len(parents), (), None)

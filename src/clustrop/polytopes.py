@@ -8,8 +8,9 @@ format: a primitive integer normal, a Fraction offset, and the row they make.
 Two vertices span an edge, and a double-description ray pair is adjacent, by
 one rule (`_adjacent`).  Only `vertices_from_facets` and `hull` run the double
 description, on a homogenization cone of integer rows (`_bounded_rays`); `hull`
-reads each facet off an integer ray of the polar dual about the centroid
-(`facets_from_points`), practical for the dense polytopes here (m <= 6 or so).
+reads each facet and the points on it off an integer ray of the polar dual about
+the centroid (`facets_from_points`): the 3^9 points of {0, 1, 2}^9 take 2.2-2.5 s
+(Python 3.11, one core of a Xeon), the cube's 512 vertices among them.
 The polar and QGF duals are read off the face lattice with no hull (`_dual`).
 One cut rule (`_cut`) gives the crossings and both pieces of a polytope cut by
 a hyperplane, for slicing and tropical images.  Every non-empty polytope
@@ -38,7 +39,6 @@ from .linalg import (
     rref,  # noqa: F401  unused here; bench/spans.py wraps polytopes.rref by name
     solve,  # noqa: F401  unused here; bench/spans.py wraps polytopes.solve by name
     vadd,
-    vscale,
 )
 
 Point = tuple[Q, ...]
@@ -70,18 +70,22 @@ class HalfSpace:
 
     def __post_init__(self):
         normal, offset = self.normal, self.offset
-        if is_zero(normal):
-            raise PolytopeError("half-space normal must be nonzero")
-        if type(normal) is not tuple or not all(type(x) is int for x in normal) or math.gcd(*normal) != 1:
-            given = tuple(normal)
-            normal = primitive(given)
-            if normal != given:
-                offset = Q(offset) / next(Q(a, b) for a, b in zip(given, normal) if b)
-            object.__setattr__(self, "normal", normal)
-        if type(offset) is not Q:
-            offset = Q(offset)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "row", tuple(x * offset.denominator for x in normal) + (offset.numerator,))
+        # a tuple of exact ints with gcd 1 is nonzero and primitive: only the row is left to build
+        ints = type(normal) is tuple and all(type(x) is int for x in normal) and math.gcd(*normal) == 1
+        if not (ints and type(offset) is Q):
+            if is_zero(normal):
+                raise PolytopeError("half-space normal must be nonzero")
+            if not ints:
+                given = tuple(normal)
+                normal = primitive(given)
+                if normal != given:
+                    offset = Q(offset) / next(Q(a, b) for a, b in zip(given, normal) if b)
+                object.__setattr__(self, "normal", normal)
+            if type(offset) is not Q:
+                offset = Q(offset)
+            object.__setattr__(self, "offset", offset)
+        den = offset.denominator
+        object.__setattr__(self, "row", (*[x * den for x in normal], offset.numerator))
 
     def value(self, p) -> Q:
         return dot(p, self.normal) + self.offset
@@ -111,18 +115,26 @@ def _homog_all(points) -> list[tuple[int, ...]]:
     return [(*_clear(p, t), t) for p in points]
 
 
+def _fractions(hpts, m: int) -> list[Point]:
+    """Fraction tuples of points in integer homogeneous coordinates, each distinct (numerator, t) built once."""
+    built = {key: Q(*key) for key in {(x, hp[m]) for hp in hpts for x in hp[:m]}}
+    return [tuple(built[x, hp[m]] for x in hp[:m]) for hp in hpts]
+
+
 # ---------------------------------------------------------------------------
 # Double description on cones
 
 
-def _dd_extreme_rays(constraints: list[tuple[Q, ...]], d: int) -> list[tuple[int, ...]]:
-    """Extreme rays of {x in R^d : a.x >= 0 for all a}, for pointed cones.
+def _dd_extreme_rays(constraints: list[tuple[Q, ...]], d: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Extreme rays of {x in R^d : a.x >= 0 for all a}, for pointed cones, and
+    beside them their tight sets: bit i of a ray's set is set iff a_i.x = 0.
 
     Each constraint is scaled once to a primitive integer row (a positive scale
     leaves the cone unchanged), so all arithmetic stays in int.  Starts from the
     simplicial subcone on the first d independent constraints and adds the rest
     incrementally; adjacency is decided combinatorially on tight sets (bitsets)
-    by `_adjacent`.
+    by `_adjacent`.  A ray stays exactly tight on every constraint added: a
+    positive combination of two rays is tight only where both are.
     """
     rows = [primitive(c) for c in constraints]
     # pivot columns of the transpose: each constraint independent of those before it
@@ -154,7 +166,7 @@ def _dd_extreme_rays(constraints: list[tuple[Q, ...]], d: int) -> list[tuple[int
                 new.setdefault(primitive(vec), common | bit)
         rays = [rays[i] for i in pos] + [rays[i] for i in zero] + list(new)
         tight = [tight[i] for i in pos] + [tight[i] | bit for i in zero] + list(new.values())
-    return rays
+    return rays, tight
 
 
 def _adjacent(tight: list[int], i: int, j: int) -> bool:
@@ -167,39 +179,51 @@ def _adjacent(tight: list[int], i: int, j: int) -> bool:
     return not any(k != i and k != j and common & t == common for k, t in enumerate(tight))
 
 
-def _bounded_rays(constraints, m: int) -> list[tuple[int, ...]]:
+def _bounded_rays(constraints, m: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """Integer rays (x, t), t > 0, of the homogenization cone of the integer
-    rows (a, b) for <u, a> + b >= 0, on (u, 1); raises if the set is unbounded."""
-    rays = _dd_extreme_rays(constraints + [(0,) * m + (1,)], m + 1)
+    rows (a, b) for <u, a> + b >= 0, on (u, 1), and their tight sets over the
+    rows; raises if the set is unbounded."""
+    rays, tight = _dd_extreme_rays(constraints + [(0,) * m + (1,)], m + 1)
     if any(r[m] == 0 for r in rays):
         raise PolytopeError("half-space intersection is unbounded")
-    return rays
+    return rays, tight
 
 
 def vertices_from_facets(halves: list[HalfSpace], m: int) -> list[Point]:
     """Vertex set of a bounded intersection of half-spaces (exact)."""
-    return sorted({tuple(Q(x, r[m]) for x in r[:m]) for r in _bounded_rays([h.row for h in halves], m)})
+    return sorted(set(_fractions(_bounded_rays([h.row for h in halves], m)[0], m)))
 
 
-def facets_from_points(hpts: list[tuple[int, ...]], m: int) -> list[HalfSpace]:
+def facets_from_points(hpts: list[tuple[int, ...]], m: int) -> tuple[list[HalfSpace], list[int]]:
     """Facet half-spaces (primitive integer inward normals) of the hull of
-    points given by integer homogeneous coordinates (den p, den), one common den.
+    points given by integer homogeneous coordinates (den p, den), one common den,
+    and for each point the bitset of facets whose boundary holds it.
 
     Each vertex y/t of the polar dual about the centroid c = S / (N den)
     gives the facet <u - c, y> + t >= 0; the dual constraint
     <p - c, y> + 1 >= 0 is the integer row (N den p - S, N den).
     With g = gcd(y) the facet has normal y/g and offset
-    (t N den - <S, y>) / (g N den), read straight off the integer ray (y, t)."""
+    (t N den - <S, y>) / (g N den), read straight off the integer ray (y, t).
+    A point lies on that facet iff its dual constraint is tight at the ray."""
     N = len(hpts)
     den = hpts[0][m]
     S = [sum(col) for col in zip(*hpts)][:m]
     rows = [tuple(N * x - s for x, s in zip(p, S)) + (N * den,) for p in hpts]
     # a point equal to the centroid is interior and adds no dual constraint
+    held = [i for i, r in enumerate(rows) if any(r[:m])]
     facets = []
-    for *y, t in _bounded_rays([r for r in rows if any(r[:m])], m):
+    for (*y, t), bits in zip(*_bounded_rays([rows[i] for i in held], m)):
         g = math.gcd(*y)
-        facets.append((tuple(x // g for x in y), Q(t * N * den - sum(map(mul, S, y)), g * N * den)))
-    return [HalfSpace(n, offset) for n, offset in sorted(facets)]
+        facets.append((tuple(x // g for x in y), Q(t * N * den - sum(map(mul, S, y)), g * N * den), bits))
+    facets.sort()  # the normals are distinct, so the bits are never compared
+    tight = [0] * N
+    for j, (_, _, bits) in enumerate(facets):
+        on = bin(bits)[:1:-1]  # on[i] is "1" iff the ray is tight at row held[i]
+        i = on.find("1")
+        while i >= 0:
+            tight[held[i]] |= 1 << j
+            i = on.find("1", i + 1)
+    return [HalfSpace(n, offset) for n, offset, _ in facets], tight
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +280,8 @@ class RationalPolytope:
         c = Q(c)
         if c <= 0:
             raise PolytopeError("scale factor must be positive")
-        verts = tuple(vscale(c, v) for v in self.vertices)
+        m, p, q = self.ambient_dim, c.numerator, c.denominator
+        verts = tuple(_fractions([(*(p * x for x in hp[:m]), q * hp[m]) for hp in _homog_all(self.vertices)], m))
         facets = tuple(HalfSpace(f.normal, c * f.offset) for f in self.facets)
         return RationalPolytope(verts, self.ambient_dim, self.dim, facets)
 
@@ -283,11 +308,15 @@ def _tight_sets(facets: list[HalfSpace], hpts) -> list[int]:
     return [sum(1 << j for j, r in enumerate(rows) if sum(map(mul, r, hp)) == 0) for hp in hpts]
 
 
-def _keep(tight: list[int]) -> list[bool]:
-    """Which of some distinct points of a polytope, all its vertices among them,
-    are vertices: a non-vertex lies inside a face whose vertices are among the
-    points, each tight wherever it is; a vertex's tight facets meet only there."""
-    return [all(t & u != t for u in tight[:i] + tight[i + 1:]) for i, t in enumerate(tight)]
+def _keep(tight: list[int], m: int) -> list[bool]:
+    """Which of some distinct points of a full-dimensional polytope in R^m, all
+    its vertices among them, are vertices: a non-vertex lies inside a face whose
+    vertices are among the points, each tight wherever it is; a vertex's tight
+    facets meet only there.  A vertex lies on at least m facets, and so does any
+    point tight wherever such a point is, so only those points are compared."""
+    many = [(i, t) for i, t in enumerate(tight) if t.bit_count() >= m]
+    kept = {i for i, t in many if all(t & u != t for j, u in many if j != i)}
+    return [i in kept for i in range(len(tight))]
 
 
 def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
@@ -306,11 +335,11 @@ def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
     if m < 1:
         raise PolytopeError("hull needs points with at least one coordinate")
     try:
-        facets = facets_from_points(hpts, m)
+        facets, tight = facets_from_points(hpts, m)
     except DegenerateError:
         # the DD's pivot check: the dual rows span iff the points do
         raise DegenerateError("points do not span the full dimension") from None
-    verts = [qvec(by_key[hp]) for hp, k in zip(hpts, _keep(_tight_sets(facets, hpts))) if k]
+    verts = [qvec(by_key[hp]) for hp, k in zip(hpts, _keep(tight, m)) if k]
     return RationalPolytope(tuple(verts), m, m, tuple(facets))
 
 
@@ -370,19 +399,20 @@ def _dual(P: RationalPolytope, c, nu: int) -> RationalPolytope:
     rows = [(a, sum(map(mul, C, a)) + s * num) for *a, num in (f.row for f in P.facets)]
     L = math.lcm(*(d for _, d in rows))  # d = s den (value of the facet at c) > 0
     rows.sort(key=lambda r: [x * (L // r[1]) for x in r[0]])  # a/d over one denominator: the vertices' order
-    verts = [tuple(Q(nu * s * x, d) for x in a) for a, d in rows]
+    verts = _fractions([(*(nu * s * x for x in a), d) for a, d in rows], m)
     facets = []
     for *U, t in _homog_all(P.vertices):
         y = [s * x - t * z for x, z in zip(U, C)]
         g = math.gcd(*y)
-        facets.append((tuple(x // g for x in y), Q(nu * s * t, g)))
-    return RationalPolytope(tuple(verts), m, m, tuple(HalfSpace(n, b) for n, b in sorted(facets)))
+        facets.append((tuple(x // g for x in y), g))
+    offsets = {g: Q(nu * s * t, g) for _, g in facets}  # t is the vertices' one common t
+    return RationalPolytope(tuple(verts), m, m, tuple(HalfSpace(n, offsets[g]) for n, g in sorted(facets)))
 
 
 def polar_dual(P: RationalPolytope) -> RationalPolytope:
     """Polar dual {v : <u,v> + 1 >= 0 for u in P}; needs 0 strictly interior."""
     P.require_full_dim()
-    if not all(f.offset > 0 for f in P.facets):  # a facet's value at the origin is its offset
+    if not all(f.row[-1] > 0 for f in P.facets):  # a facet's value at the origin is its offset, of num's sign
         raise PolytopeError("polar dual needs the origin strictly inside")
     return _dual(P, (0,) * P.ambient_dim, 1)
 
@@ -416,7 +446,8 @@ def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
     most = [[a * (hi if a > 0 else lo) for a in col] for col, (lo, hi) in zip(cols, box)]
     lower = [[(i, a) for i, a in enumerate(col) if a > 0] for col in cols]
     upper = [[(i, -a) for i, a in enumerate(col) if a < 0] for col in cols]
-    coords = [[Q(k, q) for k in range(lo, hi + 1)] for lo, hi in box]  # shared by the points
+    base = min(lo for lo, _ in box)
+    coords = [Q(k, q) for k in range(base, max(hi for _, hi in box) + 1)]  # k / q, shared by the points
     out = []
 
     def walk(j, prefix, sums):  # sums hold s + R_j
@@ -424,7 +455,7 @@ def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
         hi = min([box[j][1]] + [sums[i] // a for i, a in upper[j]])
         if lo > hi:
             return
-        at = coords[j][lo - box[j][0]:hi - box[j][0] + 1]
+        at = coords[lo - base:hi - base + 1]
         if j == len(box) - 1:
             out.extend([prefix + (x,) for x in at])
             return
@@ -552,13 +583,13 @@ def _cut(P: RationalPolytope, h: HalfSpace):
 
 def _polytope(m: int, hverts, facets) -> RationalPolytope:
     """The full-dimensional polytope with these facets and vertices (integer homogeneous, one t)."""
-    verts = tuple(tuple(Q(x, hp[m]) for x in hp[:m]) for hp in sorted(hverts))
+    verts = tuple(_fractions(sorted(hverts), m))
     return RationalPolytope(verts, m, m, tuple(sorted(facets, key=lambda f: f.normal)))
 
 
 def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
     """The crossings of `_cut(P, h)` as Fraction points; P may be lower-dimensional."""
-    return [tuple(Q(x, hp[-1]) for x in hp[:-1]) for hp in _cut(P, h)[0][len(P.vertices):]]
+    return _fractions(_cut(P, h)[0][len(P.vertices):], P.ambient_dim)
 
 
 def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:

@@ -159,7 +159,7 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     ra, rb = ([(n, b.denominator, b.numerator) for n, b in fs] for fs in (fa, fb))
     if all(sum(map(mul, n, u)) * d + c * u[m] >= 0 for rs, vs in ((ra, vb), (rb, va)) for n, d, c in rs for u in vs):
         facets = [HalfSpace(n, b) for n, b in set(fa + fb)]
-        keep = _keep(_tight_sets(facets, img))
+        keep = _keep(_tight_sets(facets, img), m)
         return TropImage(True, _polytope(m, [u for u, kept in zip(img, keep) if kept], facets))
 
     def build():

@@ -7,8 +7,10 @@ cone's integer rays, tropical mutation of polytopes by one point map, the
 sign tests, crossings, hull input and `qgf_solve` on integer rows, moves and
 slices against the Fraction volume, the polar and QGF duals read off the
 face lattice, the QGF identity and center fixedness checked on integer
-homogeneous coordinates, and the halves that slicing reads off the one cut
-rule against hulls of each side's vertices and crossings."""
+homogeneous coordinates, the halves that slicing reads off the one cut
+rule against hulls of each side's vertices and crossings, and the hull's
+incidence read off the double description, its vertex filter, the Fraction
+exit and direct facets against sign tests and plain constructions."""
 
 import itertools
 import math
@@ -24,6 +26,7 @@ from clustrop.glsseed import gls_exchange_matrix
 from clustrop.linalg import dot, mat_inverse, rank, rref, solve, vadd
 from clustrop.polytopes import (
     DegenerateError,
+    HalfSpace,
     PolytopeError,
     RationalPolytope,
     _dd_extreme_rays,
@@ -88,9 +91,11 @@ def test_dd_rays_match_fraction_oracle():
                 _dd_extreme_rays(cons, d)
             degenerate += 1
             continue
-        got = _dd_extreme_rays(cons, d)
+        got, tight = _dd_extreme_rays(cons, d)
         assert len(got) == len(set(got))
         assert set(got) == set(want)
+        # each ray's tight set is exact over every constraint, repeats and scaled copies too
+        assert tight == [sum(1 << c for c, a in enumerate(cons) if dot(a, r) == 0) for r in got]
         compared += 1
         with_rays += len(got) > 0
     assert compared > 200 and with_rays > 150 and degenerate > 10
@@ -934,3 +939,91 @@ def test_slice_polytope_needs_a_full_dimensional_polytope():
     for P in (hull_any([(0, 0), (2, 2)], 2), hull_any([], 2)):
         with pytest.raises(DegenerateError, match="^operation needs a full-dimensional polytope"):
             slice_polytope(P, halfspace((1, 0), -1))
+
+
+# ---------------------------------------------------------------------------
+# (j) hull incidence read off the double description, the vertex filter,
+# the Fraction exit and direct facets
+
+
+def _quadratic_keep(tight):
+    """The vertex rule over every pair of points: a point is a vertex iff no
+    other point is tight wherever it is."""
+    return [all(t & u != t for u in tight[:i] + tight[i + 1:]) for i, t in enumerate(tight)]
+
+
+def _hull_inputs(rng):
+    """(m, points) with points inside faces and inside the hull: the 3^m grid,
+    which holds its centroid, and the lattice points of random polytopes."""
+    for m in (1, 2, 3, 4):
+        yield m, list(itertools.product(range(3), repeat=m))
+    for case in range(60):
+        m = 2 + case % 3
+        P = hull([tuple(rat(rng, 3, (1, 2)) for _ in range(m)) for _ in range(m + 4)] + [(Q(0),) * m], m)
+        for q in (1, 2) if m < 4 else (1,):
+            yield m, lattice_points(P, q)
+
+
+def test_hull_incidence_and_vertex_filter_match_sign_tests():
+    rng = random.Random(2501)
+    compared = inside = on_faces = 0
+    for m, pts in _hull_inputs(rng):
+        hpts = sorted(set(polytopes._homog_all(pts)))
+        try:
+            facets, tight = polytopes.facets_from_points(hpts, m)
+        except DegenerateError:
+            continue
+        assert tight == polytopes._tight_sets(facets, hpts)
+        keep = polytopes._keep(tight, m)
+        assert keep == _quadratic_keep(tight)
+        assert hull(pts, m).vertices == tuple(p for p, k in zip(polytopes._fractions(hpts, m), keep) if k)
+        compared += 1
+        inside += tight.count(0)
+        on_faces += sum(1 for t, k in zip(tight, keep) if t and not k)
+    assert compared > 100 and inside > 100 and on_faces > 100
+
+
+def test_fraction_exit_matches_plain_fractions():
+    rng = random.Random(2502)
+    zeros = 0
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        hpts = [tuple(rng.randint(-4, 4) for _ in range(m)) + (rng.randint(1, 6),) for _ in range(rng.randint(0, 8))]
+        got = polytopes._fractions(hpts, m)
+        assert got == [tuple(Q(x, hp[m]) for x in hp[:m]) for hp in hpts]
+        assert all(type(x) is Q for p in got for x in p)
+        # one object per distinct (numerator, t), zero included
+        assert len({id(x) for p in got for x in p}) == len({(x, hp[m]) for hp in hpts for x in hp[:m]})
+        zeros += any(x == 0 for p in got for x in p)
+    assert zeros > 100
+
+
+def test_halfspace_direct_path_matches_general_path(monkeypatch):
+    rng = random.Random(2503)
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        n = tuple(rng.randint(-6, 6) for _ in range(m))
+        if not any(n):
+            continue
+        n = tuple(x // math.gcd(*n) for x in n)
+        b, k = Q(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(2, 4)
+        general = [HalfSpace(list(n), b), HalfSpace(tuple(map(Q, n)), b), HalfSpace(tuple(k * x for x in n), k * b)]
+        if b.denominator == 1:
+            general.append(HalfSpace(n, int(b)))
+        with monkeypatch.context() as patch:
+            # a primitive int tuple with a Fraction offset needs neither check
+            for name in ("is_zero", "primitive"):
+                patch.setattr(polytopes, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+            h = HalfSpace(n, b)
+        assert h.normal is n and h.offset is b
+        for g in general:
+            assert g.normal == h.normal and all(type(x) is int for x in g.normal)
+            assert g.offset == h.offset and type(g.offset) is Q
+            assert g.row == h.row and g == h and hash(g) == hash(h)
+    # bools are not exact ints: they take the general path, as before
+    assert HalfSpace((True, False), Q(1)).row == (1, 0, 1)
+    assert HalfSpace((True, True), Q(3, 2)).row == (2, 2, 3)
+    assert all(type(x) is int for x in HalfSpace((2, True), Q(1)).normal)
+    for n in [(0, 0), (False, False), ()]:
+        with pytest.raises(PolytopeError, match="^half-space normal must be nonzero$"):
+            HalfSpace(n, Q(1))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -244,6 +245,15 @@ def test_halfspace_stores_primitive_integer_normal(normal, offset, want_normal, 
     assert h.row == tuple(x * want_offset.denominator for x in want_normal) + (want_offset.numerator,)
     assert "row" not in repr(h)
     assert h == HalfSpace(want_normal, want_offset) and hash(h) == hash(HalfSpace(want_normal, want_offset))
+
+
+@pytest.mark.parametrize("m", [8, pytest.param(9, marks=pytest.mark.slow)])
+def test_hull_of_the_3_grid(m):
+    """The 3^m points of {0, 1, 2}^m, all but the cube's corners inside its
+    faces or inside it; m = 9 is the size of the C3 strings of B(2 rho)."""
+    P = hull(list(itertools.product(range(3), repeat=m)), m)
+    assert set(P.vertices) == set(itertools.product((0, 2), repeat=m))
+    assert len(P.vertices) == 2**m and len(P.facets) == 2 * m
 
 
 def test_halfspace_keeps_normalised_input():

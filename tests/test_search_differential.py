@@ -109,6 +109,33 @@ def test_class_bfs_matches_oracle(calls):
     assert strict >= 200
 
 
+def bfs_full_max(eps, node_cap, entry_cap):
+    """`mutation_class_bfs` with the entry cap read off `max_abs_entry()` of every child."""
+    if eps.max_abs_entry() > entry_cap:
+        return "entry_exceeded", 1, (), ((), eps)
+    parents = {eps: (None, None)}
+    for child in mutation._bfs(eps, parents, eps.mutable):
+        if child.max_abs_entry() > entry_cap:
+            return "entry_exceeded", len(parents) - 1, (), (mutation._path(parents, child), child)
+        if len(parents) > node_cap:
+            return "cap_exhausted", len(parents), (), None
+    return "finite", len(parents), tuple(sorted(parents, key=lambda m: m.rows)), None
+
+
+def test_class_bfs_entry_cap_on_changed_rows_matches_max_abs_entry():
+    """The class BFS tests a child's cap only on the rows its mutation changed."""
+    rng = random.Random(20265)
+    statuses = Counter()
+    for eps in (eps for name in GLS_SEEDS for eps in restrictions(rng, name, 8, (2, 5))):
+        top = eps.max_abs_entry()
+        caps = [(2000, top), (2000, top + 1), (2000, top + 3), (30, top + 3), (500, max(1, top - 1))]
+        for node_cap, entry_cap in caps:
+            got = mutation.mutation_class_bfs(eps, node_cap, entry_cap)
+            assert bfs_view(got) == bfs_full_max(eps, node_cap, entry_cap)
+            statuses[got.status] += 1
+    assert set(statuses) == {"finite", "entry_exceeded", "cap_exhausted"} and min(statuses.values()) >= 5, statuses
+
+
 def witness_view(wit):
     if wit is None or isinstance(wit, tuple):
         return wit
