@@ -103,9 +103,8 @@ def mat_inverse(A) -> Mat:
 
 
 def primitive(v) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector, keeping direction."""
-    ints = v if all(type(x) is int for x in v) else _clear(qvec(v))
-    g = gcd(*ints)
+    """A nonzero integer vector divided by its content: the primitive vector of its direction."""
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)

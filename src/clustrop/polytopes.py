@@ -1,10 +1,12 @@
 """Exact rational polytopes: hulls, facets, duals, lattice points, QGF certificates.
 
-The kernel is integer and has no floating point: points are cleared once to
-integer homogeneous coordinates, Fraction stays at the API boundary
-(vertices, offsets, centers), and every membership, side and tightness test
-is the sign of a facet row against them.  `HalfSpace` alone fixes the facet
-format: a primitive integer normal, a Fraction offset, and the row they make.
+The kernel is integer and has no floating point: vertices are stored as
+integer homogeneous rows (`RationalPolytope.hverts`), caller points are
+cleared to them only in `hull` and `hull_any`, Fraction is a view for
+callers (vertices, offsets, centers), and every membership, side and
+tightness test is the sign of a facet row against the rows.  `HalfSpace`
+alone fixes the facet format: a primitive integer normal, a Fraction
+offset, and the row they make.
 Two vertices span an edge, and a double-description ray pair is adjacent, by
 one rule (`_adjacent`).  Only `vertices_from_facets` and `hull` run the double
 description, on a homogenization cone of integer rows (`_bounded_rays`); `hull`
@@ -38,7 +40,6 @@ from .linalg import (
     rank,  # noqa: F401  unused here; bench/spans.py wraps polytopes.rank by name
     rref,  # noqa: F401  unused here; bench/spans.py wraps polytopes.rref by name
     solve,  # noqa: F401  unused here; bench/spans.py wraps polytopes.solve by name
-    vadd,
 )
 
 Point = tuple[Q, ...]
@@ -77,7 +78,7 @@ class HalfSpace:
                 raise PolytopeError("half-space normal must be nonzero")
             if not ints:
                 given = tuple(normal)
-                normal = primitive(given)
+                normal = primitive(_clear(qvec(given)))
                 if normal != given:
                     offset = Q(offset) / next(Q(a, b) for a, b in zip(given, normal) if b)
                 object.__setattr__(self, "normal", normal)
@@ -125,12 +126,12 @@ def _fractions(hpts, m: int) -> list[Point]:
 # Double description on cones
 
 
-def _dd_extreme_rays(constraints: list[tuple[Q, ...]], d: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Extreme rays of {x in R^d : a.x >= 0 for all a}, for pointed cones, and
-    beside them their tight sets: bit i of a ray's set is set iff a_i.x = 0.
+def _dd_extreme_rays(constraints: list[tuple[int, ...]], d: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Extreme rays of {x in R^d : a.x >= 0 for all integer rows a}, for pointed
+    cones, and beside them their tight sets: bit i of a ray's set is set iff a_i.x = 0.
 
-    Each constraint is scaled once to a primitive integer row (a positive scale
-    leaves the cone unchanged), so all arithmetic stays in int.  Starts from the
+    Each row is divided once by its content (a positive scale leaves the cone
+    unchanged), so all arithmetic stays in int.  Starts from the
     simplicial subcone on the first d independent constraints and adds the rest
     incrementally; adjacency is decided combinatorially on tight sets (bitsets)
     by `_adjacent`.  A ray stays exactly tight on every constraint added: a
@@ -234,19 +235,29 @@ def facets_from_points(hpts: list[tuple[int, ...]], m: int) -> tuple[list[HalfSp
 class RationalPolytope:
     """Rational polytope by minimal V-representation and integer facet rows.
 
-    Both lists are computed eagerly.  For full-dimensional polytopes they are
-    minimal and sorted as `hull` sorts them; `hull`, `translate`, `scale` and
-    the JSON reader keep this, and `_dual` relies on it.  A lower-dimensional
-    polytope (`hull_any`) carries its `dim` tag, and its `facets`, sorted by
-    normal, are its relative facets lifted to R^m plus the equations of its
-    affine hull as pairs of opposite half-spaces; the empty one (dim -1) has
-    no vertices or facets.  `contains` raises on a point of the wrong length.
+    `hverts` are the vertices as integer homogeneous rows (t p, t) over one
+    t > 0.  The constructor alone canonicalises them: it sorts the rows, so
+    they sort as the points do, and divides out the gcd of all entries, so t
+    is the least common denominator and equality and the hash compare rows.
+    It sorts the facets by normal.  `vertices` is a read-only Fraction view,
+    built on first read.  Both lists are minimal for full-dimensional
+    polytopes, and `_dual` relies on it.  A lower-dimensional polytope
+    (`hull_any`) carries its `dim` tag, and its `facets` are its relative
+    facets lifted to R^m plus its affine hull's equations as pairs of
+    opposite half-spaces; the empty one (dim -1) has no vertices or facets.
     """
 
-    vertices: tuple[Point, ...]
+    hverts: tuple[tuple[int, ...], ...]
     ambient_dim: int
     dim: int
     facets: tuple[HalfSpace, ...]
+    vertices = functools.cached_property(lambda self: tuple(_fractions(self.hverts, self.ambient_dim)))
+
+    def __post_init__(self):
+        rows = sorted(self.hverts)
+        g = math.gcd(*itertools.chain.from_iterable(rows))
+        object.__setattr__(self, "hverts", tuple(tuple(x // g for x in r) for r in rows) if g > 1 else tuple(rows))
+        object.__setattr__(self, "facets", tuple(sorted(self.facets, key=lambda f: f.normal)))
 
     @property
     def is_empty(self) -> bool:
@@ -272,33 +283,32 @@ class RationalPolytope:
 
     def translate(self, t) -> "RationalPolytope":
         t = qvec(t)
-        verts = tuple(vadd(v, t) for v in self.vertices)
-        facets = tuple(HalfSpace(f.normal, f.offset - dot(t, f.normal)) for f in self.facets)
-        return RationalPolytope(verts, self.ambient_dim, self.dim, facets)
+        *C, s = _homog(t, self.ambient_dim)  # t = C/s moves a row (T p, T) to (s T p + T C, s T)
+        hverts = [(*(s * x + hp[-1] * y for x, y in zip(hp, C)), s * hp[-1]) for hp in self.hverts]
+        facets = [HalfSpace(f.normal, f.offset - dot(t, f.normal)) for f in self.facets]
+        return RationalPolytope(hverts, self.ambient_dim, self.dim, facets)
 
     def scale(self, c) -> "RationalPolytope":
         c = Q(c)
         if c <= 0:
             raise PolytopeError("scale factor must be positive")
-        m, p, q = self.ambient_dim, c.numerator, c.denominator
-        verts = tuple(_fractions([(*(p * x for x in hp[:m]), q * hp[m]) for hp in _homog_all(self.vertices)], m))
-        facets = tuple(HalfSpace(f.normal, c * f.offset) for f in self.facets)
-        return RationalPolytope(verts, self.ambient_dim, self.dim, facets)
+        p, q = c.numerator, c.denominator
+        hverts = [(*(p * x for x in hp[:-1]), q * hp[-1]) for hp in self.hverts]
+        facets = [HalfSpace(f.normal, c * f.offset) for f in self.facets]
+        return RationalPolytope(hverts, self.ambient_dim, self.dim, facets)
 
     def bounding_box(self) -> list[tuple[Q, Q]]:
         if self.is_empty:
             raise PolytopeError("the empty polytope has no bounding box")
-        return [(min(v[i] for v in self.vertices), max(v[i] for v in self.vertices)) for i in range(self.ambient_dim)]
+        *cols, (t, *_) = zip(*self.hverts)
+        return [(Q(min(col), t), Q(max(col), t)) for col in cols]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RationalPolytope)
-            and self.ambient_dim == other.ambient_dim
-            and self.vertices == other.vertices
-        )
+        same = isinstance(other, RationalPolytope)
+        return same and (self.ambient_dim, self.hverts) == (other.ambient_dim, other.hverts)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.vertices))
+        return hash((self.ambient_dim, self.hverts))
 
 
 def _tight_sets(facets: list[HalfSpace], hpts) -> list[int]:
@@ -322,13 +332,12 @@ def _keep(tight: list[int], m: int) -> list[bool]:
 def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
     """Convex hull of full-dimension-spanning points: minimal V-rep plus facets.
 
-    The points are cleared once to integer tuples, which dedup and sort as the
-    points do; the vertices are the caller's points as Fraction tuples."""
-    given = list(points)
-    by_key = dict(zip(_homog_all(given), given))
-    if not by_key:
+    The points are cleared once to integer homogeneous rows over one common
+    t, which dedup and sort as the points do; the rows of the vertices among
+    them go to the constructor."""
+    hpts = sorted(set(_homog_all(list(points))))
+    if not hpts:
         raise DegenerateError("no points given")
-    hpts = sorted(by_key)
     m = ambient_dim if ambient_dim is not None else len(hpts[0]) - 1
     if any(len(hp) != m + 1 for hp in hpts):
         raise PolytopeError("points of mixed dimension")
@@ -339,8 +348,7 @@ def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
     except DegenerateError:
         # the DD's pivot check: the dual rows span iff the points do
         raise DegenerateError("points do not span the full dimension") from None
-    verts = [qvec(by_key[hp]) for hp, k in zip(hpts, _keep(tight, m)) if k]
-    return RationalPolytope(tuple(verts), m, m, tuple(facets))
+    return RationalPolytope([hp for hp, k in zip(hpts, _keep(tight, m)) if k], m, m, facets)
 
 
 def hull_any(points, ambient_dim: int) -> RationalPolytope:
@@ -358,24 +366,24 @@ def hull_any(points, ambient_dim: int) -> RationalPolytope:
             raise PolytopeError(f"point has {len(p)} coordinates, expected {m}")
     if not pts:
         return RationalPolytope((), m, -1, ())
-    (*P0, t), *rest = _homog_all(pts)
+    (*P0, t), *rest = hpts = _homog_all(pts)
     M = [[x - y for x, y in zip(hp, P0)] for hp in rest]
     I = _bareiss(M, jordan=True)
     if len(I) == m:
         return hull(pts, m)
-    verts, facets = pts[:1], []
+    verts, facets = hpts[:1], []
     if I:
-        proj = {tuple(p[i] for i in I): p for p in pts}
-        inner = hull(list(proj), len(I))
-        # each coordinate before a pivot is fixed by the earlier pivots, so points sort as their projections
-        verts = [proj[v] for v in inner.vertices]
+        # the pivot coordinates fix the rest, and the inner hull's common t divides t
+        proj = {tuple(hp[i] for i in I): hp for hp in hpts}
+        inner = hull([tuple(p[i] for i in I) for p in pts], len(I))
+        verts = [proj[tuple(x * (t // r[-1]) for x in r[:-1])] for r in inner.hverts]
         facets = [HalfSpace(_lift(I, f.normal, m), f.offset) for f in inner.facets]
     d = M[0][I[0]] if I else 1
     for j in sorted(set(range(m)).difference(I)):
         n = _lift((j, *I), [d] + [-row[j] for row in M], m)
         b = Q(-sum(map(mul, n, P0)), t)
         facets += [HalfSpace(n, b), HalfSpace(tuple(-x for x in n), -b)]
-    return RationalPolytope(tuple(verts), m, len(I), tuple(sorted(facets, key=lambda f: f.normal)))
+    return RationalPolytope(verts, m, len(I), facets)
 
 
 def _lift(coords, values, m: int) -> tuple[int, ...]:
@@ -398,15 +406,14 @@ def _dual(P: RationalPolytope, c, nu: int) -> RationalPolytope:
     *C, s = _homog(c, m)
     rows = [(a, sum(map(mul, C, a)) + s * num) for *a, num in (f.row for f in P.facets)]
     L = math.lcm(*(d for _, d in rows))  # d = s den (value of the facet at c) > 0
-    rows.sort(key=lambda r: [x * (L // r[1]) for x in r[0]])  # a/d over one denominator: the vertices' order
-    verts = _fractions([(*(nu * s * x for x in a), d) for a, d in rows], m)
+    hverts = [(*(nu * s * (L // d) * x for x in a), L) for a, d in rows]
     facets = []
-    for *U, t in _homog_all(P.vertices):
+    for *U, t in P.hverts:
         y = [s * x - t * z for x, z in zip(U, C)]
         g = math.gcd(*y)
         facets.append((tuple(x // g for x in y), g))
     offsets = {g: Q(nu * s * t, g) for _, g in facets}  # t is the vertices' one common t
-    return RationalPolytope(tuple(verts), m, m, tuple(HalfSpace(n, offsets[g]) for n, g in sorted(facets)))
+    return RationalPolytope(hverts, m, m, [HalfSpace(n, offsets[g]) for n, g in facets])
 
 
 def polar_dual(P: RationalPolytope) -> RationalPolytope:
@@ -419,7 +426,7 @@ def polar_dual(P: RationalPolytope) -> RationalPolytope:
 
 def is_supporting(h: HalfSpace, P: RationalPolytope) -> bool:
     """True iff P lies in the half-space and touches its boundary hyperplane."""
-    vals = [sum(map(mul, h.row, hp)) for hp in _homog_all(P.vertices)]
+    vals = [sum(map(mul, h.row, hp)) for hp in P.hverts]
     return bool(vals) and min(vals) == 0
 
 
@@ -439,9 +446,9 @@ def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
         raise PolytopeError("q must be a positive integer")
     if P.is_empty:
         return []
-    # ceil(q min x) = min ceil(q x) over the vertices, and likewise for floor and max
-    nd = [[(q * x.numerator, x.denominator) for x in col] for col in zip(*P.vertices)]
-    box = [(min(-(-n // d) for n, d in col), max(n // d for n, d in col)) for col in nd]
+    # the integer box of q P: ceil(q min / t) to floor(q max / t) over each column of rows (t p, t)
+    *cols, (t, *_) = zip(*P.hverts)
+    box = [(-(-q * min(col) // t), q * max(col) // t) for col in cols]
     cols = [[f.row[j] for f in P.facets] for j in range(P.ambient_dim)]
     most = [[a * (hi if a > 0 else lo) for a in col] for col, (lo, hi) in zip(cols, box)]
     lower = [[(i, a) for i, a in enumerate(col) if a > 0] for col in cols]
@@ -556,7 +563,7 @@ def _cut(P: RationalPolytope, h: HalfSpace):
     vertex strictly on side s: with h facing side s, exactly that half's.
     """
     m = P.ambient_dim
-    hpts = _homog_all(P.vertices)
+    hpts = list(P.hverts)
     vals = [sum(map(mul, h.row, hp)) for hp in hpts]
     if not (vals and min(vals) < 0 < max(vals)):
         return hpts, vals, None
@@ -581,15 +588,9 @@ def _cut(P: RationalPolytope, h: HalfSpace):
     return hpts, vals, pieces or None
 
 
-def _polytope(m: int, hverts, facets) -> RationalPolytope:
-    """The full-dimensional polytope with these facets and vertices (integer homogeneous, one t)."""
-    verts = tuple(_fractions(sorted(hverts), m))
-    return RationalPolytope(verts, m, m, tuple(sorted(facets, key=lambda f: f.normal)))
-
-
 def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
     """The crossings of `_cut(P, h)` as Fraction points; P may be lower-dimensional."""
-    return _fractions(_cut(P, h)[0][len(P.vertices):], P.ambient_dim)
+    return _fractions(_cut(P, h)[0][len(P.hverts):], P.ambient_dim)
 
 
 def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:
@@ -606,5 +607,5 @@ def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:
     if pieces is None:
         return SliceResult(section, P, section) if max(vals) > 0 else SliceResult(section, section, P)
     walls = (h, HalfSpace(tuple(-x for x in h.normal), -h.offset))
-    plus, minus = (_polytope(m, [hpts[i] for i in idx], facets + [w]) for (idx, facets), w in zip(pieces, walls))
+    plus, minus = (RationalPolytope([hpts[i] for i in idx], m, m, fs + [w]) for (idx, fs), w in zip(pieces, walls))
     return SliceResult(section, plus, minus)

@@ -3,12 +3,13 @@ distinguishing-certificate pipeline built on them.
 
 The tropical map in direction k fixes the hyperplane u_k = 0 and acts by one
 unimodular integer map on each side.  One point map (`_trop`) serves points
-and the integer homogeneous coordinates of polytope vertices.  A polytope's
-image is read off its cut by the wall (`polytopes._cut`), and its convexity
-is decided by sign tests on the mapped facets' integer rows, so no hull or
-double description runs here.  A non-convex image's half-spaces and piece
-polytopes are built when a caller first reads them (`TropImage`), so a
-caller that stops at the convexity flag builds none.
+and polytopes' integer vertex rows (`RationalPolytope.hverts`), whose images
+go straight to the constructor.  A polytope's image is read off its cut by
+the wall (`polytopes._cut`); its convexity, and each condition u_s >= 0, is
+decided by sign tests on integer rows, so no hull or double description runs
+here.  A non-convex image's half-spaces and piece polytopes are built when a
+caller first reads them (`TropImage`), so a caller that stops at the
+convexity flag builds none.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .polytopes import (
     _cut,
     _homog,
     _keep,
-    _polytope,
     _tight_sets,
     crossing_points,  # noqa: F401  unused here; bench/spans.py wraps tropical.crossing_points by name
     halfspace,
@@ -124,10 +124,11 @@ class TropImage:
         del self.__dict__["_build"]
         return self.__dict__[name]
 
+    def _parts(self) -> tuple[RationalPolytope, ...]:
+        return (self.polytope,) if self.convex else (self.plus_image, self.minus_image)
+
     def piece_vertices(self):
-        if self.convex:
-            return list(self.polytope.vertices)
-        return [v for p in (self.plus_image, self.minus_image) for v in p.vertices]
+        return [v for p in self._parts() for v in p.vertices]
 
 
 def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytope) -> TropImage:
@@ -151,7 +152,7 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     img = [_trop(row + (0,), ki, hp) for hp in hpts]
     if pieces is None:
         s = 1 if max(vals) > 0 else -1
-        return TropImage(True, _polytope(m, img, [HalfSpace(*_map_facet(f, row, s, ki)) for f in P.facets]))
+        return TropImage(True, RationalPolytope(img, m, m, [HalfSpace(*_map_facet(f, row, s, ki)) for f in P.facets]))
     (va, fa), (vb, fb) = (
         ([img[i] for i in idx], [_map_facet(f, row, s, ki) for f in fs]) for (idx, fs), s in zip(pieces, (1, -1))
     )
@@ -160,14 +161,13 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     if all(sum(map(mul, n, u)) * d + c * u[m] >= 0 for rs, vs in ((ra, vb), (rb, va)) for n, d, c in rs for u in vs):
         facets = [HalfSpace(n, b) for n, b in set(fa + fb)]
         keep = _keep(_tight_sets(facets, img), m)
-        return TropImage(True, _polytope(m, [u for u, kept in zip(img, keep) if kept], facets))
+        return TropImage(True, RationalPolytope([u for u, kept in zip(img, keep) if kept], m, m, facets))
 
     def build():
         # the piece on side s maps into -s u_k >= 0
         walls = (HalfSpace(tuple(-x for x in wall.normal), 0), wall)
-        return [
-            _polytope(m, vs, [HalfSpace(n, b) for n, b in fs] + [w]) for vs, fs, w in zip((va, vb), (fa, fb), walls)
-        ]
+        return [RationalPolytope(vs, m, m, [HalfSpace(*f) for f in fs] + [w])
+                for vs, fs, w in zip((va, vb), (fa, fb), walls)]
 
     return TropImage._deferred(build)
 
@@ -261,20 +261,19 @@ def supporting_halfspace_lemma(
     origin = tuple(Q(0) for _ in range(n))
     if not P.contains(origin):
         raise PreconditionError("origin", "0 not in the polytope")
-    if not all(v[si] >= 0 for v in P.vertices):
+    if not all(hp[si] >= 0 for hp in P.hverts):
         raise PreconditionError("halfspace", f"polytope not contained in u_{s} >= 0")
     entry = eps.entry(r, s)
     if entry > 0:
         raise PreconditionError("entry_sign", f"eps_({r},{s}) = {entry} > 0")
     image = trop_mutate_polytope(eps, r, P)
-    if not all(v[si] >= 0 for v in image.piece_vertices()):
+    if not all(hp[si] >= 0 for part in image._parts() for hp in part.hverts):
         raise PreconditionError("image_halfspace", f"mutated polytope not contained in u_{s} >= 0")
     support = halfspace([-entry if i == ri else int(i == si) for i in range(n)], 0)
-    holds = all(map(support.contains, P.vertices))
-    witness = None
-    if holds:
-        witness = next((v for v in P.vertices if support.on_boundary(v)), origin)
-    return SupportCheck(holds, witness)
+    vals = [sum(map(mul, support.row, hp)) for hp in P.hverts]
+    if min(vals) < 0:
+        return SupportCheck(False, None)
+    return SupportCheck(True, P.vertices[vals.index(0)] if 0 in vals else origin)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +460,11 @@ def _certify_stage(
     if not entry_np:
         notes.append(f"entry {entry} is positive; lower bound not applicable")
     si = eps.col_index(st.s)
-    cond2 = all(v[si] >= 0 for v in P.vertices)
+    cond2 = all(hp[si] >= 0 for hp in P.hverts)
     if st.r not in images:
         images[st.r] = trop_mutate_polytope(eps, st.r, P)
     img = images[st.r]
-    cond3 = all(v[si] >= 0 for v in img.piece_vertices())
+    cond3 = all(hp[si] >= 0 for part in img._parts() for hp in part.hverts)
     if not cond2:
         notes.append(f"polytope leaves the half-space u_{st.s} >= 0")
     if not cond3:

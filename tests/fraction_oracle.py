@@ -50,6 +50,10 @@ were read off the face lattice: the hull of the points n/b over the facets
 by which this module's `qgf_solve` takes its dual (the hull of the normals).
 That `qgf_solve` returns its own record, `QGFRecord`, with the dual built at
 once, so no oracle answer goes through the package's `QGFCertificate`.
+
+Every polytope here is a package `RationalPolytope`, made from the integer
+rows that `_homog_all` clears its Fraction vertices to, since rows are the
+one vertex format the constructor takes.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from clustrop.polytopes import (
     HalfSpace,
     PolytopeError,
     RationalPolytope,
+    _homog_all,
     halfspace,
 )
 from clustrop.tropical import TropicalError, TropImage, _check_direction
@@ -299,17 +304,17 @@ def hull_any(points, ambient_dim: int) -> RationalPolytope:
     """Hull that tolerates lower-dimensional and empty input (dim tag set)."""
     pts = sorted({qvec(p) for p in points})
     if not pts:
-        return RationalPolytope((), ambient_dim, -1, None)
+        return RationalPolytope((), ambient_dim, -1, ())
     p0 = pts[0]
     diffs = [vsub(p, p0) for p in pts[1:]]
     dim = rank(diffs) if diffs else 0
     if dim == ambient_dim:
         return hull(pts, ambient_dim)
     if dim == 0:
-        return RationalPolytope((p0,), ambient_dim, 0, None)
+        return RationalPolytope(_homog_all([p0]), ambient_dim, 0, ())
     p0, basis, inner = _chart(tuple(pts), dim)
     verts = tuple(sorted(vadd(p0, _combine(basis, c)) for c in inner.vertices))
-    return RationalPolytope(verts, ambient_dim, dim, None)
+    return RationalPolytope(_homog_all(verts), ambient_dim, dim, ())
 
 
 @functools.cache
@@ -399,7 +404,7 @@ def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
     # a non-vertex lies inside a face whose vertices are among the points, and
     # each of those is tight wherever it is; a vertex's tight facets meet only there
     verts = [p for i, (p, t) in enumerate(zip(pts, tight)) if all(t & u != t for u in tight[:i] + tight[i + 1:])]
-    return RationalPolytope(tuple(verts), m, m, tuple(facets))
+    return RationalPolytope(_homog_all(verts), m, m, tuple(facets))
 
 
 def polar_dual(P: RationalPolytope) -> RationalPolytope:
@@ -432,7 +437,7 @@ def linear_image(P: RationalPolytope, A) -> RationalPolytope:
     Ainv_t = mat_transpose(mat_inverse(A))
     facets = [HalfSpace(matvec(Ainv_t, f.normal), f.offset) for f in P.facets]
     facets.sort(key=lambda h: (h.normal, h.offset))
-    return RationalPolytope(verts, P.ambient_dim, P.dim, tuple(facets))
+    return RationalPolytope(_homog_all(verts), P.ambient_dim, P.dim, tuple(facets))
 
 
 def branch_matrices(eps: ExtendedExchangeMatrix, k: int):

@@ -1,5 +1,8 @@
 """Source checks: no runtime `assert` statements in the package, no float
-literal or `float(` call in it, no call of `HalfSpace.value` in it, no
+literal or `float(` call in it, no call of `HalfSpace.value` in it, one
+vertex format (caller points are cleared to integer rows only in `hull` and
+`hull_any`, and rows become Fractions only in the Fraction-returning
+`vertices`, `vertices_from_facets` and `crossing_points`), no
 `fractions` import in `mutation`, one call into `re` (the numeral rule in
 `rootsys`), `cli` writes its output only from `main`, no unused package
 import that the benchmark tracer does not wrap, every name in
@@ -57,6 +60,39 @@ def test_no_value_calls(path):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "value"
     ]
     assert not lines, f"{path.name} calls .value( at lines {lines}"
+
+
+def _callers(name):
+    """Each place in the package that calls `name`, as module:scope, the scope
+    being the enclosing function or the class attribute an assignment binds."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            elif isinstance(node, ast.ClassDef) and isinstance(child, ast.Assign):
+                inner = f"{scope}.{child.targets[0].id}"
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+                found.add(f"{path.stem}:{scope}")
+            visit(child, inner)
+
+    for path in SRC:
+        visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def test_one_vertex_format():
+    """A polytope stores its vertices only as integer homogeneous rows: caller
+    points are cleared to rows only where they enter (`hull`, `hull_any`),
+    and rows become Fraction points only in the public Fraction reads (the
+    `vertices` view, `vertices_from_facets`, `crossing_points`), so no
+    builder round-trips through Fraction."""
+    assert _callers("_homog_all") == {"polytopes:hull", "polytopes:hull_any"}
+    assert _callers("_fractions") == {
+        "polytopes:RationalPolytope.vertices", "polytopes:vertices_from_facets", "polytopes:crossing_points"
+    }
 
 
 def test_mutation_imports_no_fractions():

@@ -23,7 +23,7 @@ import pytest
 
 from clustrop import polytopes
 from clustrop.glsseed import gls_exchange_matrix
-from clustrop.linalg import dot, mat_inverse, rank, rref, solve, vadd
+from clustrop.linalg import _clear, dot, mat_inverse, rank, rref, solve, vadd
 from clustrop.polytopes import (
     DegenerateError,
     HalfSpace,
@@ -84,6 +84,8 @@ def test_dd_rays_match_fraction_oracle():
             cons.append(tuple(Q(rng.randint(1, 5), rng.randint(1, 5)) * x for x in rng.choice(cons)))
             cons.append(rng.choice(cons))
             rng.shuffle(cons)
+        # the DD takes integer rows: clearing each row's denominators is a positive scale
+        cons = [tuple(_clear(a)) for a in cons]
         try:
             want = oracle._dd_extreme_rays(cons, d)
         except DegenerateError:
@@ -715,10 +717,9 @@ def test_qgf_solve_matches_fraction_oracle():
         P, _nu = random_qgf_polytope(rng, m)
         cases += [P, P.scale(Q(1, 2)), P.translate(tuple(rat(rng, 1) for _ in range(m)))]
         cases.append(random_polytope_with_interior_origin(rng, m))
-    x = (Q(0), Q(0))
     # two parallel facets leave the center free along them; flipped offsets solve to a negative size
-    cases.append(RationalPolytope((x,), 2, 2, (halfspace((1, 0), 1), halfspace((-1, 0), 1))))
-    cases.append(RationalPolytope((x[:1],), 1, 1, (halfspace((1,), -1), halfspace((-1,), -1))))
+    cases.append(RationalPolytope(((0, 0, 1),), 2, 2, (halfspace((1, 0), 1), halfspace((-1, 0), 1))))
+    cases.append(RationalPolytope(((0, 1),), 1, 1, (halfspace((1,), -1), halfspace((-1,), -1))))
     for P in cases:
         got, want = qgf_solve(P), oracle.qgf_solve(P)
         assert _same_qgf(got, want)

@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
 import fraction_oracle as oracle
 import pytest
 
-from clustrop import polytopes
+from clustrop import polytopes, tropical
 from clustrop.linalg import dot
+from clustrop.mutation import exchange_matrix
 from clustrop.polytopes import (
     DegenerateError,
     HalfSpace,
@@ -290,3 +292,88 @@ def test_halfspace_value_is_a_positive_multiple_of_the_given_form():
                 ratios.add(got / given)
         assert len(ratios) <= 1 and all(r > 0 for r in ratios)
 
+
+
+# ---------------------------------------------------------------------------
+# One vertex format: canonical integer rows, a Fraction view read on demand
+
+EPS = exchange_matrix([1, 2], (2,), [1, 1], [[0, -2]])
+
+
+def assert_canonical(P):
+    """P's rows are sorted integer rows (t p, t) over one t > 0 whose entries
+    have gcd 1, its vertices are their Fractions, and it is equal and
+    hash-equal to the hull of those vertices, whatever route built it."""
+    m, rows = P.ambient_dim, P.hverts
+    assert all(len(r) == m + 1 and all(type(x) is int for x in r) for r in rows)
+    assert list(rows) == sorted(set(rows))
+    assert len({r[m] for r in rows}) <= 1 and all(r[m] > 0 for r in rows)
+    assert not rows or math.gcd(*itertools.chain(*rows)) == 1
+    assert P.vertices == tuple(tuple(Q(x, r[m]) for x in r[:m]) for r in rows)
+    again = hull_any(P.vertices, m)
+    assert again == P and hash(again) == hash(P)
+
+
+def test_every_construction_route_gives_canonical_rows():
+    # the interior point with denominator 7 makes the clearing t seven times what the vertices need
+    P = hull([(0, 0), (2, 0), (0, 2), (2, 2), (Q(1, 7), 1)])
+    assert P.hverts == ((0, 0, 1), (0, 2, 1), (2, 0, 1), (2, 2, 1))
+    routes = [P, P.translate((Q(-1, 2), Q(-1, 3))), P.scale(Q(3, 4))]
+    pts = [(Q(1, 2), 0, 0), (0, Q(2, 3), 0), (0, 0, 1), (0, 0, 0), (Q(1, 5), Q(1, 5), Q(1, 5))]
+    # dimensions -1 to 3: the interior point of the last two has denominator 5
+    routes += [hull_any(pts[:k], 3) for k in range(5)] + [hull_any(pts, 3)]
+    assert [R.dim for R in routes[3:]] == [-1, 0, 1, 2, 3, 3]
+    C = P.translate((-1, -1))
+    cert = qgf_certificate(C)
+    routes += [polar_dual(C), polar_dual(C.scale(Q(2, 3))), cert.dual, polar_dual(polar_dual(C))]
+    res = slice_polytope(hull([(Q(-1, 2), 0), (1, 1), (1, -1)]), halfspace((2, 1), 0))
+    routes += [res.section, res.plus, res.minus]
+    for pts in ([(Q(1, 2), 0), (2, 0), (1, Q(5, 3)), (2, 5)], [(0, 0), (-1, 2), (1, 0), (1, 2)]):
+        img = tropical.trop_mutate_polytope(EPS, 1, hull(pts))
+        assert img.convex
+        routes.append(img.polytope)
+    img = tropical.trop_mutate_polytope(EPS, 1, hull([(2, 2), (2, -2), (Q(-1, 2), 2), (Q(-1, 2), -2)]))
+    assert not img.convex
+    routes += [img.plus_image, img.minus_image]
+    for R in routes:
+        assert_canonical(R)
+
+
+def test_cut_pieces_divide_out_the_common_t():
+    """The cut's rows share t = 6 (the vertex (-1/2, 0) and the crossings
+    (0, ±1/3)), but the plus piece needs only 3: the constructor divides the
+    content out, as it does for a tropical piece cut over t = 2 that needs 1."""
+    P, h = hull([(Q(-1, 2), 0), (1, 1), (1, -1)]), halfspace((1, 0), 0)
+    assert {hp[-1] for hp in polytopes._cut(P, h)[0]} == {6}
+    res = slice_polytope(P, h)
+    assert res.plus.hverts == ((0, -1, 3), (0, 1, 3), (3, -3, 3), (3, 3, 3))
+    assert res.minus.hverts == ((-3, 0, 6), (0, -2, 6), (0, 2, 6))
+    assert res.section.hverts == ((0, -1, 3), (0, 1, 3))
+    for R in (res.plus, res.minus, res.section):
+        assert_canonical(R)
+    Pt = hull([(2, 2), (2, -2), (Q(-1, 2), 2), (Q(-1, 2), -2)])
+    assert {hp[-1] for hp in polytopes._cut(Pt, h)[0]} == {2}
+    assert tropical.trop_mutate_polytope(EPS, 1, Pt).plus_image.hverts[0][-1] == 1
+
+
+def test_hot_paths_build_no_fraction(monkeypatch):
+    """Hulls, double duals, the QGF solve and its dual, lattice points, the
+    support test and a convex preservation check all run on integer rows;
+    `vertices` is built on first read, once."""
+    pts = [(1, 0, 0), (0, Q(3, 2), 0), (0, 0, 2), (-1, -1, Q(-1, 3)), (Q(1, 5), Q(1, 5), Q(1, 5))]
+    built = []
+    real = polytopes._fractions
+    with monkeypatch.context() as patch:
+        patch.setattr(polytopes, "_fractions", lambda *a: pytest.fail("_fractions called"))
+        P = hull(pts)
+        D = polar_dual(polar_dual(P))
+        cert, msg = qgf_solve(square())
+        assert msg == "ok" and len(lattice_points(cert.dual, 2)) == 13
+        assert len(lattice_points(P, 3)) > 0 and is_supporting(halfspace((-1, 0, 0), 1), P)
+        R = square().translate((0, 1))
+        report = tropical.qgf_preservation_check(exchange_matrix([1, 2], (2,), [1, 1], [[0, 0]]), 1, R)
+        assert report.mutated.size == 1
+        patch.setattr(polytopes, "_fractions", lambda *a: built.append(a) or real(*a))
+        first = D.vertices
+        assert D.vertices is first and len(built) == 1
+    assert D == P and first == P.vertices

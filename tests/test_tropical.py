@@ -337,10 +337,10 @@ def test_certificate_builds_its_dual_once_on_first_read(dual_calls):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The name of every `_polytope` call and `HalfSpace` construction that
+    """The name of every `RationalPolytope` and `HalfSpace` construction that
     `tropical` makes, recorded by wrappers."""
     calls = []
-    for name in ("_polytope", "HalfSpace"):
+    for name in ("RationalPolytope", "HalfSpace"):
         real = getattr(tropical, name)
         monkeypatch.setattr(tropical, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
     return calls
@@ -389,7 +389,7 @@ def test_image_builds_its_pieces_once_on_first_read(builds):
     assert not img.convex and img.polytope is None and builds == []
     plus = img.plus_image
     minus = img.minus_image
-    assert builds.count("_polytope") == 2 and 0 < builds.count("HalfSpace") <= len(plus.facets + minus.facets)
+    assert builds.count("RationalPolytope") == 2 and 0 < builds.count("HalfSpace") <= len(plus.facets + minus.facets)
     built = len(builds)
     assert img.plus_image is plus and img.minus_image is minus and img.polytope is None
     assert img.piece_vertices() == list(plus.vertices + minus.vertices) and len(builds) == built
@@ -397,7 +397,7 @@ def test_image_builds_its_pieces_once_on_first_read(builds):
         builds.clear()
         img = trop_mutate_polytope(EPS, 1, P)
         H = img.polytope
-        assert img.convex and builds.count("_polytope") == 1 and builds.count("HalfSpace") == len(H.facets)
+        assert img.convex and builds.count("RationalPolytope") == 1 and builds.count("HalfSpace") == len(H.facets)
         assert img.polytope is H and img.plus_image is None and img.minus_image is None
         assert img.piece_vertices() == list(H.vertices) and len(builds) == len(H.facets) + 1
     with pytest.raises(AttributeError):
