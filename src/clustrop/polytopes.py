@@ -7,17 +7,19 @@ callers (vertices, offsets, centers), and every membership, side and
 tightness test is the sign of a facet row against the rows.  `HalfSpace`
 alone fixes the facet format: a primitive integer normal, a Fraction
 offset, and the row they make.
-Two vertices span an edge, and a double-description ray pair is adjacent, by
-one rule (`_adjacent`).  Only `vertices_from_facets` and `hull` run the double
-description, on a homogenization cone of integer rows (`_bounded_rays`); `hull`
-reads each facet and the points on it off an integer ray of the polar dual about
-the centroid (`facets_from_points`): the 3^9 points of {0, 1, 2}^9 take 2.2-2.5 s
-(Python 3.11, one core of a Xeon), the cube's 512 vertices among them.
-The polar and QGF duals are read off the face lattice with no hull (`_dual`).
-One cut rule (`_cut`) gives the crossings and both pieces of a polytope cut by
-a hyperplane, for slicing and tropical images.  Every non-empty polytope
-carries integer facet rows, whatever its dimension (`hull_any`), so one sign
-test decides membership.
+Two vertices span an edge, and a double-description ray pair is adjacent, by one
+rule (`_adjacent`).  Only `vertices_from_facets` and `_hull`, the hull step of
+`hull`, `hull_any` and slice sections, run the double description, on a
+homogenization cone of integer rows (`_bounded_rays`); `_hull` reads each facet
+and the points on it off an integer ray of the polar dual about the centroid
+(`facets_from_points`): the 3^9 points of {0, 1, 2}^9 take 2.2-2.5 s (Python
+3.11, one core of a Xeon), the cube's 512 vertices among them.  The polar and
+QGF duals are read off the face lattice with no hull (`_dual`).  One cut rule
+(`_cut`) gives the crossings and both pieces of a polytope cut by a hyperplane,
+for slicing and tropical images, in two steps: the sides (`_sides`), all that a
+refused tropical image reads, then the crossings (`_crossings`).  Every
+non-empty polytope carries integer facet rows, whatever its dimension
+(`hull_any`), so one sign test decides membership.
 """
 
 from __future__ import annotations
@@ -341,6 +343,11 @@ def hull(points, ambient_dim: int | None = None) -> RationalPolytope:
     m = ambient_dim if ambient_dim is not None else len(hpts[0]) - 1
     if any(len(hp) != m + 1 for hp in hpts):
         raise PolytopeError("points of mixed dimension")
+    return _hull(hpts, m)
+
+
+def _hull(hpts: list[tuple[int, ...]], m: int) -> RationalPolytope:
+    """The hull step of `hull`, `hull_any` and slice sections, on sorted distinct rows over one t."""
     if m < 1:
         raise PolytopeError("hull needs points with at least one coordinate")
     try:
@@ -359,23 +366,27 @@ def hull_any(points, ambient_dim: int) -> RationalPolytope:
     and relative facets from the hull of its projection onto I, and each
     free coordinate j adds the equation d u_j - sum_r M[r][j] u_I[r] = const
     (M the reduced rows, d the last pivot) as two opposite half-spaces."""
-    m = ambient_dim
-    pts = sorted({qvec(p) for p in points})
+    pts = {qvec(p) for p in points}
     for p in pts:
-        if len(p) != m:
-            raise PolytopeError(f"point has {len(p)} coordinates, expected {m}")
-    if not pts:
+        if len(p) != ambient_dim:
+            raise PolytopeError(f"point has {len(p)} coordinates, expected {ambient_dim}")
+    return _hull_any(sorted(_homog_all(pts)), ambient_dim)
+
+
+def _hull_any(hpts: list[tuple[int, ...]], m: int) -> RationalPolytope:
+    """`hull_any` of distinct sorted integer homogeneous rows over one t."""
+    if not hpts:
         return RationalPolytope((), m, -1, ())
-    (*P0, t), *rest = hpts = _homog_all(pts)
+    (*P0, t), *rest = hpts
     M = [[x - y for x, y in zip(hp, P0)] for hp in rest]
     I = _bareiss(M, jordan=True)
     if len(I) == m:
-        return hull(pts, m)
+        return _hull(hpts, m)
     verts, facets = hpts[:1], []
     if I:
         # the pivot coordinates fix the rest, and the inner hull's common t divides t
         proj = {tuple(hp[i] for i in I): hp for hp in hpts}
-        inner = hull([tuple(p[i] for i in I) for p in pts], len(I))
+        inner = _hull([(*x, t) for x in sorted(proj)], len(I))
         verts = [proj[tuple(x * (t // r[-1]) for x in r[:-1])] for r in inner.hverts]
         facets = [HalfSpace(_lift(I, f.normal, m), f.offset) for f in inner.facets]
     d = M[0][I[0]] if I else 1
@@ -553,8 +564,9 @@ class SliceResult:
 
 
 def _cut(P: RationalPolytope, h: HalfSpace):
-    """The one cut rule: P's vertices, then the crossings, integer homogeneous
-    over one t; their rows against h (0 at a crossing); and the pieces.
+    """The one cut rule, in two steps (`_sides`, then `_crossings`, which a caller
+    needing only the sides skips): P's vertices, then the crossings, integer
+    homogeneous over one t; their rows against h (0 at a crossing); the pieces.
 
     A crossing is where the hyperplane meets a true edge (`_adjacent`), or for
     lower-dimensional P any segment, between vertices strictly on opposite
@@ -563,29 +575,43 @@ def _cut(P: RationalPolytope, h: HalfSpace):
     vertex strictly on side s: with h facing side s, exactly that half's.
     """
     m = P.ambient_dim
-    hpts = list(P.hverts)
-    vals = [sum(map(mul, h.row, hp)) for hp in hpts]
+    if len(h.normal) != m:
+        raise PolytopeError(f"hyperplane normal has {len(h.normal)} entries, polytope is in R^{m}")
+    vals = [sum(map(mul, h.row, hp)) for hp in P.hverts]
+    tight, sides = _sides(P, vals)
+    return _crossings(P, vals, tight, sides) if sides else (list(P.hverts), vals, None)
+
+
+def _sides(P: RationalPolytope, vals: list[int]):
+    """The sides step of `_cut`, on the values of P's vertex rows: (None, None) unless P has
+    vertices strictly on both sides, else their tight sets (None unless P is full-dimensional)
+    and for s = 1, -1 the indices i with s vals[i] > 0 and the facets tight at one of them."""
     if not (vals and min(vals) < 0 < max(vals)):
-        return hpts, vals, None
-    tight = _tight_sets(P.facets, hpts) if P.is_full_dim else None
+        return None, None
+    tight = _tight_sets(P.facets, P.hverts) if P.is_full_dim else None
+    idx = [[i for i, v in enumerate(vals) if s * v > 0] for s in (1, -1)]
+    held = [functools.reduce(or_, (tight[i] for i in ix)) if tight else 0 for ix in idx]
+    return tight, [(ix, [f for j, f in enumerate(P.facets) if bits >> j & 1]) for ix, bits in zip(idx, held)]
+
+
+def _crossings(P: RationalPolytope, vals: list[int], tight, sides):
+    """The crossings step of `_cut`, from a two-sided sides step: P's rows, then the crossings
+    of the plus x minus vertex pairs (i < j, in order), over one t; the values with them; the pieces."""
+    m, hpts = P.ambient_dim, list(P.hverts)
     crossings = []
-    for i, j in itertools.combinations(range(len(hpts)), 2):
-        a, b = vals[i], vals[j]
+    for i, j in sorted((min(a, b), max(a, b)) for a in sides[0][0] for b in sides[1][0]):
         # an edge lies on at least m - 1 facets, as in the double description's adjacency test
-        if a * b >= 0 or tight and ((tight[i] & tight[j]).bit_count() < m - 1 or not _adjacent(tight, i, j)):
+        if tight and ((tight[i] & tight[j]).bit_count() < m - 1 or not _adjacent(tight, i, j)):
             continue
         # a and b are positive multiples of the values at the two vertices, so the crossing
         # is (a V_j - b V_i) / (a - b), here times (a - b)^2 > 0, in homogeneous coordinates
+        a, b = vals[i], vals[j]
         crossings.append(primitive(tuple((a * y - b * x) * (a - b) for x, y in zip(hpts[i], hpts[j]))))
     T, t = hpts[0][m], math.lcm(hpts[0][m], *(c[m] for c in crossings))
     vals = [t // T * v for v in vals] + [0] * len(crossings)
     hpts = [tuple(t // p[m] * x for x in p) for p in hpts + crossings]
-    pieces = []
-    for s in (1, -1) if tight else ():
-        held = functools.reduce(or_, (u for u, v in zip(tight, vals) if s * v > 0))
-        facets = [f for j, f in enumerate(P.facets) if held >> j & 1]
-        pieces.append(([i for i, v in enumerate(vals) if s * v >= 0], facets))
-    return hpts, vals, pieces or None
+    pieces = [([i for i, v in enumerate(vals) if s * v >= 0], fs) for s, (_, fs) in zip((1, -1), sides)]
+    return hpts, vals, pieces if tight else None
 
 
 def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
@@ -599,11 +625,9 @@ def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:
     that half, and the section the other; otherwise each half is its piece
     with h facing that side as the wall."""
     m = P.ambient_dim
-    if len(h.normal) != m:
-        raise PolytopeError(f"hyperplane normal has {len(h.normal)} entries, polytope is in R^{m}")
     P.require_full_dim()
     hpts, vals, pieces = _cut(P, h)
-    section = hull_any([tuple(Q(x, hp[m]) for x in hp[:m]) for hp, v in zip(hpts, vals) if v == 0], m)
+    section = _hull_any(sorted({hp for hp, v in zip(hpts, vals) if v == 0}), m)
     if pieces is None:
         return SliceResult(section, P, section) if max(vals) > 0 else SliceResult(section, section, P)
     walls = (h, HalfSpace(tuple(-x for x in h.normal), -h.offset))

@@ -4,12 +4,13 @@ distinguishing-certificate pipeline built on them.
 The tropical map in direction k fixes the hyperplane u_k = 0 and acts by one
 unimodular integer map on each side.  One point map (`_trop`) serves points
 and polytopes' integer vertex rows (`RationalPolytope.hverts`), whose images
-go straight to the constructor.  A polytope's image is read off its cut by
-the wall (`polytopes._cut`); its convexity, and each condition u_s >= 0, is
+go straight to the constructor.  A polytope's image is read off its cut by the
+wall (`polytopes._cut`); its convexity, and each condition u_s >= 0, is
 decided by sign tests on integer rows, so no hull or double description runs
-here.  A non-convex image's half-spaces and piece polytopes are built when a
-caller first reads them (`TropImage`), so a caller that stops at the
-convexity flag builds none.
+here.  Convexity reads only the vertices off the wall, and a non-convex
+image's crossings, half-spaces and piece polytopes are made when a caller
+first reads them (`TropImage`), so a caller that stops at the convexity flag
+makes none.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .polytopes import (
     Point,
     QGFCertificate,
     RationalPolytope,
-    _cut,
+    _crossings,
     _homog,
     _keep,
+    _sides,
     _tight_sets,
     crossing_points,  # noqa: F401  unused here; bench/spans.py wraps tropical.crossing_points by name
     halfspace,
@@ -64,20 +66,20 @@ def trop_mutate_point(eps: ExtendedExchangeMatrix, k: int, u) -> Point:
     u = qvec(u)
     if len(u) != len(eps.cols):
         raise TropicalError("point dimension does not match column count")
-    return _trop(eps.row(k), eps.col_index(k), u)
+    return _trop(_side(eps.row(k), 1 if u[eps.col_index(k)] >= 0 else -1), eps.col_index(k), u)
 
 
-def _pos(x):
-    return x if x > 0 else 0
+def _side(row, s: int) -> tuple[int, ...]:
+    """p = [s row]_+, the shear of the side s u_k >= 0 of the wall (p_k = 0)."""
+    return tuple(max(s * e, 0) for e in row)
 
 
-def _trop(row, ki: int, u) -> Point:
-    """The point map of exchange row `row` at column ki, also on integer
-    homogeneous coordinates with `row` extended by a 0; the negated row gives
-    its inverse."""
+def _trop(p, ki: int, u) -> Point:
+    """The map u_k -> -u_k, u_j -> u_j + p_j u_k of the side s u_k >= 0 that holds u,
+    p = `_side(row, s)`, also on integer homogeneous rows with p extended by a 0.
+    It fixes the wall; the negated row's map on side -s is its inverse."""
     uk = u[ki]
-    sign = 1 if uk >= 0 else -1
-    out = [uj + _pos(sign * e) * uk for uj, e in zip(u, row)]
+    out = [uj + pj * uk for uj, pj in zip(u, p)]
     out[ki] = -uk
     return tuple(out)
 
@@ -137,47 +139,55 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     of `_cut(P, wall)` maps with its facets and the wall.  The union of the
     images is convex iff each satisfies the other's non-wall facets, which are
     then the hull's; if not, both piece images are returned, convex False.
-    Convexity is read off the mapped facets' integer rows; a convex image,
-    which every caller reads, is built at once, a non-convex one on first
-    read (`TropImage`)."""
+    A point on the wall, crossing or vertex, lies in both pieces and both maps
+    fix it, so it satisfies every mapped facet: convexity is read off the mapped
+    facets' integer rows at the images of P's vertices strictly off the wall
+    (`_sides`), and a refusal computes no crossing.  A convex image adds the
+    crossings (`_crossings`) at once, a non-convex one on first read."""
     _check_direction(eps, k)
     P.require_full_dim()
     m = P.ambient_dim
     if m != len(eps.cols):
         raise TropicalError("polytope ambient dimension does not match column count")
     ki, row = eps.col_index(k), eps.row(k)
-    wall = halfspace([int(i == ki) for i in range(m)], 0)
-    hpts, vals, pieces = _cut(P, wall)
-    # crossings lie on the wall, which the map fixes; the 0 keeps the homogenizing coordinate
-    img = [_trop(row + (0,), ki, hp) for hp in hpts]
-    if pieces is None:
+    vals = [hp[ki] for hp in P.hverts]  # the vertex rows against the wall u_k = 0
+    tight, sides = _sides(P, vals)
+    p = {s: _side(row, s) + (0,) for s in (1, -1)}  # the 0 keeps the homogenizing coordinate
+    if sides is None:
         s = 1 if max(vals) > 0 else -1
-        return TropImage(True, RationalPolytope(img, m, m, [HalfSpace(*_map_facet(f, row, s, ki)) for f in P.facets]))
-    (va, fa), (vb, fb) = (
-        ([img[i] for i in idx], [_map_facet(f, row, s, ki) for f in fs]) for (idx, fs), s in zip(pieces, (1, -1))
-    )
+        img = [_trop(p[s], ki, hp) for hp in P.hverts]
+        return TropImage(True, RationalPolytope(img, m, m, [HalfSpace(*_map_facet(f, p[s], ki)) for f in P.facets]))
+    (va, fa), (vb, fb) = (([_trop(p[s], ki, P.hverts[i]) for i in idx], [_map_facet(f, p[s], ki) for f in fs])
+                          for (idx, fs), s in zip(sides, (1, -1)))
     # the row of HalfSpace(n, b) is (den n, num) for b = num/den, read here as <n, .> den + num
     ra, rb = ([(n, b.denominator, b.numerator) for n, b in fs] for fs in (fa, fb))
+
+    def cut():  # the rows of P and the crossings, which the maps fix, mapped; the pieces
+        hpts, cvals, pieces = _crossings(P, vals, tight, sides)
+        return [_trop(p[1 if v >= 0 else -1], ki, hp) for hp, v in zip(hpts, cvals)], pieces
+
     if all(sum(map(mul, n, u)) * d + c * u[m] >= 0 for rs, vs in ((ra, vb), (rb, va)) for n, d, c in rs for u in vs):
+        img = cut()[0]
         facets = [HalfSpace(n, b) for n, b in set(fa + fb)]
         keep = _keep(_tight_sets(facets, img), m)
         return TropImage(True, RationalPolytope([u for u, kept in zip(img, keep) if kept], m, m, facets))
 
     def build():
+        img, pieces = cut()
         # the piece on side s maps into -s u_k >= 0
-        walls = (HalfSpace(tuple(-x for x in wall.normal), 0), wall)
-        return [RationalPolytope(vs, m, m, [HalfSpace(*f) for f in fs] + [w])
-                for vs, fs, w in zip((va, vb), (fa, fb), walls)]
+        walls = [HalfSpace(tuple(-s * int(i == ki) for i in range(m)), 0) for s in (1, -1)]
+        return [RationalPolytope([img[i] for i in idx], m, m, [HalfSpace(*f) for f in fs] + [w])
+                for (idx, _), fs, w in zip(pieces, (fa, fb), walls)]
 
     return TropImage._deferred(build)
 
 
-def _map_facet(f: HalfSpace, row, s: int, ki: int) -> tuple[tuple[int, ...], Q]:
-    """The facet (n, b) of a polytope in s u_k >= 0 under the map u_k -> -u_k,
-    u_j -> u_j + p_j u_k (p = [s row]_+, p_k = 0), as (n', b) with
-    n'_k = <n, p> - n_k: primitive and never zero, since the map is unimodular."""
+def _map_facet(f: HalfSpace, p, ki: int) -> tuple[tuple[int, ...], Q]:
+    """The facet (n, b) of a polytope in s u_k >= 0 under `_trop(p, ki, .)`,
+    as (n', b) with n'_k = <n, p> - n_k (p's homogenizing entry unread):
+    primitive and never zero, since the map is unimodular."""
     n = f.normal
-    return n[:ki] + (sum(x * _pos(s * e) for x, e in zip(n, row)) - n[ki],) + n[ki + 1:], f.offset
+    return n[:ki] + (sum(map(mul, n, p)) - n[ki],) + n[ki + 1:], f.offset
 
 
 @dataclass(frozen=True)
@@ -198,7 +208,7 @@ def center_fixedness(eps: ExtendedExchangeMatrix, u0) -> CenterReport:
     violations = []
     for k in eps.mutable:
         coord = u0[eps.col_index(k)]
-        fixed_direct = _trop(eps.row(k) + (0,), eps.col_index(k), hu) == hu
+        fixed_direct = _trop(_side(eps.row(k), 1 if coord >= 0 else -1) + (0,), eps.col_index(k), hu) == hu
         if fixed_direct != (coord == 0):
             raise AssertionError("fixed-point check disagrees with coordinate test")
         if coord != 0:

@@ -3,7 +3,7 @@
 from fractions import Fraction as Q
 
 from clustrop.mutation import exchange_matrix
-from clustrop.polytopes import DegenerateError, PolytopeError, hull, polar_dual
+from clustrop.polytopes import DegenerateError, PolytopeError, halfspace, hull, polar_dual, vertices_from_facets
 
 
 def random_exchange(rng, n_mut=None, n_frozen=None, span=3, unit_d=False):
@@ -69,3 +69,22 @@ def random_qgf_polytope(rng, dim, max_size=3):
         # non-vertex primitives just drop out of the hull; the vertices stay primitive
         nu = rng.randint(1, max_size)
         return polar_dual(D).scale(nu), nu
+
+
+def gelfand_tsetlin(n):
+    """The Gelfand-Tsetlin polytope of Fl(n) at 2 rho: patterns under the top
+    row (2(n - 1), ..., 2, 0), each entry between its two upper neighbours,
+    in the coordinates of rows n - 1, ..., 1."""
+    top = [2 * (n - 1 - i) for i in range(n)]
+    var = {(k, i): None for k in range(n - 1, 0, -1) for i in range(k)}
+    var = {key: c for c, key in enumerate(var)}
+    m = len(var)
+
+    def entry(k, i):  # (coefficients, constant)
+        return ([0] * m, top[i]) if k == n else ([int(c == var[k, i]) for c in range(m)], 0)
+
+    halves = []
+    for k, i in var:
+        for (a, b), (c, d) in ((entry(k + 1, i), entry(k, i)), (entry(k, i), entry(k + 1, i + 1))):
+            halves.append(halfspace(tuple(x - y for x, y in zip(a, c)), b - d))
+    return hull(vertices_from_facets(halves, m), m)

@@ -45,7 +45,7 @@ from clustrop.polytopes import (
 )
 from clustrop.rootsys import cartan_matrix
 from clustrop.tropical import CenterReport, center_fixedness, trop_mutate_point, trop_mutate_polytope
-from genutil import random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
+from genutil import gelfand_tsetlin, random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
 
 
 def rat(rng, span=4, dens=(1, 2, 3)):
@@ -286,32 +286,13 @@ def test_lattice_points_of_sparse_polytopes_match_box_scan(m):
     assert inner_signs == {-1, 0, 1}
 
 
-def _gelfand_tsetlin(n):
-    """The Gelfand-Tsetlin polytope of Fl(n) at 2 rho: patterns under the top
-    row (2(n - 1), ..., 2, 0), each entry between its two upper neighbours,
-    in the coordinates of rows n - 1, ..., 1."""
-    top = [2 * (n - 1 - i) for i in range(n)]
-    var = {(k, i): None for k in range(n - 1, 0, -1) for i in range(k)}
-    var = {key: c for c, key in enumerate(var)}
-    m = len(var)
-
-    def entry(k, i):  # (coefficients, constant)
-        return ([0] * m, top[i]) if k == n else ([int(c == var[k, i]) for c in range(m)], 0)
-
-    halves = []
-    for k, i in var:
-        for (a, b), (c, d) in ((entry(k + 1, i), entry(k, i)), (entry(k, i), entry(k + 1, i + 1))):
-            halves.append(halfspace(tuple(x - y for x, y in zip(a, c)), b - d))
-    return hull(vertices_from_facets(halves, m), m)
-
-
 def test_gelfand_tsetlin_lattice_points_are_the_weyl_dimension():
     """|GT(2 rho) cap Z^N| = dim V(2 rho) = 3^N for Fl(3), Fl(4), Fl(5)."""
     for n, count in ((3, 27), (4, 729), (5, 59049)):
-        P = _gelfand_tsetlin(n)
+        P = gelfand_tsetlin(n)
         assert P.ambient_dim == n * (n - 1) // 2
         assert len(lattice_points(P)) == count
-    P = _gelfand_tsetlin(3)
+    P = gelfand_tsetlin(3)
     for q in (1, 2):
         assert lattice_points(P, q) == oracle.lattice_points(P, q)
 
@@ -534,6 +515,40 @@ def _trop_cases(rng, m):
         yield eps, k, P.translate(tuple(shift if i == ki else Q(0) for i in range(m)))
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_two_sided_images_match_branch_matrices(m):
+    """Polytopes with vertices strictly on both sides of the wall, some with
+    vertices on it, under matrices whose row k is zero, small or large: the
+    convexity flag, which reads only the vertices off the wall, the convex
+    image's rows and facet rows, and the pieces a refusal builds when first
+    read match the oracle's."""
+    rng = random.Random(700 + m)
+    seen = {"on the wall": 0, "convex": 0, "non-convex": 0}
+    cases = 0
+    while cases < {2: 16, 3: 16, 4: 12, 5: 8}[m]:
+        P = random_polytope_with_interior_origin(rng, m)
+        n_mut = rng.randint(1, m)
+        eps = random_exchange(rng, n_mut=n_mut, n_frozen=m - n_mut, span=rng.choice((0, 1, 3)))
+        k = rng.choice(eps.mutable)
+        ki = eps.col_index(k)
+        coords = sorted({v[ki] for v in P.vertices})
+        through = len(coords) > 2 and rng.random() < 0.5
+        shift = -rng.choice(coords[1:-1]) if through else rat(rng, 2)
+        P = P.translate(tuple(shift if i == ki else 0 for i in range(m)))
+        side = [hp[ki] for hp in P.hverts]
+        if not min(side) < 0 < max(side):
+            continue
+        cases += 1
+        got, want = trop_mutate_polytope(eps, k, P), oracle.trop_mutate_polytope(eps, k, P)
+        assert got.convex == want.convex
+        for part in ("polytope",) if want.convex else ("plus_image", "minus_image"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert g.hverts == w.hverts and _same_rows(g, w), part
+        seen["on the wall"] += 0 in side
+        seen["convex" if want.convex else "non-convex"] += 1
+    assert min(seen.values()) >= 2, seen
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_trop_mutate_polytope_matches_branch_matrices(m):
     rng = random.Random(490 + m)
@@ -556,7 +571,7 @@ def test_trop_mutate_polytope_matches_branch_matrices(m):
 def test_trop_mutate_gelfand_tsetlin_matches_branch_matrices():
     """GT(2 rho) of Fl(4), centred at its QGF center, along the 3 mutable
     directions of the GLS seed of (1,2,1,3,2,1): every image is non-convex."""
-    P = _gelfand_tsetlin(4)
+    P = gelfand_tsetlin(4)
     cert, _ = qgf_solve(P)
     P = P.translate(tuple(-x for x in cert.center))
     eps = gls_exchange_matrix(cartan_matrix("A", 3), (1, 2, 1, 3, 2, 1))
@@ -917,8 +932,9 @@ def test_slice_halves_match_hulls_of_side_vertices_and_crossings(m):
 
 
 def test_slice_polytope_runs_one_hull(monkeypatch):
-    """Both halves are read off the cut: slice_polytope calls hull_any once,
-    for the section, and runs a double description only inside that call."""
+    """Both halves are read off the cut: slice_polytope runs the integer-row
+    hull step of hull_any (`_hull_any`) once, for the section, and a double
+    description only inside that call."""
     cases = [
         (hull([(1, 1), (1, -1), (-1, 1), (-1, -1)]), halfspace((1, 0), 0)),
         (hull(list(itertools.product((0, 2), repeat=3))), halfspace((1, 1, 1), -3)),
@@ -927,13 +943,13 @@ def test_slice_polytope_runs_one_hull(monkeypatch):
         (hull([(0, 0), (2, 0), (0, 2)]), halfspace((1, 0), 0)),  # one side, touching
     ]
     calls = []
-    for name in ("hull_any", "_dd_extreme_rays"):
+    for name in ("_hull_any", "_dd_extreme_rays"):
         real = getattr(polytopes, name)
         monkeypatch.setattr(polytopes, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     for P, h in cases:
         calls.clear()
         res = slice_polytope(P, h)
-        assert calls == ["hull_any"] + ["_dd_extreme_rays"] * (res.section.dim > 0), (P.vertices, h)
+        assert calls == ["_hull_any"] + ["_dd_extreme_rays"] * (res.section.dim > 0), (P.vertices, h)
 
 
 def test_slice_polytope_needs_a_full_dimensional_polytope():

@@ -220,6 +220,19 @@ def test_slice_rejects_normal_of_wrong_dimension():
             slice_polytope(square(), halfspace(n, 0))
 
 
+def test_crossing_points_rejects_normal_of_wrong_dimension():
+    """The cut checks the normal's length, so a short normal is not read with
+    its offset as a coordinate, nor a long one cut short, on a simplex or a
+    segment."""
+    cases = [
+        (hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]), halfspace((1, 0), -1), 2, 3),
+        (hull_any([(0, 0), (2, 2)], 2), halfspace((1, -1, 0), 0), 3, 2),
+    ]
+    for P, h, k, m in cases:
+        with pytest.raises(PolytopeError, match=f"^hyperplane normal has {k} entries, polytope is in R\\^{m}$"):
+            polytopes.crossing_points(P, h)
+
+
 # ---------------------------------------------------------------------------
 # The facet format: HalfSpace stores the primitive integer normal
 

@@ -4,11 +4,13 @@ from fractions import Fraction as Q
 
 import fraction_oracle as oracle
 import pytest
-from genutil import random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
+from genutil import gelfand_tsetlin, random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
 
 from clustrop import polytopes, tropical
+from clustrop.glsseed import gls_exchange_matrix
 from clustrop.mutation import FrozenIndexError, exchange_matrix
 from clustrop.polytopes import halfspace, hull, hull_any, qgf_certificate, qgf_solve, slice_polytope
+from clustrop.rootsys import cartan_matrix
 from clustrop.tropical import (
     FamilySpec,
     PreconditionError,
@@ -377,6 +379,58 @@ def test_certificate_builds_nothing_for_a_blocking_image(builds):
     builds.clear()
     distinguish_certificate(FamilySpec(eps, P, (Stage((1, 2), 1, 3), Stage((1, 2, 1), 2, 3))))
     assert builds == want
+
+
+@pytest.fixture
+def crossing_calls(monkeypatch):
+    """The argument tuples of every call of the cut's crossings step
+    (`polytopes._crossings`), recorded through each module's binding of it."""
+    calls, real = [], polytopes._crossings
+    for module in (polytopes, tropical):
+        monkeypatch.setattr(module, "_crossings", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _gls_gelfand_tsetlin(n):
+    """GT(2 rho) of Fl(n) centred at its QGF center, and the GLS seed of the
+    reduced word (1, 2, 1, 3, 2, 1, ...) of the longest element of S_n."""
+    P = gelfand_tsetlin(n)
+    P = P.translate(tuple(-x for x in qgf_solve(P)[0].center))
+    word = tuple(i for j in range(1, n) for i in range(j, 0, -1))
+    return gls_exchange_matrix(cartan_matrix("A", n - 1), word), P
+
+
+def test_refusals_compute_no_crossings(crossing_calls, builds, monkeypatch):
+    """A refusal reads only P's vertices off the wall: refusing SQUARE, GT(2 rho)
+    of Fl(4) in its 3 GLS directions and the images a preservation check
+    meets computes no crossing and builds no half-space, not even the wall.
+    The first piece read computes the crossings once, and so does a convex
+    image cut in two."""
+    eps4, gt4 = _gls_gelfand_tsetlin(4)
+    P = hull([(1, 1), (1, -1), (-1, 1), (-1, -1)]).translate((0, 1))
+    real = polytopes.HalfSpace
+    monkeypatch.setattr(polytopes, "HalfSpace", lambda *a: builds.append("polytopes.HalfSpace") or real(*a))
+    builds.clear()
+    assert [trop_mutate_polytope(eps4, k, gt4).convex for k in eps4.mutable] == [False] * 3
+    img = trop_mutate_polytope(EPS, 1, SQUARE)
+    for row in ([0, -2], [0, 2], [0, -1]):
+        with pytest.raises(PreconditionError, match="convex_image"):
+            qgf_preservation_check(eps_row(row), 1, P)
+    assert crossing_calls == [] and builds == []
+    img.piece_vertices()
+    assert len(crossing_calls) == 1
+    crossing_calls.clear()
+    assert trop_mutate_polytope(EPS, 1, hull([(0, 0), (-1, 2), (1, 0), (1, 2)])).convex
+    assert len(crossing_calls) == 1
+
+
+def test_gelfand_tsetlin_fl5_refusals_compute_no_crossings(crossing_calls):
+    """GT(2 rho) of Fl(5), 358 vertices in R^10, is refused in all 6 GLS
+    directions on its vertices off the wall alone."""
+    eps, P = _gls_gelfand_tsetlin(5)
+    assert (len(P.hverts), len(eps.mutable)) == (358, 6)
+    assert [trop_mutate_polytope(eps, k, P).convex for k in eps.mutable] == [False] * 6
+    assert crossing_calls == []
 
 
 def test_image_builds_its_pieces_once_on_first_read(builds):
