@@ -23,15 +23,6 @@ def dot(x, y) -> Q:
     return sum((a * b for a, b in zip(x, y)), Q(0))
 
 
-def vadd(x, y) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vscale(c, x) -> Vec:
-    c = Q(c)
-    return tuple(c * a for a in x)
-
-
 def is_zero(x) -> bool:
     return all(a == 0 for a in x)
 

@@ -327,20 +327,6 @@ def double_arrows(q: Quiver) -> list[tuple[int, int]]:
     return sorted((i, j) for i, j, m in q.arrows if m >= 2 and i in muts and j in muts)
 
 
-def diagram_weights(eps: ExtendedExchangeMatrix) -> dict[tuple[int, int], int]:
-    """Edge weights |eps_{r,s} * eps_{s,r}| of the mutable part, keyed by
-    unordered pairs (r < s).  Frozen connections are not drawn here; their raw
-    entries live on the quiver view instead."""
-    out = {}
-    mut = eps.mutable
-    for i, r in enumerate(mut):
-        for s in mut[i + 1:]:
-            w = abs(eps.entry(r, s) * eps.entry(s, r))
-            if w:
-                out[(r, s)] = w
-    return out
-
-
 def affine_a_type(q: Quiver) -> tuple[int, int] | None:
     """(p, q) if the mutable part is an acyclically oriented cycle with p
     arrows one way and q the other (p >= q >= 1); None otherwise.  The

@@ -5,8 +5,9 @@ integer homogeneous rows (`RationalPolytope.hverts`), caller points are
 cleared to them only in `hull` and `hull_any`, Fraction is a view for
 callers (vertices, offsets, centers), and every membership, side and
 tightness test is the sign of a facet row against the rows.  `HalfSpace`
-alone fixes the facet format: a primitive integer normal, a Fraction
-offset, and the row they make.
+alone fixes the facet format: one primitive integer row (den normal, num),
+which every builder makes directly (`_facet`); the normal (the facets' sort
+key) and the Fraction offset are views of it, built on first read.
 Two vertices span an edge, and a double-description ray pair is adjacent, by one
 rule (`_adjacent`).  Only `vertices_from_facets` and `_hull`, the hull step of
 `hull`, `hull_any` and slice sections, run the double description, on a
@@ -55,49 +56,55 @@ class DegenerateError(PolytopeError):
     """Input does not span the full ambient dimension."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class HalfSpace:
     """Closed half-space {u : <u, normal> + offset >= 0}.
 
-    The normal is stored as the primitive integer vector of its direction and
-    the offset divided by the positive factor dropped, so the half-space is
-    the same set, `value` shrinks by that factor and keeps its sign, and equal
-    half-spaces compare and hash equal however they were written.  `row` is
-    (den normal, num) for offset = num/den; on the homogeneous coordinates
-    (t p, t) of a point p (`_homog`) it sums to den t value(p), of the same sign.
+    It stores one thing, `row`: the primitive integer vector (den normal, num)
+    with normal the primitive integer vector of its direction and offset =
+    num/den, so den is the gcd of the row's normal part.  Equal half-spaces
+    have one row however they were written, and equality and the hash compare
+    it.  On the homogeneous coordinates (t p, t) of a point p (`_homog`) the
+    row sums to den t value(p), of the same sign.  `normal` and `offset` are
+    views, built on first read.  The constructor normalises caller data once,
+    so `value` is a positive multiple of the given form; the kernel hands its
+    rows, primitive already, to `_facet`.
     """
 
-    normal: tuple[int, ...]
-    offset: Q
-    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    row: tuple[int, ...]
 
-    def __post_init__(self):
-        normal, offset = self.normal, self.offset
-        # a tuple of exact ints with gcd 1 is nonzero and primitive: only the row is left to build
-        ints = type(normal) is tuple and all(type(x) is int for x in normal) and math.gcd(*normal) == 1
-        if not (ints and type(offset) is Q):
-            if is_zero(normal):
-                raise PolytopeError("half-space normal must be nonzero")
-            if not ints:
-                given = tuple(normal)
-                normal = primitive(_clear(qvec(given)))
-                if normal != given:
-                    offset = Q(offset) / next(Q(a, b) for a, b in zip(given, normal) if b)
-                object.__setattr__(self, "normal", normal)
-            if type(offset) is not Q:
-                offset = Q(offset)
-            object.__setattr__(self, "offset", offset)
-        den = offset.denominator
-        object.__setattr__(self, "row", (*[x * den for x in normal], offset.numerator))
+    def __init__(self, normal, offset):
+        if is_zero(normal):
+            raise PolytopeError("half-space normal must be nonzero")
+        object.__setattr__(self, "row", primitive(_clear(qvec((*normal, offset)))))
+
+    @functools.cached_property
+    def normal(self) -> tuple[int, ...]:
+        g = math.gcd(*self.row[:-1])
+        return tuple(x // g for x in self.row[:-1])
+
+    @functools.cached_property
+    def offset(self) -> Q:
+        return Q(self.row[-1], math.gcd(*self.row[:-1]))
+
+    def __repr__(self):
+        return f"HalfSpace(normal={self.normal!r}, offset={self.offset!r})"
 
     def value(self, p) -> Q:
         return dot(p, self.normal) + self.offset
 
     def contains(self, p) -> bool:
-        return sum(map(mul, self.row, _homog(p, len(self.normal)))) >= 0
+        return sum(map(mul, self.row, _homog(p, len(self.row) - 1))) >= 0
 
     def on_boundary(self, p) -> bool:
-        return sum(map(mul, self.row, _homog(p, len(self.normal)))) == 0
+        return sum(map(mul, self.row, _homog(p, len(self.row) - 1))) == 0
+
+
+def _facet(row: tuple[int, ...]) -> HalfSpace:
+    """The half-space of a primitive integer row (den normal, num) made by the kernel, taken as it is."""
+    h = object.__new__(HalfSpace)
+    object.__setattr__(h, "row", row)
+    return h
 
 
 def halfspace(normal, offset) -> HalfSpace:
@@ -205,8 +212,8 @@ def facets_from_points(hpts: list[tuple[int, ...]], m: int) -> tuple[list[HalfSp
     Each vertex y/t of the polar dual about the centroid c = S / (N den)
     gives the facet <u - c, y> + t >= 0; the dual constraint
     <p - c, y> + 1 >= 0 is the integer row (N den p - S, N den).
-    With g = gcd(y) the facet has normal y/g and offset
-    (t N den - <S, y>) / (g N den), read straight off the integer ray (y, t).
+    The facet's row is primitive((N den y, t N den - <S, y>)), read straight
+    off the integer ray (y, t), and its normal y / gcd(y) is the sort key.
     A point lies on that facet iff its dual constraint is tight at the ray."""
     N = len(hpts)
     den = hpts[0][m]
@@ -217,8 +224,9 @@ def facets_from_points(hpts: list[tuple[int, ...]], m: int) -> tuple[list[HalfSp
     facets = []
     for (*y, t), bits in zip(*_bounded_rays([rows[i] for i in held], m)):
         g = math.gcd(*y)
-        facets.append((tuple(x // g for x in y), Q(t * N * den - sum(map(mul, S, y)), g * N * den), bits))
-    facets.sort()  # the normals are distinct, so the bits are never compared
+        row = primitive((*(N * den * x for x in y), t * N * den - sum(map(mul, S, y))))
+        facets.append((tuple(x // g for x in y), row, bits))
+    facets.sort()  # the normals are distinct, so nothing else is compared
     tight = [0] * N
     for j, (_, _, bits) in enumerate(facets):
         on = bin(bits)[:1:-1]  # on[i] is "1" iff the ray is tight at row held[i]
@@ -226,7 +234,7 @@ def facets_from_points(hpts: list[tuple[int, ...]], m: int) -> tuple[list[HalfSp
         while i >= 0:
             tight[held[i]] |= 1 << j
             i = on.find("1", i + 1)
-    return [HalfSpace(n, offset) for n, offset, _ in facets], tight
+    return [_facet(row) for _, row, _ in facets], tight
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +292,21 @@ class RationalPolytope:
         return self.is_full_dim and all(sum(map(mul, f.row, hp)) > 0 for f in self.facets)
 
     def translate(self, t) -> "RationalPolytope":
-        t = qvec(t)
-        *C, s = _homog(t, self.ambient_dim)  # t = C/s moves a row (T p, T) to (s T p + T C, s T)
+        # t = C/s moves a row (T p, T) to (s T p + T C, s T), and a facet row (a, num) to (s a, s num - <C, a>)
+        *C, s = _homog(qvec(t), self.ambient_dim)
         hverts = [(*(s * x + hp[-1] * y for x, y in zip(hp, C)), s * hp[-1]) for hp in self.hverts]
-        facets = [HalfSpace(f.normal, f.offset - dot(t, f.normal)) for f in self.facets]
-        return RationalPolytope(hverts, self.ambient_dim, self.dim, facets)
+        rows = [(*(s * x for x in a), s * num - sum(map(mul, C, a))) for *a, num in (f.row for f in self.facets)]
+        return RationalPolytope(hverts, self.ambient_dim, self.dim, [_facet(primitive(r)) for r in rows])
 
     def scale(self, c) -> "RationalPolytope":
         c = Q(c)
         if c <= 0:
             raise PolytopeError("scale factor must be positive")
+        # c = p/q moves a row (T u, T) to (p T u, q T), and a facet row (a, num) to (q a, p num)
         p, q = c.numerator, c.denominator
         hverts = [(*(p * x for x in hp[:-1]), q * hp[-1]) for hp in self.hverts]
-        facets = [HalfSpace(f.normal, c * f.offset) for f in self.facets]
-        return RationalPolytope(hverts, self.ambient_dim, self.dim, facets)
+        rows = [(*(q * x for x in a), p * num) for *a, num in (f.row for f in self.facets)]
+        return RationalPolytope(hverts, self.ambient_dim, self.dim, [_facet(primitive(r)) for r in rows])
 
     def bounding_box(self) -> list[tuple[Q, Q]]:
         if self.is_empty:
@@ -365,7 +374,7 @@ def hull_any(points, ambient_dim: int) -> RationalPolytope:
     the pivot coordinates I; a hull of dimension |I| < m takes its vertices
     and relative facets from the hull of its projection onto I, and each
     free coordinate j adds the equation d u_j - sum_r M[r][j] u_I[r] = const
-    (M the reduced rows, d the last pivot) as two opposite half-spaces."""
+    (M the reduced rows, d the last pivot) as a row and its negation."""
     pts = {qvec(p) for p in points}
     for p in pts:
         if len(p) != ambient_dim:
@@ -388,13 +397,13 @@ def _hull_any(hpts: list[tuple[int, ...]], m: int) -> RationalPolytope:
         proj = {tuple(hp[i] for i in I): hp for hp in hpts}
         inner = _hull([(*x, t) for x in sorted(proj)], len(I))
         verts = [proj[tuple(x * (t // r[-1]) for x in r[:-1])] for r in inner.hverts]
-        facets = [HalfSpace(_lift(I, f.normal, m), f.offset) for f in inner.facets]
+        facets = [(*_lift(I, f.row[:-1], m), f.row[-1]) for f in inner.facets]
     d = M[0][I[0]] if I else 1
     for j in sorted(set(range(m)).difference(I)):
         n = _lift((j, *I), [d] + [-row[j] for row in M], m)
-        b = Q(-sum(map(mul, n, P0)), t)
-        facets += [HalfSpace(n, b), HalfSpace(tuple(-x for x in n), -b)]
-    return RationalPolytope(verts, m, len(I), facets)
+        row = primitive((*(t * x for x in n), -sum(map(mul, n, P0))))  # <u, n> = <P0, n> / t
+        facets += [row, tuple(-x for x in row)]
+    return RationalPolytope(verts, m, len(I), [_facet(row) for row in facets])
 
 
 def _lift(coords, values, m: int) -> tuple[int, ...]:
@@ -411,20 +420,16 @@ def _dual(P: RationalPolytope, c, nu: int) -> RationalPolytope:
     vertex nu n / (<c, n> + b), and each vertex u the facet
     <u - c, v> + nu >= 0.  With c = C/s and the vertices U/t over one common
     t, the facet row (den n, num) gives the vertex
-    nu s den n / (<C, den n> + s num), and y = s U - t C with g = gcd(y) the
-    facet with normal y/g and offset nu s t / g."""
+    nu s den n / (<C, den n> + s num), and y = s U - t C the facet row
+    primitive((y, nu s t))."""
     m = P.ambient_dim
     *C, s = _homog(c, m)
     rows = [(a, sum(map(mul, C, a)) + s * num) for *a, num in (f.row for f in P.facets)]
     L = math.lcm(*(d for _, d in rows))  # d = s den (value of the facet at c) > 0
     hverts = [(*(nu * s * (L // d) * x for x in a), L) for a, d in rows]
-    facets = []
-    for *U, t in P.hverts:
-        y = [s * x - t * z for x, z in zip(U, C)]
-        g = math.gcd(*y)
-        facets.append((tuple(x // g for x in y), g))
-    offsets = {g: Q(nu * s * t, g) for _, g in facets}  # t is the vertices' one common t
-    return RationalPolytope(hverts, m, m, [HalfSpace(n, offsets[g]) for n, g in facets])
+    t = P.hverts[0][m]  # the vertices' one common t
+    facets = [_facet(primitive((*(s * x - t * z for x, z in zip(U, C)), nu * s * t))) for *U, _ in P.hverts]
+    return RationalPolytope(hverts, m, m, facets)
 
 
 def polar_dual(P: RationalPolytope) -> RationalPolytope:
@@ -508,8 +513,9 @@ class QGFCertificate:
 
 
 def _qgf_identity(f: HalfSpace, C, s: int, size: int) -> bool:
-    """<C/s, n> + offset == size on the facet (n, offset), in integers: <C, den n> + s num == size s den."""
-    return sum(map(mul, C, f.row)) + s * f.row[-1] == size * s * f.offset.denominator
+    """<C/s, n> + offset == size on the facet (n, offset), in integers: <C, den n> + s num == size s den,
+    den the gcd of the row's normal part."""
+    return sum(map(mul, C, f.row)) + s * f.row[-1] == size * s * math.gcd(*f.row[:-1])
 
 
 def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
@@ -518,12 +524,13 @@ def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
     Writes each facet as <u, n_F> >= beta_F with primitive integer inward
     normal and solves <u0, n_F> = beta_F + nu exactly; certifies only when nu
     is a positive integer.  One fraction-free elimination of the rows (den n_F,
-    -den | -num), beta_F = -num/den, gives the rank and the solution, if any,
-    and `_qgf_identity` checks it on every facet.  No dual is built here.
+    -den | -num), beta_F = -num/den and den the gcd of den n_F, gives the rank
+    and the solution, if any, and `_qgf_identity` checks it on every facet.
+    No dual is built here.
     """
     P.require_full_dim()
     m = P.ambient_dim
-    M = [list(f.row[:m]) + [-f.offset.denominator, -f.row[m]] for f in P.facets]
+    M = [list(f.row[:m]) + [-math.gcd(*f.row[:m]), -f.row[m]] for f in P.facets]
     pivots = _bareiss(M, jordan=True)
     if sum(c <= m for c in pivots) < m + 1:
         return None, "facet normals do not pin a unique center and size"
@@ -575,8 +582,8 @@ def _cut(P: RationalPolytope, h: HalfSpace):
     vertex strictly on side s: with h facing side s, exactly that half's.
     """
     m = P.ambient_dim
-    if len(h.normal) != m:
-        raise PolytopeError(f"hyperplane normal has {len(h.normal)} entries, polytope is in R^{m}")
+    if len(h.row) != m + 1:
+        raise PolytopeError(f"hyperplane normal has {len(h.row) - 1} entries, polytope is in R^{m}")
     vals = [sum(map(mul, h.row, hp)) for hp in P.hverts]
     tight, sides = _sides(P, vals)
     return _crossings(P, vals, tight, sides) if sides else (list(P.hverts), vals, None)
@@ -630,6 +637,6 @@ def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:
     section = _hull_any(sorted({hp for hp, v in zip(hpts, vals) if v == 0}), m)
     if pieces is None:
         return SliceResult(section, P, section) if max(vals) > 0 else SliceResult(section, section, P)
-    walls = (h, HalfSpace(tuple(-x for x in h.normal), -h.offset))
+    walls = (h, _facet(tuple(-x for x in h.row)))
     plus, minus = (RationalPolytope([hpts[i] for i in idx], m, m, fs + [w]) for (idx, fs), w in zip(pieces, walls))
     return SliceResult(section, plus, minus)

@@ -7,7 +7,8 @@ and polytopes' integer vertex rows (`RationalPolytope.hverts`), whose images
 go straight to the constructor.  A polytope's image is read off its cut by the
 wall (`polytopes._cut`); its convexity, and each condition u_s >= 0, is
 decided by sign tests on integer rows, so no hull or double description runs
-here.  Convexity reads only the vertices off the wall, and a non-convex
+here.  Facets map as integer rows (`_map_facet`) and go to the polytope as
+they are.  Convexity reads only the vertices off the wall, and a non-convex
 image's crossings, half-spaces and piece polytopes are made when a caller
 first reads them (`TropImage`), so a caller that stops at the convexity flag
 makes none.
@@ -23,17 +24,16 @@ from operator import mul
 from .linalg import mat_inverse, qvec  # noqa: F401
 from .mutation import ExtendedExchangeMatrix, FrozenIndexError
 from .polytopes import (
-    HalfSpace,
     Point,
     QGFCertificate,
     RationalPolytope,
     _crossings,
+    _facet,
     _homog,
     _keep,
     _sides,
     _tight_sets,
     crossing_points,  # noqa: F401  unused here; bench/spans.py wraps tropical.crossing_points by name
-    halfspace,
     hull,  # noqa: F401  unused here; bench/spans.py wraps tropical.hull by name
     lattice_points,
     qgf_solve,
@@ -136,14 +136,22 @@ class TropImage:
 def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytope) -> TropImage:
     """Image of P under the tropical map in direction k, one unimodular integer
     map on each closed half s u_k >= 0 (s = ±1): P maps whole, or each piece
-    of `_cut(P, wall)` maps with its facets and the wall.  The union of the
-    images is convex iff each satisfies the other's non-wall facets, which are
-    then the hull's; if not, both piece images are returned, convex False.
-    A point on the wall, crossing or vertex, lies in both pieces and both maps
-    fix it, so it satisfies every mapped facet: convexity is read off the mapped
-    facets' integer rows at the images of P's vertices strictly off the wall
-    (`_sides`), and a refusal computes no crossing.  A convex image adds the
-    crossings (`_crossings`) at once, a non-convex one on first read."""
+    of `_cut(P, wall)` maps with its facet rows (`_map_facet`) and the wall.
+
+    The two piece images A (of s = 1) and B meet exactly in the section of P
+    by the wall, which both maps fix.  Their union is convex iff B lies in
+    each of A's mapped facet half-spaces, which are then with B's the hull's;
+    if not, both piece images are returned, convex False.  One direction
+    decides: at each ridge of the section one facet of A and one of B meet
+    the wall, and the union is convex near the ridge iff their dihedral
+    angles sum to at most pi, a condition symmetric in A and B.  So if B
+    lies in A's half-spaces the union is locally convex, hence convex
+    (Tietze-Nakajima), and B's half-spaces, facets of that convex union,
+    hold A.  B is the hull of the section and its vertices off the wall, so
+    convexity is read off A's mapped rows at the images of P's vertices
+    strictly on side -1 (`_sides`), and a refusal computes no crossing.  A
+    convex image adds the crossings (`_crossings`) at once, a non-convex one
+    on first read."""
     _check_direction(eps, k)
     P.require_full_dim()
     m = P.ambient_dim
@@ -156,38 +164,37 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     if sides is None:
         s = 1 if max(vals) > 0 else -1
         img = [_trop(p[s], ki, hp) for hp in P.hverts]
-        return TropImage(True, RationalPolytope(img, m, m, [HalfSpace(*_map_facet(f, p[s], ki)) for f in P.facets]))
-    (va, fa), (vb, fb) = (([_trop(p[s], ki, P.hverts[i]) for i in idx], [_map_facet(f, p[s], ki) for f in fs])
-                          for (idx, fs), s in zip(sides, (1, -1)))
-    # the row of HalfSpace(n, b) is (den n, num) for b = num/den, read here as <n, .> den + num
-    ra, rb = ([(n, b.denominator, b.numerator) for n, b in fs] for fs in (fa, fb))
+        return TropImage(True, RationalPolytope(img, m, m, [_facet(_map_facet(f.row, p[s], ki)) for f in P.facets]))
+    (_, fa), (ib, fb) = sides
+    ra = [_map_facet(f.row, p[1], ki) for f in fa]
+    rb = [_map_facet(f.row, p[-1], ki) for f in fb]
+    vb = [_trop(p[-1], ki, P.hverts[i]) for i in ib]
 
     def cut():  # the rows of P and the crossings, which the maps fix, mapped; the pieces
         hpts, cvals, pieces = _crossings(P, vals, tight, sides)
         return [_trop(p[1 if v >= 0 else -1], ki, hp) for hp, v in zip(hpts, cvals)], pieces
 
-    if all(sum(map(mul, n, u)) * d + c * u[m] >= 0 for rs, vs in ((ra, vb), (rb, va)) for n, d, c in rs for u in vs):
+    if all(sum(map(mul, r, u)) >= 0 for r in ra for u in vb):
         img = cut()[0]
-        facets = [HalfSpace(n, b) for n, b in set(fa + fb)]
+        facets = [_facet(r) for r in set(ra + rb)]
         keep = _keep(_tight_sets(facets, img), m)
         return TropImage(True, RationalPolytope([u for u, kept in zip(img, keep) if kept], m, m, facets))
 
     def build():
         img, pieces = cut()
         # the piece on side s maps into -s u_k >= 0
-        walls = [HalfSpace(tuple(-s * int(i == ki) for i in range(m)), 0) for s in (1, -1)]
-        return [RationalPolytope([img[i] for i in idx], m, m, [HalfSpace(*f) for f in fs] + [w])
-                for (idx, _), fs, w in zip(pieces, (fa, fb), walls)]
+        walls = [tuple(-s * int(i == ki) for i in range(m)) + (0,) for s in (1, -1)]
+        return [RationalPolytope([img[i] for i in idx], m, m, [_facet(r) for r in rs + [w]])
+                for (idx, _), rs, w in zip(pieces, (ra, rb), walls)]
 
     return TropImage._deferred(build)
 
 
-def _map_facet(f: HalfSpace, p, ki: int) -> tuple[tuple[int, ...], Q]:
-    """The facet (n, b) of a polytope in s u_k >= 0 under `_trop(p, ki, .)`,
-    as (n', b) with n'_k = <n, p> - n_k (p's homogenizing entry unread):
-    primitive and never zero, since the map is unimodular."""
-    n = f.normal
-    return n[:ki] + (sum(map(mul, n, p)) - n[ki],) + n[ki + 1:], f.offset
+def _map_facet(row, p, ki: int) -> tuple[int, ...]:
+    """The facet row (a, num) of a polytope in s u_k >= 0 under `_trop(p, ki, .)`,
+    as (a', num) with a'_k = <a, p> - a_k (p's homogenizing 0 drops num): still
+    primitive, since p_k = 0 and the map is unimodular."""
+    return row[:ki] + (sum(map(mul, row, p)) - row[ki],) + row[ki + 1:]
 
 
 @dataclass(frozen=True)
@@ -279,8 +286,8 @@ def supporting_halfspace_lemma(
     image = trop_mutate_polytope(eps, r, P)
     if not all(hp[si] >= 0 for part in image._parts() for hp in part.hverts):
         raise PreconditionError("image_halfspace", f"mutated polytope not contained in u_{s} >= 0")
-    support = halfspace([-entry if i == ri else int(i == si) for i in range(n)], 0)
-    vals = [sum(map(mul, support.row, hp)) for hp in P.hverts]
+    support = [int(i == si) - entry * int(i == ri) for i in range(n)] + [0]  # the row of u_s - entry u_r >= 0
+    vals = [sum(map(mul, support, hp)) for hp in P.hverts]
     if min(vals) < 0:
         return SupportCheck(False, None)
     return SupportCheck(True, P.vertices[vals.index(0)] if 0 in vals else origin)

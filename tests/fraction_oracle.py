@@ -66,7 +66,7 @@ from fractions import Fraction as Q
 from math import gcd
 from operator import mul
 
-from clustrop.linalg import _clear, dot, is_zero, qvec, vadd, vscale
+from clustrop.linalg import _clear, dot, is_zero, qvec
 from clustrop.mutation import ExtendedExchangeMatrix
 from clustrop.polytopes import (
     DegenerateError,
@@ -83,8 +83,17 @@ Mat = tuple[Vec, ...]
 Point = tuple[Q, ...]
 
 
+def vadd(x, y) -> Vec:
+    return tuple(a + b for a, b in zip(x, y))
+
+
 def vsub(x, y) -> Vec:
     return tuple(a - b for a, b in zip(x, y))
+
+
+def vscale(c, x) -> Vec:
+    c = Q(c)
+    return tuple(c * a for a in x)
 
 
 def rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:

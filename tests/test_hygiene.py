@@ -2,7 +2,9 @@
 literal or `float(` call in it, no call of `HalfSpace.value` in it, one
 vertex format (caller points are cleared to integer rows only in `hull` and
 `hull_any`, and rows become Fractions only in the Fraction-returning
-`vertices`, `vertices_from_facets` and `crossing_points`), no
+`vertices`, `vertices_from_facets` and `crossing_points`), one facet format
+(a half-space stores its integer row, and only `halfspace` normalises caller
+data to one), no
 `fractions` import in `mutation`, one call into `re` (the numeral rule in
 `rootsys`), `cli` writes its output only from `main`, no unused package
 import that the benchmark tracer does not wrap, every name in
@@ -13,6 +15,7 @@ exists, and the benchmark's self-checks pass.
 raise AssertionError explicitly instead."""
 
 import ast
+import dataclasses
 import subprocess
 import sys
 import types
@@ -92,6 +95,20 @@ def test_one_vertex_format():
     assert _callers("_homog_all") == {"polytopes:hull", "polytopes:hull_any"}
     assert _callers("_fractions") == {
         "polytopes:RationalPolytope.vertices", "polytopes:vertices_from_facets", "polytopes:crossing_points"
+    }
+
+
+def test_one_facet_format():
+    """A half-space stores only its primitive integer row.  Caller data is
+    normalised to a row only where it enters (`halfspace`, the one caller of
+    the normalising `HalfSpace` constructor), and every kernel builder hands
+    its rows to the row constructor `_facet` as they are."""
+    assert [f.name for f in dataclasses.fields(polytopes.HalfSpace)] == ["row"]
+    assert _callers("HalfSpace") == {"polytopes:halfspace"}
+    assert _callers("_facet") == {
+        "polytopes:facets_from_points", "polytopes:_hull_any", "polytopes:_dual", "polytopes:slice_polytope",
+        "polytopes:RationalPolytope.translate", "polytopes:RationalPolytope.scale",
+        "tropical:trop_mutate_polytope", "tropical:trop_mutate_polytope.build",
     }
 
 

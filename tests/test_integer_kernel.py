@@ -20,10 +20,11 @@ from operator import mul
 
 import fraction_oracle as oracle
 import pytest
+from fraction_oracle import vadd
 
 from clustrop import polytopes
 from clustrop.glsseed import gls_exchange_matrix
-from clustrop.linalg import _clear, dot, mat_inverse, rank, rref, solve, vadd
+from clustrop.linalg import _clear, dot, mat_inverse, rank, rref, solve
 from clustrop.polytopes import (
     DegenerateError,
     HalfSpace,
@@ -1015,7 +1016,10 @@ def test_fraction_exit_matches_plain_fractions():
     assert zeros > 100
 
 
-def test_halfspace_direct_path_matches_general_path(monkeypatch):
+def test_halfspace_direct_path_matches_general_path():
+    """The kernel's row constructor (`_facet`) and the normalising constructor,
+    given the half-space in any form, agree on row, normal, offset, equality
+    and hash."""
     rng = random.Random(2503)
     for _ in range(300):
         m = rng.randint(1, 5)
@@ -1027,17 +1031,14 @@ def test_halfspace_direct_path_matches_general_path(monkeypatch):
         general = [HalfSpace(list(n), b), HalfSpace(tuple(map(Q, n)), b), HalfSpace(tuple(k * x for x in n), k * b)]
         if b.denominator == 1:
             general.append(HalfSpace(n, int(b)))
-        with monkeypatch.context() as patch:
-            # a primitive int tuple with a Fraction offset needs neither check
-            for name in ("is_zero", "primitive"):
-                patch.setattr(polytopes, name, lambda *a, name=name: pytest.fail(f"{name} called"))
-            h = HalfSpace(n, b)
-        assert h.normal is n and h.offset is b
+        general.append(HalfSpace(n, b))
+        h = polytopes._facet((*(b.denominator * x for x in n), b.numerator))
+        assert h.normal == n and h.offset == b
         for g in general:
             assert g.normal == h.normal and all(type(x) is int for x in g.normal)
             assert g.offset == h.offset and type(g.offset) is Q
             assert g.row == h.row and g == h and hash(g) == hash(h)
-    # bools are not exact ints: they take the general path, as before
+    # bools are not exact ints: they normalise to ints
     assert HalfSpace((True, False), Q(1)).row == (1, 0, 1)
     assert HalfSpace((True, True), Q(3, 2)).row == (2, 2, 3)
     assert all(type(x) is int for x in HalfSpace((2, True), Q(1)).normal)

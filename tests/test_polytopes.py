@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -272,11 +273,16 @@ def test_hull_of_the_3_grid(m):
 
 
 def test_halfspace_keeps_normalised_input():
-    """A primitive int tuple is kept as given, and a Fraction offset is not copied."""
+    """A half-space stores its row alone; a primitive int normal and its
+    offset read back as given, the offset as a Fraction, and the repr shows
+    them, not the row.  The views are built once."""
     n, b = (3, -2, 0), Q(7, 4)
     h = HalfSpace(n, b)
-    assert h.normal is n and h.offset is b and h.row == (12, -8, 0, 7)
-    assert type(HalfSpace(n, 2).offset) is Q
+    assert [f.name for f in dataclasses.fields(HalfSpace)] == ["row"]
+    assert h.row == (12, -8, 0, 7) and h.normal == n and h.offset == b
+    assert h.normal is h.normal and h.offset is h.offset
+    assert repr(h) == "HalfSpace(normal=(3, -2, 0), offset=Fraction(7, 4))"
+    assert type(HalfSpace(n, 2).offset) is Q and HalfSpace(n, 2).row == (3, -2, 0, 2)
 
 
 def test_halfspace_zero_normal_rejected():
@@ -371,21 +377,31 @@ def test_cut_pieces_divide_out_the_common_t():
 
 def test_hot_paths_build_no_fraction(monkeypatch):
     """Hulls, double duals, the QGF solve and its dual, lattice points, the
-    support test and a convex preservation check all run on integer rows;
+    support test, translates, scalings, slices, a convex preservation check
+    and tropical images, convex or not with their pieces read, all run on
+    integer rows: no vertex view and no facet's Fraction offset is built.
     `vertices` is built on first read, once."""
     pts = [(1, 0, 0), (0, Q(3, 2), 0), (0, 0, 2), (-1, -1, Q(-1, 3)), (Q(1, 5), Q(1, 5), Q(1, 5))]
     built = []
     real = polytopes._fractions
     with monkeypatch.context() as patch:
         patch.setattr(polytopes, "_fractions", lambda *a: pytest.fail("_fractions called"))
+        patch.setattr(HalfSpace, "offset", property(lambda h: pytest.fail("HalfSpace.offset read")))
         P = hull(pts)
         D = polar_dual(polar_dual(P))
         cert, msg = qgf_solve(square())
         assert msg == "ok" and len(lattice_points(cert.dual, 2)) == 13
         assert len(lattice_points(P, 3)) > 0 and is_supporting(halfspace((-1, 0, 0), 1), P)
+        moved = P.translate((Q(1, 2), -1, Q(2, 3))).scale(Q(3, 4))
+        assert len(moved.facets) == len(P.facets)
+        res = slice_polytope(moved, halfspace((1, -2, 0), Q(1, 3)))
+        assert (res.section.dim, res.plus.dim, res.minus.dim) == (2, 3, 3)
         R = square().translate((0, 1))
         report = tropical.qgf_preservation_check(exchange_matrix([1, 2], (2,), [1, 1], [[0, 0]]), 1, R)
         assert report.mutated.size == 1
+        assert tropical.trop_mutate_polytope(EPS, 1, hull([(0, 0), (-1, 2), (1, 0), (1, 2)])).convex
+        img = tropical.trop_mutate_polytope(EPS, 1, hull([(2, 2), (2, -2), (Q(-1, 2), 2), (Q(-1, 2), -2)]))
+        assert not img.convex and img.plus_image.dim == img.minus_image.dim == 2
         patch.setattr(polytopes, "_fractions", lambda *a: built.append(a) or real(*a))
         first = D.vertices
         assert D.vertices is first and len(built) == 1

@@ -77,15 +77,6 @@ def test_double_arrows():
     assert double_arrows(to_quiver(cycle_matrix(A22, 4))) == []
 
 
-def test_diagram_weights_mutable_part_only():
-    from clustrop.mutation import diagram_weights
-
-    # mutated G2 restriction: weights 3, 3, 4 on the mutable triangle
-    eps = gls_exchange_matrix(cartan_matrix("G", 2), (1, 2, 1, 2, 1, 2))
-    out = eps.restrict({1, 2, 3, 5}).mutate_seq([1, 2, 3, 1, 2])
-    assert diagram_weights(out) == {(1, 2): 3, (1, 3): 4, (2, 3): 3}
-
-
 def test_affine_type_detection():
     assert affine_a_type(to_quiver(cycle_matrix(A22, 4))) == (2, 2)
     assert affine_a_type(to_quiver(cycle_matrix(A21, 3))) == (2, 1)

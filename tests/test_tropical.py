@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction as Q
+from operator import mul
 
 import fraction_oracle as oracle
 import pytest
@@ -186,6 +187,45 @@ def test_polytope_convexity_matches_volume_oracle():
     assert min(seen.values()) >= 40, seen
 
 
+def _convexity_both_ways(eps, k, P):
+    """For P with vertices strictly on both sides of the wall u_k = 0, A and
+    B the images of its sides u_k >= 0 and u_k <= 0: whether B's images of
+    P's vertices off the wall lie in A's mapped facet half-spaces, and whether
+    A's lie in B's; None for P on one side."""
+    ki = eps.col_index(k)
+    sides = polytopes._sides(P, [hp[ki] for hp in P.hverts])[1]
+    if sides is None:
+        return None
+    maps = [tropical._side(eps.row(k), s) + (0,) for s in (1, -1)]
+    rows = [[tropical._map_facet(f.row, p, ki) for f in fs] for (_, fs), p in zip(sides, maps)]
+    images = [[tropical._trop(p, ki, P.hverts[i]) for i in idx] for (idx, _), p in zip(sides, maps)]
+    return [all(sum(map(mul, r, u)) >= 0 for r in rows[a] for u in images[1 - a]) for a in (0, 1)]
+
+
+def test_convexity_needs_one_direction():
+    """Two piece images glued along the section are convex iff either lies in
+    the other's mapped facet half-spaces, so the image tests one direction:
+    both agree, and give the image's flag, on seeded centred, translated and
+    QGF polytopes in dimensions 2 to 5 and on GT(2 rho) of Fl(4)."""
+    rng = random.Random(2804)
+    seen = {True: 0, False: 0}
+    cases = [_gls_gelfand_tsetlin(4)[::-1]]
+    for _ in range(300):
+        m, kind = rng.randint(2, 5), rng.choice(["centred", "translated", "qgf"])
+        P = random_qgf_polytope(rng, m)[0] if kind == "qgf" else random_polytope_with_interior_origin(rng, m)
+        if kind == "translated":
+            P = P.translate(tuple(Q(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(m)))
+        n_mut = rng.randint(1, m)
+        cases.append((P, random_exchange(rng, n_mut=n_mut, n_frozen=m - n_mut, span=1)))
+    for P, eps in cases:
+        for k in eps.mutable:
+            both = _convexity_both_ways(eps, k, P)
+            if both is not None:
+                assert both[0] == both[1] == trop_mutate_polytope(eps, k, P).convex, (P, eps, k)
+                seen[both[0]] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_center_fixedness_conditions():
     eps3 = exchange_matrix([1, 2, 3], [3], [1, 1, 1], [[0, 1, -2], [-1, 0, -2]])
     assert center_fixedness(eps3, (0, 0, 5)).fixed
@@ -339,10 +379,10 @@ def test_certificate_builds_its_dual_once_on_first_read(dual_calls):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The name of every `RationalPolytope` and `HalfSpace` construction that
-    `tropical` makes, recorded by wrappers."""
+    """The name of every `RationalPolytope` and half-space (`_facet`, the row
+    constructor) construction that `tropical` makes, recorded by wrappers."""
     calls = []
-    for name in ("RationalPolytope", "HalfSpace"):
+    for name in ("RationalPolytope", "_facet"):
         real = getattr(tropical, name)
         monkeypatch.setattr(tropical, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
     return calls
@@ -408,8 +448,8 @@ def test_refusals_compute_no_crossings(crossing_calls, builds, monkeypatch):
     image cut in two."""
     eps4, gt4 = _gls_gelfand_tsetlin(4)
     P = hull([(1, 1), (1, -1), (-1, 1), (-1, -1)]).translate((0, 1))
-    real = polytopes.HalfSpace
-    monkeypatch.setattr(polytopes, "HalfSpace", lambda *a: builds.append("polytopes.HalfSpace") or real(*a))
+    real = polytopes._facet
+    monkeypatch.setattr(polytopes, "_facet", lambda *a: builds.append("polytopes._facet") or real(*a))
     builds.clear()
     assert [trop_mutate_polytope(eps4, k, gt4).convex for k in eps4.mutable] == [False] * 3
     img = trop_mutate_polytope(EPS, 1, SQUARE)
@@ -443,7 +483,7 @@ def test_image_builds_its_pieces_once_on_first_read(builds):
     assert not img.convex and img.polytope is None and builds == []
     plus = img.plus_image
     minus = img.minus_image
-    assert builds.count("RationalPolytope") == 2 and 0 < builds.count("HalfSpace") <= len(plus.facets + minus.facets)
+    assert builds.count("RationalPolytope") == 2 and 0 < builds.count("_facet") <= len(plus.facets + minus.facets)
     built = len(builds)
     assert img.plus_image is plus and img.minus_image is minus and img.polytope is None
     assert img.piece_vertices() == list(plus.vertices + minus.vertices) and len(builds) == built
@@ -451,7 +491,7 @@ def test_image_builds_its_pieces_once_on_first_read(builds):
         builds.clear()
         img = trop_mutate_polytope(EPS, 1, P)
         H = img.polytope
-        assert img.convex and builds.count("RationalPolytope") == 1 and builds.count("HalfSpace") == len(H.facets)
+        assert img.convex and builds.count("RationalPolytope") == 1 and builds.count("_facet") == len(H.facets)
         assert img.polytope is H and img.plus_image is None and img.minus_image is None
         assert img.piece_vertices() == list(H.vertices) and len(builds) == len(H.facets) + 1
     with pytest.raises(AttributeError):
