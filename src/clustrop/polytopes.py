@@ -6,8 +6,10 @@ cleared to them only in `hull` and `hull_any`, Fraction is a view for
 callers (vertices, offsets, centers), and every membership, side and
 tightness test is the sign of a facet row against the rows.  `HalfSpace`
 alone fixes the facet format: one primitive integer row (den normal, num),
-which every builder makes directly (`_facet`); the normal (the facets' sort
-key) and the Fraction offset are views of it, built on first read.
+which every builder makes directly (`_facet`) and by which the constructor
+orders facets; the normal and the Fraction offset are views of it, built on
+first read, and in the kernel only `qgf_solve` reads one (the normals it
+lists).
 Two vertices span an edge, and a double-description ray pair is adjacent, by one
 rule (`_adjacent`).  Only `vertices_from_facets` and `_hull`, the hull step of
 `hull`, `hull_any` and slice sections, run the double description, on a
@@ -213,28 +215,24 @@ def facets_from_points(hpts: list[tuple[int, ...]], m: int) -> tuple[list[HalfSp
     gives the facet <u - c, y> + t >= 0; the dual constraint
     <p - c, y> + 1 >= 0 is the integer row (N den p - S, N den).
     The facet's row is primitive((N den y, t N den - <S, y>)), read straight
-    off the integer ray (y, t), and its normal y / gcd(y) is the sort key.
-    A point lies on that facet iff its dual constraint is tight at the ray."""
+    off the integer ray (y, t).  A point lies on that facet iff its dual
+    constraint is tight at the ray.  The facets come in ray order, which the
+    point bitsets index; the constructor orders them."""
     N = len(hpts)
     den = hpts[0][m]
     S = [sum(col) for col in zip(*hpts)][:m]
     rows = [tuple(N * x - s for x, s in zip(p, S)) + (N * den,) for p in hpts]
     # a point equal to the centroid is interior and adds no dual constraint
     held = [i for i, r in enumerate(rows) if any(r[:m])]
-    facets = []
-    for (*y, t), bits in zip(*_bounded_rays([rows[i] for i in held], m)):
-        g = math.gcd(*y)
-        row = primitive((*(N * den * x for x in y), t * N * den - sum(map(mul, S, y))))
-        facets.append((tuple(x // g for x in y), row, bits))
-    facets.sort()  # the normals are distinct, so nothing else is compared
-    tight = [0] * N
-    for j, (_, _, bits) in enumerate(facets):
+    facets, tight = [], [0] * N
+    for j, ((*y, t), bits) in enumerate(zip(*_bounded_rays([rows[i] for i in held], m))):
+        facets.append(_facet(primitive((*(N * den * x for x in y), t * N * den - sum(map(mul, S, y))))))
         on = bin(bits)[:1:-1]  # on[i] is "1" iff the ray is tight at row held[i]
         i = on.find("1")
         while i >= 0:
             tight[held[i]] |= 1 << j
             i = on.find("1", i + 1)
-    return [_facet(row) for _, row, _ in facets], tight
+    return facets, tight
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +247,10 @@ class RationalPolytope:
     t > 0.  The constructor alone canonicalises them: it sorts the rows, so
     they sort as the points do, and divides out the gcd of all entries, so t
     is the least common denominator and equality and the hash compare rows.
-    It sorts the facets by normal.  `vertices` is a read-only Fraction view,
-    built on first read.  Both lists are minimal for full-dimensional
+    It sorts the facets by row, the one place that orders them: rows are
+    primitive, so distinct facets have distinct rows and the order is
+    canonical.  `vertices` is a read-only Fraction view, built on first
+    read.  Both lists are minimal for full-dimensional
     polytopes, and `_dual` relies on it.  A lower-dimensional polytope
     (`hull_any`) carries its `dim` tag, and its `facets` are its relative
     facets lifted to R^m plus its affine hull's equations as pairs of
@@ -267,7 +267,7 @@ class RationalPolytope:
         rows = sorted(self.hverts)
         g = math.gcd(*itertools.chain.from_iterable(rows))
         object.__setattr__(self, "hverts", tuple(tuple(x // g for x in r) for r in rows) if g > 1 else tuple(rows))
-        object.__setattr__(self, "facets", tuple(sorted(self.facets, key=lambda f: f.normal)))
+        object.__setattr__(self, "facets", tuple(sorted(self.facets, key=lambda f: f.row)))
 
     @property
     def is_empty(self) -> bool:
@@ -514,7 +514,7 @@ class QGFCertificate:
 
 def _qgf_identity(f: HalfSpace, C, s: int, size: int) -> bool:
     """<C/s, n> + offset == size on the facet (n, offset), in integers: <C, den n> + s num == size s den,
-    den the gcd of the row's normal part."""
+    den the gcd of the row's normal part; homogeneous in (C, s), so s may have either sign."""
     return sum(map(mul, C, f.row)) + s * f.row[-1] == size * s * math.gcd(*f.row[:-1])
 
 
@@ -536,16 +536,15 @@ def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
         return None, "facet normals do not pin a unique center and size"
     if pivots[-1] == m + 1:
         return None, "no common center: facet offsets are incompatible"
-    # every pivot row ends with the last pivot on its pivot, in column r of row r
-    center = tuple(Q(row[m + 1], row[r]) for r, row in enumerate(M[:m]))
-    nu = Q(M[m][m + 1], M[m][m])
+    # every pivot row ends with the last pivot s on its pivot, in column r of row r: center = C / s
+    C, s = [row[m + 1] for row in M[:m]], M[m][m]
+    center, nu = tuple(Q(c, s) for c in C), Q(M[m][m + 1], s)
     if nu <= 0:
         return None, f"solved size {nu} is not positive"
     if nu.denominator != 1:
         return None, f"solved size {nu} is not an integer"
     # <center, n_F> + b_F = nu on every facet, so the dual's vertices are exactly the n_F
     cert = QGFCertificate(center, int(nu), tuple(sorted(f.normal for f in P.facets)), P)
-    *C, s = _homog(center, m)
     for f in P.facets:
         if not _qgf_identity(f, C, s, cert.size):
             raise AssertionError(f"QGF identity fails on facet normal {f.normal}")

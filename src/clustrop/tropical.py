@@ -16,6 +16,7 @@ makes none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
@@ -98,9 +99,8 @@ class TropImage:
     convex=True carries only the image polytope; otherwise both piece images
     are returned so callers can refuse explicitly.  A non-convex image made
     by `trop_mutate_polytope` builds its pieces when one is first read
-    (directly, by `piece_vertices`, equality, hash or repr), then keeps them,
-    so a caller that stops at `convex` builds nothing; its `polytope` is None
-    at once."""
+    (directly, by equality, hash or repr), then keeps them, so a caller that
+    stops at `convex` builds nothing; its `polytope` is None at once."""
 
     convex: bool
     polytope: RationalPolytope | None
@@ -128,9 +128,6 @@ class TropImage:
 
     def _parts(self) -> tuple[RationalPolytope, ...]:
         return (self.polytope,) if self.convex else (self.plus_image, self.minus_image)
-
-    def piece_vertices(self):
-        return [v for p in self._parts() for v in p.vertices]
 
 
 def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytope) -> TropImage:
@@ -167,21 +164,21 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
         return TropImage(True, RationalPolytope(img, m, m, [_facet(_map_facet(f.row, p[s], ki)) for f in P.facets]))
     (_, fa), (ib, fb) = sides
     ra = [_map_facet(f.row, p[1], ki) for f in fa]
-    rb = [_map_facet(f.row, p[-1], ki) for f in fb]
     vb = [_trop(p[-1], ki, P.hverts[i]) for i in ib]
 
-    def cut():  # the rows of P and the crossings, which the maps fix, mapped; the pieces
+    def cut():  # the rows of P and the crossings, which the maps fix, mapped; the pieces; B's facet rows
         hpts, cvals, pieces = _crossings(P, vals, tight, sides)
-        return [_trop(p[1 if v >= 0 else -1], ki, hp) for hp, v in zip(hpts, cvals)], pieces
+        rb = [_map_facet(f.row, p[-1], ki) for f in fb]
+        return [_trop(p[1 if v >= 0 else -1], ki, hp) for hp, v in zip(hpts, cvals)], pieces, rb
 
     if all(sum(map(mul, r, u)) >= 0 for r in ra for u in vb):
-        img = cut()[0]
+        img, _, rb = cut()
         facets = [_facet(r) for r in set(ra + rb)]
         keep = _keep(_tight_sets(facets, img), m)
         return TropImage(True, RationalPolytope([u for u, kept in zip(img, keep) if kept], m, m, facets))
 
     def build():
-        img, pieces = cut()
+        img, pieces, rb = cut()
         # the piece on side s maps into -s u_k >= 0
         walls = [tuple(-s * int(i == ki) for i in range(m)) + (0,) for s in (1, -1)]
         return [RationalPolytope([img[i] for i in idx], m, m, [_facet(r) for r in rs + [w]])
@@ -385,10 +382,10 @@ class DistinguishCertificate:
         return all(st.valid for st in self.stages)
 
 
-# a stage counts its dual's points only if the product over J of int((hi - lo) * q) + 1,
-# [lo, hi] the dual's bounding box, is at most this cap: an upper bound on the box's
-# points of (1/q)Z^J, each factor exceeding them by at most one ([1/3, 2/3] at q = 1
-# gives 1 and holds none)
+# a stage counts its dual's points only if the product over J of q (max - min) // t + 1,
+# max and min over column J of the dual's vertex rows (t u, t), is at most this cap: an
+# upper bound on the points of (1/q)Z^J in the dual's bounding box, each factor exceeding
+# them by at most one ([1/3, 2/3] at q = 1 gives 1 and holds none)
 ENUMERATION_CAP = 2_000_000
 
 
@@ -516,9 +513,8 @@ def _certify_stage(
     seg_count = sum(all(b + j * c >= 0 for b, c in rows) for j in range(count_on_seg + 1))
     if seg_count < count_on_seg + 1:
         notes.append(f"only {seg_count}/{count_on_seg + 1} segment points inside the dual")
-    cells = 1
-    for lo, hi in scert.dual.bounding_box():
-        cells *= int((hi - lo) * q) + 1
+    *cols, (t, *_) = zip(*scert.dual.hverts)
+    cells = math.prod(q * (max(col) - min(col)) // t + 1 for col in cols)
     dual_count = None
     if cells > ENUMERATION_CAP:
         notes.append(f"dual enumeration infeasible: {cells} candidate cells exceed cap {ENUMERATION_CAP}")

@@ -62,6 +62,51 @@ def test_usage_error_exit_code(capsys):
     assert code == 1 and "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "usage error: cannot read matrix file {path}: [Errno 2] No such file or directory"),
+        ("{bad", "usage error: matrix file {path} is not valid JSON: "),
+        ('{"cols": [1, 2], "frozen": [], "d": [1, 1], "rows": [[0, 1], [-1, 0]]}',
+         "parse error: malformed matrix object\n"),
+        ('{"cols": [1, 2], "frozen": [2], "d": [1, 1], "rows": {"1": [0, 1], "2": [-1, 0]}}',
+         "parse error: rows keys [1, 2] do not match mutable labels [1]\n"),
+    ],
+    ids=["missing", "invalid_json", "rows_not_object", "rows_keys"],
+)
+def test_bad_matrix_input_is_exit_1(capsys, tmp_path, text, message):
+    """A missing or non-JSON --in file is a usage error, and rows that are
+    not an object keyed by the mutable labels a parse error: exit 1, one line
+    on stderr, nothing on stdout."""
+    path = tmp_path / "m.json"
+    if text is not None:
+        path.write_text(text)
+    code, stdout, err = run(capsys, "mutate", "--in", str(path), "--seq", "1")
+    assert (code, stdout) == (1, "") and err.startswith(message.format(path=path)) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([], "polytope needs a nonempty vertex list"),
+        ([["1", "0"], ["0"], ["-1", "-1"]], "polytope vertices of mixed dimension"),
+    ],
+)
+def test_bad_vertex_list_is_a_parse_error(capsys, tmp_path, vertices, message):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"vertices": vertices}))
+    code, stdout, err = run(capsys, "polytope", "hull", "--in", str(p))
+    assert (code, stdout, err) == (1, "", f"parse error: {message}\n")
+
+
+def test_mutate_reads_a_seed_from_type_and_word(capsys):
+    """With no --in, mutate builds the seed of --type and --word, as `seed`
+    does, and mutates it."""
+    code, stdout, _ = run(capsys, "mutate", "--type", "C3", "--word", NINE, "--seq", "6,2,3")
+    want = jsonio.matrix_from_obj(json.loads((GOLDEN / "seed_c3.json").read_text())).mutate_seq([6, 2, 3])
+    assert code == 0 and jsonio.matrix_from_obj(json.loads(stdout)) == want
+
+
 def test_parse_error_names_field(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"cols": [1,2], "frozen": [], "d": [1,1]}')
@@ -96,6 +141,13 @@ def test_polytope_slice(capsys, tmp_path):
     assert code == 0
     obj = json.loads(stdout)
     assert obj["section"]["dim"] == 1 and obj["plus"]["dim"] == 2
+
+
+def test_polytope_slice_needs_a_normal(capsys, tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"vertices": [["1", "1"], ["1", "-1"], ["-1", "1"], ["-1", "-1"]]}))
+    code, stdout, err = run(capsys, "polytope", "slice", "--in", str(p), "--offset", "1")
+    assert (code, stdout, err) == (1, "", "usage error: slice needs --normal (and optionally --offset)\n")
 
 
 @pytest.mark.parametrize("normal", ["1,0,5", "1", "0,0"])
@@ -594,13 +646,15 @@ def _golden_inputs(tmp_path, case):
         return ["polytope", sub, "--in", str(p)]
     if case == "seed_c3":
         return ["seed", "--type", "C3", "--word", NINE]
-    if case in ("restrict_c3", "mutate_c3r"):
+    if case in ("restrict_c3", "mutate_c3r", "class_bfs_c3r"):
         # the README pipeline: each step reads the previous step's golden stdout
         m = tmp_path / "m.json"
         if case == "restrict_c3":
             m.write_text((GOLDEN / "seed_c3.json").read_text())
             return ["restrict", "--in", str(m), "--keep", "1,2,3,6,8"]
         m.write_text((GOLDEN / "restrict_c3.json").read_text())
+        if case == "class_bfs_c3r":
+            return ["class-bfs", "--in", str(m), "--node-cap", "10000", "--entry-cap", "4"]
         return ["mutate", "--in", str(m), "--seq", "6,2,3"]
     if case == "quiver_a5":
         return ["quiver", "--type", "A5", "--word", "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1"]
@@ -652,6 +706,7 @@ GOLDEN_CASES = [
     ("trop_k2", 0),
     ("trop_nonconvex", 2),
     ("class_bfs_ft_a22", 3),
+    ("class_bfs_c3r", 0),
     ("search_c3_target8", 0),
     ("polytope_hull", 0),
     ("polytope_dual", 0),

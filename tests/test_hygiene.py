@@ -4,7 +4,7 @@ vertex format (caller points are cleared to integer rows only in `hull` and
 `hull_any`, and rows become Fractions only in the Fraction-returning
 `vertices`, `vertices_from_facets` and `crossing_points`), one facet format
 (a half-space stores its integer row, and only `halfspace` normalises caller
-data to one), no
+data to one), a kernel that reads facet rows and not the `normal` view, no
 `fractions` import in `mutation`, one call into `re` (the numeral rule in
 `rootsys`), `cli` writes its output only from `main`, no unused package
 import that the benchmark tracer does not wrap, every name in
@@ -65,9 +65,10 @@ def test_no_value_calls(path):
     assert not lines, f"{path.name} calls .value( at lines {lines}"
 
 
-def _callers(name):
-    """Each place in the package that calls `name`, as module:scope, the scope
-    being the enclosing function or the class attribute an assignment binds."""
+def _scopes(match, paths=SRC):
+    """Each place in the given modules with a node that `match` accepts, as
+    module:scope, the scope being the enclosing function or the class
+    attribute an assignment binds."""
     found = set()
 
     def visit(node, scope):
@@ -77,13 +78,18 @@ def _callers(name):
                 inner = f"{scope}.{child.name}".lstrip(".")
             elif isinstance(node, ast.ClassDef) and isinstance(child, ast.Assign):
                 inner = f"{scope}.{child.targets[0].id}"
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+            if match(child):
                 found.add(f"{path.stem}:{scope}")
             visit(child, inner)
 
-    for path in SRC:
+    for path in paths:
         visit(ast.parse(path.read_text(), filename=str(path)), "")
     return found
+
+
+def _callers(name):
+    """Each place in the package that calls `name`, as module:scope."""
+    return _scopes(lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name)
 
 
 def test_one_vertex_format():
@@ -110,6 +116,25 @@ def test_one_facet_format():
         "polytopes:RationalPolytope.translate", "polytopes:RationalPolytope.scale",
         "tropical:trop_mutate_polytope", "tropical:trop_mutate_polytope.build",
     }
+
+
+def test_kernel_reads_facet_rows():
+    """`polytopes` and `tropical` order, test and map facets on their stored
+    rows.  The `normal` view is read only by `HalfSpace`'s Fraction accessors
+    (`__repr__`, `value`) and by `qgf_solve`, for the public `dual_vertices`
+    and one error message; the constructor alone orders facets, so no kernel
+    code calls `.sort(`; `qgf_solve` checks its identity on the eliminated
+    rows, not on a re-cleared center (`_homog`); and the certificate's cap
+    reads the dual's rows, not the Fraction `bounding_box`.  (`cli` reads its
+    own `args.normal`, so the scan covers these two modules only.)"""
+    kernel = [p for p in SRC if p.stem in ("polytopes", "tropical")]
+
+    def reads(attr):
+        return _scopes(lambda node: isinstance(node, ast.Attribute) and node.attr == attr, kernel)
+
+    assert reads("normal") == {"polytopes:HalfSpace.__repr__", "polytopes:HalfSpace.value", "polytopes:qgf_solve"}
+    assert reads("sort") == set() and reads("bounding_box") == set()
+    assert "polytopes:qgf_solve" not in _callers("_homog")
 
 
 def test_mutation_imports_no_fractions():

@@ -411,7 +411,7 @@ def test_hull_any_matches_rank_basis():
         assert (got.vertices, got.dim) == (want.vertices, want.dim)
         # every row holds every vertex, and the m - dim equation pairs vanish on all of them
         assert all(f.contains(v) for f in got.facets for v in got.vertices)
-        assert [f.normal for f in got.facets] == sorted(f.normal for f in got.facets)
+        assert [f.row for f in got.facets] == sorted(f.row for f in got.facets)
         pairs = [f for f in got.facets if halfspace(tuple(-a for a in f.normal), -f.offset) in got.facets]
         assert len(pairs) == (0 if got.is_empty else 2 * (m - got.dim))
         assert all(f.on_boundary(v) for f in pairs for v in got.vertices)

@@ -406,3 +406,24 @@ def test_hot_paths_build_no_fraction(monkeypatch):
         first = D.vertices
         assert D.vertices is first and len(built) == 1
     assert D == P and first == P.vertices
+
+
+def test_hot_paths_build_no_normal_view(monkeypatch):
+    """The constructor orders facets by their stored rows, so a hull, its
+    double polar dual, lattice points, a slice and tropical images, convex or
+    not with a piece read, build no facet's `normal` view; reading it builds
+    it once."""
+    views = []
+    real = HalfSpace.normal.func
+    monkeypatch.setattr(HalfSpace.normal, "func", lambda h: views.append(h) or real(h))
+    P = hull([(1, 0, 0), (0, Q(3, 2), 0), (0, 0, 2), (-1, -1, Q(-1, 3)), (Q(1, 5), Q(1, 5), Q(1, 5))])
+    assert polar_dual(polar_dual(P)) == P
+    assert len(lattice_points(P, 2)) > 0
+    res = slice_polytope(P, halfspace((1, -2, 0), Q(1, 3)))
+    assert (res.section.dim, res.plus.dim, res.minus.dim) == (2, 3, 3)
+    assert tropical.trop_mutate_polytope(EPS, 1, hull([(0, 0), (-1, 2), (1, 0), (1, 2)])).convex
+    img = tropical.trop_mutate_polytope(EPS, 1, hull([(2, 2), (2, -2), (Q(-1, 2), 2), (Q(-1, 2), -2)]))
+    assert not img.convex and img.plus_image.dim == 2
+    assert views == []
+    f = P.facets[0]
+    assert f.normal is f.normal and views == [f]

@@ -81,6 +81,21 @@ def test_mutable_finiteness_needs_a_component_of_three():
     assert mutable_finiteness(joined) == "infinite"
 
 
+def test_mutable_finiteness_finds_infinite_through_the_bfs():
+    """A path 1 - 2 - 3 of double arrows has no entry of 3 to certify it at
+    once; mutating at 2 makes an entry 4, so the class BFS stops past the
+    entry cap and certifies "infinite", and the frozen-arrow search refuses
+    it."""
+    eps = exchange_matrix([1, 2, 3, 4], [4], [1, 1, 1, 1], [[0, -2, 0, 1], [2, 0, -2, 0], [0, 2, 0, -1]])
+    part = eps.mutable_part()
+    assert part.max_abs_entry() == 2
+    res = mutation_class_bfs(part, node_cap=4096, entry_cap=3)
+    assert (res.status, res.trace.seq, res.trace.result.max_abs_entry()) == ("entry_exceeded", (2,), 4)
+    assert mutable_finiteness(eps) == "infinite"
+    with pytest.raises(MutationError, match="^mutable part is already mutation infinite$"):
+        ft_infinite_witness(eps)
+
+
 def test_large_entry_immediate_hit_gives_empty_trace():
     eps = exchange_matrix([1, 2], [2], [1, 1], [[0, -3]])
     wit = large_entry_search(eps, 1)

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction as Q
@@ -457,7 +458,7 @@ def test_refusals_compute_no_crossings(crossing_calls, builds, monkeypatch):
         with pytest.raises(PreconditionError, match="convex_image"):
             qgf_preservation_check(eps_row(row), 1, P)
     assert crossing_calls == [] and builds == []
-    img.piece_vertices()
+    assert img.plus_image.dim == 2
     assert len(crossing_calls) == 1
     crossing_calls.clear()
     assert trop_mutate_polytope(EPS, 1, hull([(0, 0), (-1, 2), (1, 0), (1, 2)])).convex
@@ -486,14 +487,14 @@ def test_image_builds_its_pieces_once_on_first_read(builds):
     assert builds.count("RationalPolytope") == 2 and 0 < builds.count("_facet") <= len(plus.facets + minus.facets)
     built = len(builds)
     assert img.plus_image is plus and img.minus_image is minus and img.polytope is None
-    assert img.piece_vertices() == list(plus.vertices + minus.vertices) and len(builds) == built
+    assert len(builds) == built
     for P in (hull([(1, 0), (2, 0), (1, 5), (2, 5)]), hull([(0, 0), (-1, 2), (1, 0), (1, 2)])):  # one-sided, two pieces
         builds.clear()
         img = trop_mutate_polytope(EPS, 1, P)
         H = img.polytope
         assert img.convex and builds.count("RationalPolytope") == 1 and builds.count("_facet") == len(H.facets)
         assert img.polytope is H and img.plus_image is None and img.minus_image is None
-        assert img.piece_vertices() == list(H.vertices) and len(builds) == len(H.facets) + 1
+        assert len(builds) == len(H.facets) + 1
     with pytest.raises(AttributeError):
         img.other
 
@@ -609,6 +610,43 @@ def test_distinguish_certificate_condition_violation_recorded():
     assert not st.cond_polytope and not st.valid
 
 
+def test_distinguish_certificate_notes_a_bad_initial_polytope():
+    """An initial polytope with no QGF certificate, and one whose center the
+    mutations move, are each named in a certificate note."""
+    eps = exchange_matrix([1, 2], [2], [1, 1], [[0, -1]])
+    stages = (Stage((), 1, 2), Stage((1,), 1, 2))
+    # [-1, 1] x [-2, 2]: its two pairs of opposite facets need sizes 1 and 2
+    cert = distinguish_certificate(FamilySpec(eps, hull([(1, 2), (1, -2), (-1, 2), (-1, -2)]), stages))
+    reason = "no common center: facet offsets are incompatible"
+    assert not cert.initial_qgf and cert.notes[0] == f"initial polytope not QGF: {reason}"
+    assert not cert.stages[0].qgf_ok and f"stage polytope not QGF: {reason}" in cert.stages[0].notes
+    # [-1, 3] x [-2, 2] is QGF of size 2, centred at (1, 0), off the wall u_1 = 0
+    cert = distinguish_certificate(FamilySpec(eps, hull([(3, 2), (3, -2), (-1, 2), (-1, -2)]), stages))
+    assert cert.initial_qgf and (cert.center, cert.size) == ((1, 0), 2) and not cert.center_fixed
+    assert cert.notes[0] == "center not tropical-fixed: violations ((1, Fraction(1, 1)),)"
+    assert not cert.pairwise_distinct
+
+
+def test_certify_stage_names_changed_qgf_data():
+    """A stage certified against another polytope's certificate notes the
+    changed size and the moved center, and still counts its dual; with no
+    initial certificate it stops after its own QGF solve."""
+    eps = exchange_matrix([1, 2], [2], [1, 1], [[0, -1]])
+    P = hull([(1, 1), (1, -1), (-1, 1), (-1, -1)]).translate((0, 1))  # size 1, center (0, 1)
+    other, _ = qgf_solve(hull([(0, 0), (4, 0), (0, 4), (4, 4)]))  # size 2, center (2, 2)
+    rec = tropical._certify_stage(Stage((), 1, 2), eps, P, other, None, {})
+    assert rec.qgf_ok and not rec.size_ok and not rec.center_ok and not rec.valid
+    assert rec.notes[1:3] == (
+        "size changed: 2 -> 1",
+        "center moved: (Fraction(2, 1), Fraction(2, 1)) -> (Fraction(0, 1), Fraction(1, 1))",
+    )
+    assert (rec.a_s, rec.q, rec.dual_count) == (2, 1, 5)
+    rec = tropical._certify_stage(Stage((), 1, 2), eps, P, None, None, {})
+    assert rec.qgf_ok and not rec.size_ok and not rec.center_ok and not rec.valid
+    assert (rec.a_s, rec.q, rec.segment_count, rec.dual_count) == (None, None, None, None)
+    assert rec.notes == ("mutated polytope leaves the half-space u_2 >= 0",)
+
+
 def test_enumeration_cap_reports_the_infeasible_stage(monkeypatch):
     """Above ENUMERATION_CAP candidate cells a stage names the cap in a note,
     counts no dual points and is invalid; both stages here have 90 cells."""
@@ -624,12 +662,16 @@ def test_enumeration_cap_reports_the_infeasible_stage(monkeypatch):
     assert calls == []
 
 
-def test_segment_count_matches_fraction_points():
+def test_segment_count_matches_fraction_points(monkeypatch):
     """The stage's segment count, read off the dual's integer rows, equals the
     count of the segment's Fraction points k/q that `contains` accepts, on
-    random QGF polytopes moved off the origin, so a_s and p/q take either sign."""
+    random QGF polytopes moved off the origin, so a_s and p/q take either sign.
+    With the cap at 0 every stage reports its cell count, which, read off the
+    dual's integer vertex rows, equals the product of int((hi - lo) * q) + 1
+    over the dual's Fraction bounding box, q > 1 among them."""
+    monkeypatch.setattr(tropical, "ENUMERATION_CAP", 0)
     rng = random.Random(24)
-    partial = negative = 0
+    partial = negative = scaled = 0
     for _ in range(80):
         dim = rng.randint(2, 3)
         P0, _ = random_qgf_polytope(rng, dim)
@@ -649,4 +691,8 @@ def test_segment_count_matches_fraction_points():
         assert rec.segment_count == sum(map(cert.dual.contains, pts))
         partial += 0 < rec.segment_count < len(pts)
         negative += frac < 0 and len(pts) > 1
-    assert partial and negative
+        cells = math.prod(int((hi - lo) * rec.q) + 1 for lo, hi in cert.dual.bounding_box())
+        assert rec.notes[-1] == f"dual enumeration infeasible: {cells} candidate cells exceed cap 0"
+        scaled += rec.q > 1
+    assert partial and negative and scaled
+
