@@ -2,8 +2,10 @@
 
 Everything here works on tuples of Fraction (or int) and never touches
 floating point.  Matrices are tuples of row tuples.  Every elimination
-(`rank`, `solve`, `rref`, `mat_inverse`) is one fraction-free Bareiss pass
-(`_bareiss`) on rows cleared to integers.
+(`rank`, `solve`, `rref`, `mat_inverse`, and in `polytopes` the double
+description, `hull_any` and `qgf_solve`) is one fraction-free Bareiss pass
+(`_bareiss`) on rows cleared to integers, which reads rows only until it
+has as many independent ones as it needs.
 """
 
 from __future__ import annotations
@@ -34,63 +36,63 @@ def _clear(row, den: int = 0) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _bareiss(M: list[list[int]], jordan: bool = False) -> list[int]:
-    """Fraction-free (Bareiss 1968) elimination of an integer matrix in place;
-    returns the pivot columns.  Every entry stays a minor of the input, so
-    each division is exact.  With jordan the entries above each pivot are
-    cleared too, and every pivot row ends with the last pivot on its pivot."""
-    pivots: list[int] = []
-    prev, r, n = 1, 0, len(M)
-    for c in range(len(M[0]) if M else 0):
-        piv = next((i for i in range(r, n) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        row, p = M[r], M[r][c]
-        for i in range(0 if jordan else r + 1, n):
-            if i != r:
-                a = M[i][c]
-                M[i] = [(p * x - a * y) // prev for x, y in zip(M[i], row)]
-        prev = p
-        pivots.append(c)
-        r += 1
-    return pivots
+def _bareiss(rows, n: int) -> list[tuple[int, int, list[int]]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows, one row at a time,
+    up to n rows independent in their first n entries: a row is kept iff its reduction by the rows
+    kept before it leaves a nonzero there, so the kept rows are the first independent ones and the
+    rows after the n-th are never read.  Returns (pivot column, input index, row) for the kept rows
+    in pivot order: each row is zero at the other pivots and carries the last pivot on its own.
+    Every entry stays a minor of the input, so each division is exact."""
+    D, kept = 1, []
+    for i, v in enumerate(rows):
+        w = [D * x for x in v]
+        for c, _, b in kept:
+            if a := v[c]:
+                w = [x - a * y for x, y in zip(w, b)]
+        c = next((c for c in range(n) if w[c]), None)
+        if c is not None:
+            p = w[c]
+            kept = [(j, k, [(p * x - b[c] * y) // D for x, y in zip(b, w)]) for j, k, b in kept] + [(c, i, w)]
+            D = p
+            if len(kept) == n:
+                break
+    return sorted(kept)
 
 
 def rank(rows) -> int:
-    return len(_bareiss([_clear(r) for r in rows]))
+    M = [_clear(r) for r in rows]
+    return len(_bareiss(M, len(M[0]) if M else 0))
 
 
 def solve(A, b) -> Vec | None:
     """One exact solution of A x = b (free variables 0), or None if inconsistent."""
     n = len(A[0]) if A else 0
-    M = [_clear(tuple(row) + (bv,)) for row, bv in zip(A, b)]
-    pivots = _bareiss(M, jordan=True)
-    if pivots and pivots[-1] == n:
+    kept = _bareiss([_clear(tuple(row) + (bv,)) for row, bv in zip(A, b)], n + 1)
+    if kept and kept[-1][0] == n:
         return None
     x = [Q(0)] * n
-    for row, c in zip(M, pivots):
+    for c, _, row in kept:
         x[c] = Q(row[n], row[c])
     return tuple(x)
 
 
 def rref(rows) -> tuple[list[list[Q]], list[int]]:
     """Reduced row echelon form of a copy; returns (matrix, pivot columns).
-    The Jordan pass on the cleared rows leaves each pivot row a multiple of
-    its reduced row, and the zero rows last."""
+    Each kept row of the Jordan pass on the cleared rows is a multiple of its
+    reduced row, and the zero rows come last."""
     M = [_clear(qvec(r)) for r in rows]
-    pivots = _bareiss(M, jordan=True)
-    reduced = [[Q(x, row[c]) for x in row] for row, c in zip(M, pivots)]
-    return reduced + [list(map(Q, row)) for row in M[len(pivots):]], pivots
+    kept = _bareiss(M, len(M[0]) if M else 0)
+    reduced = [[Q(x, row[c]) for x in row] for c, _, row in kept]
+    return reduced + [[Q(0)] * len(M[0]) for _ in M[len(kept):]], [c for c, *_ in kept]
 
 
 def mat_inverse(A) -> Mat:
     n = len(A)
     M = [_clear(qvec(tuple(row) + tuple(int(i == j) for j in range(n)))) for i, row in enumerate(A)]
-    pivots = _bareiss(M, jordan=True)
-    if pivots[:n] != list(range(n)):
+    kept = _bareiss(M, n)
+    if len(kept) < n:
         raise ValueError("matrix is singular")
-    return tuple(tuple(Q(x, row[i]) for x in row[n:]) for i, row in enumerate(M[:n]))
+    return tuple(tuple(Q(x, row[i]) for x in row[n:]) for i, _, row in kept)
 
 
 def primitive(v) -> tuple[int, ...]:

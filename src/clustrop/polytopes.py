@@ -8,8 +8,7 @@ tightness test is the sign of a facet row against the rows.  `HalfSpace`
 alone fixes the facet format: one primitive integer row (den normal, num),
 which every builder makes directly (`_facet`) and by which the constructor
 orders facets; the normal and the Fraction offset are views of it, built on
-first read, and in the kernel only `qgf_solve` reads one (the normals it
-lists).
+first read, and in the kernel only `QGFCertificate.dual_vertices` reads one.
 Two vertices span an edge, and a double-description ray pair is adjacent, by one
 rule (`_adjacent`).  Only `vertices_from_facets` and `_hull`, the hull step of
 `hull`, `hull_any` and slice sections, run the double description, on a
@@ -17,12 +16,13 @@ homogenization cone of integer rows (`_bounded_rays`); `_hull` reads each facet
 and the points on it off an integer ray of the polar dual about the centroid
 (`facets_from_points`): the 3^9 points of {0, 1, 2}^9 take 2.2-2.5 s (Python
 3.11, one core of a Xeon), the cube's 512 vertices among them.  The polar and
-QGF duals are read off the face lattice with no hull (`_dual`).  One cut rule
+QGF duals are read off the face lattice with no hull (`_dual`); `qgf_solve`
+eliminates only the facet rows that pin its solution (`_bareiss`).  One cut rule
 (`_cut`) gives the crossings and both pieces of a polytope cut by a hyperplane,
-for slicing and tropical images, in two steps: the sides (`_sides`), all that a
-refused tropical image reads, then the crossings (`_crossings`).  Every
-non-empty polytope carries integer facet rows, whatever its dimension
-(`hull_any`), so one sign test decides membership.
+in two steps: the sides (`_sides`), then the crossings (`_crossings`).  One
+rule gives a side's facets (`_held`), and a refused tropical image reads it at
+one side's vertices alone.  Every non-empty polytope carries integer facet
+rows, whatever its dimension (`hull_any`), so one sign test decides membership.
 """
 
 from __future__ import annotations
@@ -149,13 +149,11 @@ def _dd_extreme_rays(constraints: list[tuple[int, ...]], d: int) -> tuple[list[t
     positive combination of two rays is tight only where both are.
     """
     rows = [primitive(c) for c in constraints]
-    # pivot columns of the transpose: each constraint independent of those before it
-    chosen = _bareiss([list(col) for col in zip(*rows)])
+    chosen = sorted(i for _, i, _ in _bareiss(rows, d))  # each constraint independent of those before it
     if len(chosen) < d:
         raise DegenerateError("constraint normals do not span; cone is not pointed")
     # [A | I] -> [D I | D A^-1], so D times column j of D A^-1 is a positive multiple of ray j
-    M = [list(rows[i]) + [int(i == j) for j in chosen] for i in chosen]
-    _bareiss(M, jordan=True)
+    M = [row for *_, row in _bareiss([list(rows[i]) + [int(i == j) for j in chosen] for i in chosen], d)]
     rays = [primitive(tuple(M[0][0] * row[d + j] for row in M)) for j in range(d)]
     full = sum(1 << i for i in chosen)
     tight = [full ^ (1 << i) for i in chosen]
@@ -387,8 +385,8 @@ def _hull_any(hpts: list[tuple[int, ...]], m: int) -> RationalPolytope:
     if not hpts:
         return RationalPolytope((), m, -1, ())
     (*P0, t), *rest = hpts
-    M = [[x - y for x, y in zip(hp, P0)] for hp in rest]
-    I = _bareiss(M, jordan=True)
+    kept = _bareiss([[x - y for x, y in zip(hp, P0)] for hp in rest], m)
+    I, M = [c for c, *_ in kept], [row for *_, row in kept]
     if len(I) == m:
         return _hull(hpts, m)
     verts, facets = hpts[:1], []
@@ -497,22 +495,20 @@ def lattice_points(P: RationalPolytope, q: int = 1) -> list[Point]:
 
 @dataclass(frozen=True)
 class QGFCertificate:
-    """Certified center, size, and combinatorial dual of a QGF polytope.
-
-    For every facet <u, n_F> >= beta_F (primitive integer inward normal) the
-    center satisfies <u0, n_F> - beta_F = size; the combinatorial dual is the
-    hull of the raw facet normals, read off `polytope` on first access and
-    cached.  `center`, `size` and `dual_vertices` fix equality and the hash.
-    """
+    """Certified center and size of a QGF polytope: for every facet <u, n_F> >= beta_F (primitive
+    integer inward normal) the center satisfies <u0, n_F> - beta_F = size.  `dual_vertices`, the
+    sorted facet normals, and `dual`, their hull, are read off `polytope` on first access and
+    cached.  `center`, `size` and `polytope` fix equality and the hash: given the center and the
+    size, the normals fix the facets, so this is equality of center, size and dual vertices."""
 
     center: Point
     size: int
-    dual_vertices: tuple[tuple[int, ...], ...]
-    polytope: RationalPolytope = field(repr=False, compare=False)
+    polytope: RationalPolytope = field(repr=False)
+    dual_vertices = functools.cached_property(lambda self: tuple(sorted(f.normal for f in self.polytope.facets)))
     dual = functools.cached_property(lambda self: _dual(self.polytope, self.center, self.size))
 
 
-def _qgf_identity(f: HalfSpace, C, s: int, size: int) -> bool:
+def _qgf_identity(f: HalfSpace, C, s: int, size: int | Q) -> bool:
     """<C/s, n> + offset == size on the facet (n, offset), in integers: <C, den n> + s num == size s den,
     den the gcd of the row's normal part; homogeneous in (C, s), so s may have either sign."""
     return sum(map(mul, C, f.row)) + s * f.row[-1] == size * s * math.gcd(*f.row[:-1])
@@ -523,32 +519,26 @@ def qgf_solve(P: RationalPolytope) -> tuple[QGFCertificate | None, str]:
 
     Writes each facet as <u, n_F> >= beta_F with primitive integer inward
     normal and solves <u0, n_F> = beta_F + nu exactly; certifies only when nu
-    is a positive integer.  One fraction-free elimination of the rows (den n_F,
-    -den | -num), beta_F = -num/den and den the gcd of den n_F, gives the rank
-    and the solution, if any, and `_qgf_identity` checks it on every facet.
-    No dual is built here.
+    is a positive integer.  The rows (den n_F, -den | -num), beta_F =
+    -num/den and den the gcd of den n_F, pin (u0, nu) iff m + 1 of them are
+    independent; `_bareiss` solves the first such, normally the first m + 1, and
+    `_qgf_identity` then decides every facet: it fails on one iff the offsets
+    have no common center.  No dual and no normal view is built here.
     """
     P.require_full_dim()
     m = P.ambient_dim
-    M = [list(f.row[:m]) + [-math.gcd(*f.row[:m]), -f.row[m]] for f in P.facets]
-    pivots = _bareiss(M, jordan=True)
-    if sum(c <= m for c in pivots) < m + 1:
+    M = [row for *_, row in _bareiss([(*f.row[:m], -math.gcd(*f.row[:m]), -f.row[m]) for f in P.facets], m + 1)]
+    if len(M) < m + 1:
         return None, "facet normals do not pin a unique center and size"
-    if pivots[-1] == m + 1:
+    # every row ends with the last pivot s on its pivot, in column r of row r: center = C / s, nu = M[m][m + 1] / s
+    C, s, nu = [row[m + 1] for row in M[:m]], M[m][m], Q(M[m][m + 1], M[m][m])
+    if not all(_qgf_identity(f, C, s, nu.numerator if nu.denominator == 1 else nu) for f in P.facets):
         return None, "no common center: facet offsets are incompatible"
-    # every pivot row ends with the last pivot s on its pivot, in column r of row r: center = C / s
-    C, s = [row[m + 1] for row in M[:m]], M[m][m]
-    center, nu = tuple(Q(c, s) for c in C), Q(M[m][m + 1], s)
     if nu <= 0:
         return None, f"solved size {nu} is not positive"
     if nu.denominator != 1:
         return None, f"solved size {nu} is not an integer"
-    # <center, n_F> + b_F = nu on every facet, so the dual's vertices are exactly the n_F
-    cert = QGFCertificate(center, int(nu), tuple(sorted(f.normal for f in P.facets)), P)
-    for f in P.facets:
-        if not _qgf_identity(f, C, s, cert.size):
-            raise AssertionError(f"QGF identity fails on facet normal {f.normal}")
-    return cert, "ok"
+    return QGFCertificate(tuple(Q(c, s) for c in C), int(nu), P), "ok"
 
 
 def qgf_certificate(P: RationalPolytope) -> QGFCertificate | None:
@@ -570,9 +560,8 @@ class SliceResult:
 
 
 def _cut(P: RationalPolytope, h: HalfSpace):
-    """The one cut rule, in two steps (`_sides`, then `_crossings`, which a caller
-    needing only the sides skips): P's vertices, then the crossings, integer
-    homogeneous over one t; their rows against h (0 at a crossing); the pieces.
+    """The one cut rule, in two steps (`_sides`, then `_crossings`): P's vertices, then the
+    crossings, integer homogeneous over one t; their rows against h (0 at a crossing); the pieces.
 
     A crossing is where the hyperplane meets a true edge (`_adjacent`), or for
     lower-dimensional P any segment, between vertices strictly on opposite
@@ -590,14 +579,21 @@ def _cut(P: RationalPolytope, h: HalfSpace):
 
 def _sides(P: RationalPolytope, vals: list[int]):
     """The sides step of `_cut`, on the values of P's vertex rows: (None, None) unless P has
-    vertices strictly on both sides, else their tight sets (None unless P is full-dimensional)
-    and for s = 1, -1 the indices i with s vals[i] > 0 and the facets tight at one of them."""
+    vertices strictly on both sides, else their tight sets (None unless P is full-dimensional) and
+    for s = 1, -1 the indices i with s vals[i] > 0 and the facets tight at one of them."""
     if not (vals and min(vals) < 0 < max(vals)):
         return None, None
     tight = _tight_sets(P.facets, P.hverts) if P.is_full_dim else None
     idx = [[i for i, v in enumerate(vals) if s * v > 0] for s in (1, -1)]
-    held = [functools.reduce(or_, (tight[i] for i in ix)) if tight else 0 for ix in idx]
-    return tight, [(ix, [f for j, f in enumerate(P.facets) if bits >> j & 1]) for ix, bits in zip(idx, held)]
+    return tight, [(ix, list(_held(P, ix, tight)) if tight else []) for ix in idx]
+
+
+def _held(P: RationalPolytope, ix: list[int], tight: list[int] | None = None):
+    """The facets of P tight at one of its vertices ix, lazily, in order: read off P's tight sets
+    if given, else off the rows at those vertices alone, a facet at a time."""
+    bits = functools.reduce(or_, [tight[i] for i in ix]) if tight else 0
+    hps = [] if tight else [P.hverts[i] for i in ix]
+    return (f for j, f in enumerate(P.facets) if bits >> j & 1 or any(sum(map(mul, f.row, hp)) == 0 for hp in hps))
 
 
 def _crossings(P: RationalPolytope, vals: list[int], tight, sides):

@@ -8,10 +8,10 @@ go straight to the constructor.  A polytope's image is read off its cut by the
 wall (`polytopes._cut`); its convexity, and each condition u_s >= 0, is
 decided by sign tests on integer rows, so no hull or double description runs
 here.  Facets map as integer rows (`_map_facet`) and go to the polytope as
-they are.  Convexity reads only the vertices off the wall, and a non-convex
-image's crossings, half-spaces and piece polytopes are made when a caller
-first reads them (`TropImage`), so a caller that stops at the convexity flag
-makes none.
+they are.  Convexity reads only the vertices off the wall, and the facet rows
+only at those on one side; a non-convex image's crossings, half-spaces and
+piece polytopes are made when a caller first reads them (`TropImage`), so a
+caller that stops at the convexity flag makes none.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .polytopes import (
     RationalPolytope,
     _crossings,
     _facet,
+    _held,
     _homog,
     _keep,
     _sides,
@@ -145,10 +146,11 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     lies in A's half-spaces the union is locally convex, hence convex
     (Tietze-Nakajima), and B's half-spaces, facets of that convex union,
     hold A.  B is the hull of the section and its vertices off the wall, so
-    convexity is read off A's mapped rows at the images of P's vertices
-    strictly on side -1 (`_sides`), and a refusal computes no crossing.  A
-    convex image adds the crossings (`_crossings`) at once, a non-convex one
-    on first read."""
+    the test maps A's facets, those tight at P's vertices strictly on side 1
+    (`_held`, read off those vertices alone), one at a time and reads them at
+    the images of P's vertices strictly on side -1.  A refusal computes no
+    incidence at any other vertex and no crossing; a convex image computes
+    both (`_sides`, `_crossings`) at once, a non-convex one on first read."""
     _check_direction(eps, k)
     P.require_full_dim()
     m = P.ambient_dim
@@ -156,33 +158,32 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
         raise TropicalError("polytope ambient dimension does not match column count")
     ki, row = eps.col_index(k), eps.row(k)
     vals = [hp[ki] for hp in P.hverts]  # the vertex rows against the wall u_k = 0
-    tight, sides = _sides(P, vals)
     p = {s: _side(row, s) + (0,) for s in (1, -1)}  # the 0 keeps the homogenizing coordinate
-    if sides is None:
-        s = 1 if max(vals) > 0 else -1
+    ia, ib = ([i for i, v in enumerate(vals) if s * v > 0] for s in (1, -1))
+    if not (ia and ib):
+        s = 1 if ia else -1
         img = [_trop(p[s], ki, hp) for hp in P.hverts]
         return TropImage(True, RationalPolytope(img, m, m, [_facet(_map_facet(f.row, p[s], ki)) for f in P.facets]))
-    (_, fa), (ib, fb) = sides
-    ra = [_map_facet(f.row, p[1], ki) for f in fa]
+    ra = (_map_facet(f.row, p[1], ki) for f in _held(P, ia))
     vb = [_trop(p[-1], ki, P.hverts[i]) for i in ib]
 
-    def cut():  # the rows of P and the crossings, which the maps fix, mapped; the pieces; B's facet rows
-        hpts, cvals, pieces = _crossings(P, vals, tight, sides)
-        rb = [_map_facet(f.row, p[-1], ki) for f in fb]
-        return [_trop(p[1 if v >= 0 else -1], ki, hp) for hp, v in zip(hpts, cvals)], pieces, rb
+    def cut():  # the rows of P and the crossings, which the maps fix, mapped; the pieces; their facet rows mapped
+        hpts, cvals, pieces = _crossings(P, vals, *_sides(P, vals))
+        rows = [[_map_facet(f.row, p[s], ki) for f in fs] for s, (_, fs) in zip((1, -1), pieces)]
+        return [_trop(p[1 if v >= 0 else -1], ki, hp) for hp, v in zip(hpts, cvals)], pieces, rows
 
     if all(sum(map(mul, r, u)) >= 0 for r in ra for u in vb):
-        img, _, rb = cut()
+        img, _, (ra, rb) = cut()
         facets = [_facet(r) for r in set(ra + rb)]
         keep = _keep(_tight_sets(facets, img), m)
         return TropImage(True, RationalPolytope([u for u, kept in zip(img, keep) if kept], m, m, facets))
 
     def build():
-        img, pieces, rb = cut()
+        img, pieces, rows = cut()
         # the piece on side s maps into -s u_k >= 0
         walls = [tuple(-s * int(i == ki) for i in range(m)) + (0,) for s in (1, -1)]
         return [RationalPolytope([img[i] for i in idx], m, m, [_facet(r) for r in rs + [w]])
-                for (idx, _), rs, w in zip(pieces, (ra, rb), walls)]
+                for (idx, _), rs, w in zip(pieces, rows, walls)]
 
     return TropImage._deferred(build)
 
@@ -432,7 +433,7 @@ def distinguish_certificate(family: FamilySpec) -> DistinguishCertificate:
                 images = {}
         if blocked is None:
             solved = (cert, msg) if cur_P is P else None
-            records.append(_certify_stage(st, cur_eps, cur_P, cert, solved, images))
+            records.append(_certify_stage(st, cur_eps, cur_P, cert, solved, images, origin_ok and center_fixed))
         else:
             records.append(StageRecord(st.seq, st.r, st.s, notes=(f"replay blocked: {blocked}",)))
 
@@ -456,11 +457,12 @@ def distinguish_certificate(family: FamilySpec) -> DistinguishCertificate:
 
 def _certify_stage(
     st: Stage, eps: ExtendedExchangeMatrix, P: RationalPolytope, cert: QGFCertificate | None,
-    solved: tuple | None, images: dict[int, TropImage],
+    solved: tuple | None, images: dict[int, TropImage], premises: bool = True,
 ) -> StageRecord:
     """Certify one replayed stage: eps and P are the matrix and polytope after
     st.seq, cert the initial polytope's QGF certificate (None if it has none),
-    solved qgf_solve(P) if known, images a direction -> image memo for (eps, P).
+    solved qgf_solve(P) if known, images a direction -> image memo for (eps, P),
+    premises whether 0 lies in the initial polytope and its center is tropical-fixed.
 
     Records eps_{r,s}, checks both half-space conditions, computes q from
     size/a_s in lowest terms, verifies the dual lattice points along the
@@ -521,9 +523,9 @@ def _certify_stage(
     else:
         dual_count = len(lattice_points(scert.dual, q))
     conditions_hold = entry_np and cond2 and cond3 and qgf_ok and size_ok and center_ok
-    if conditions_hold and seg_count < lower:
-        # with every condition satisfied the dual provably contains
-        # the whole segment; a miss here is an implementation bug
+    if premises and conditions_hold and seg_count < lower:
+        # with every precondition of the lemma satisfied the dual provably
+        # contains the whole segment; a miss here is an implementation bug
         raise AssertionError(
             f"segment verification failed on a condition-satisfying stage: {seg_count} < {lower}"
         )

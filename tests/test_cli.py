@@ -460,6 +460,33 @@ def test_certify_distinct_command(capsys, tmp_path):
     assert [st["entry"] for st in cert["stages"]] == [-2, -4]
 
 
+def test_certify_distinct_outside_the_lemma_is_a_negative(capsys, tmp_path):
+    """A stage whose own conditions hold but whose family breaks the lemma's
+    other preconditions (0 outside P, the center (3/2, -1/2, 3) not
+    tropical-fixed) may miss segment points: the stage is invalid with its
+    segment note and the command exits 2, with no traceback."""
+    fam = {
+        "matrix": {"cols": [1, 2, 3], "frozen": [], "d": [2, 2, 1],
+                   "rows": {"1": [0, 0, -2], "2": [0, 0, -2], "3": [4, 4, 0]}},
+        "polytope": {"vertices": [["-1/2", "-5/2", "5/3"], ["-1/2", "-5/2", "5"], ["-1/2", "0", "5/2"],
+                                  ["1/2", "-5/2", "5"], ["5/6", "-11/6", "5"], ["13/6", "-5/2", "5/3"],
+                                  ["7/2", "3/2", "3"]]},
+        "stages": [{"seq": [], "r": 1, "s": 3}],
+    }
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(fam))
+    code, stdout, err = run(capsys, "certify-distinct", "--family", str(f))
+    assert (code, err) == (2, "")
+    cert = json.loads(stdout)
+    assert (cert["origin_in_polytope"], cert["center_fixed"], cert["pairwise_distinct"]) == (False, False, False)
+    (stage,) = cert["stages"]
+    assert (stage["valid"], stage["segment_count"], stage["lower_bound"]) == (False, 2, 3)
+    assert stage["notes"] == ["only 2/5 segment points inside the dual"]
+    conditions = ("entry_nonpositive", "polytope_in_halfspace", "image_in_halfspace", "qgf", "size_preserved",
+                  "center_preserved")
+    assert all(stage[key] for key in conditions)
+
+
 def test_fixtures_run(capsys):
     code, stdout, _ = run(capsys, "fixtures", "run")
     assert code == 0

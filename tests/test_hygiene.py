@@ -121,18 +121,20 @@ def test_one_facet_format():
 def test_kernel_reads_facet_rows():
     """`polytopes` and `tropical` order, test and map facets on their stored
     rows.  The `normal` view is read only by `HalfSpace`'s Fraction accessors
-    (`__repr__`, `value`) and by `qgf_solve`, for the public `dual_vertices`
-    and one error message; the constructor alone orders facets, so no kernel
-    code calls `.sort(`; `qgf_solve` checks its identity on the eliminated
-    rows, not on a re-cleared center (`_homog`); and the certificate's cap
-    reads the dual's rows, not the Fraction `bounding_box`.  (`cli` reads its
-    own `args.normal`, so the scan covers these two modules only.)"""
+    (`__repr__`, `value`) and by the public `QGFCertificate.dual_vertices`
+    view; the constructor alone orders facets, so no kernel code calls
+    `.sort(`; `qgf_solve` checks its identity on the eliminated rows, not on a
+    re-cleared center (`_homog`); and the certificate's cap reads the dual's
+    rows, not the Fraction `bounding_box`.  (`cli` reads its own
+    `args.normal`, so the scan covers these two modules only.)"""
     kernel = [p for p in SRC if p.stem in ("polytopes", "tropical")]
 
     def reads(attr):
         return _scopes(lambda node: isinstance(node, ast.Attribute) and node.attr == attr, kernel)
 
-    assert reads("normal") == {"polytopes:HalfSpace.__repr__", "polytopes:HalfSpace.value", "polytopes:qgf_solve"}
+    assert reads("normal") == {
+        "polytopes:HalfSpace.__repr__", "polytopes:HalfSpace.value", "polytopes:QGFCertificate.dual_vertices"
+    }
     assert reads("sort") == set() and reads("bounding_box") == set()
     assert "polytopes:qgf_solve" not in _callers("_homog")
 

@@ -24,7 +24,7 @@ from fraction_oracle import vadd
 
 from clustrop import polytopes
 from clustrop.glsseed import gls_exchange_matrix
-from clustrop.linalg import _clear, dot, mat_inverse, rank, rref, solve
+from clustrop.linalg import _bareiss, _clear, dot, mat_inverse, rank, rref, solve
 from clustrop.polytopes import (
     DegenerateError,
     HalfSpace,
@@ -744,6 +744,81 @@ def test_qgf_solve_matches_fraction_oracle():
     assert set(diagnostics) == {
         "ok", "facet normals do not pin a unique center and size", "no common center", "not positive", "not an integer"
     }, diagnostics
+
+
+def _first_rows_pin(P):
+    """Whether the first m + 1 sorted facet rows alone pin the center and size."""
+    m = P.ambient_dim
+    return rank([f.normal + (-1,) for f in P.facets[:m + 1]]) == m + 1
+
+
+def _facet_list(m, forms):
+    """A polytope record carrying only the given facets (normal, offset), for the diagnostics that no
+    full-dimensional polytope reaches; `qgf_solve` reads nothing else."""
+    return RationalPolytope(((0,) * m + (1,),), m, m, tuple(halfspace(n, b) for n, b in forms))
+
+
+def test_qgf_solve_pinned_rows_match_fraction_oracle():
+    """`qgf_solve` eliminates only the first rows that pin (u0, nu) and decides
+    the other facets by the identity; the oracle eliminates every row.  Both
+    agree on every diagnostic where the first m + 1 sorted rows pin and where
+    they are dependent, as on the octahedron, whose first four normals
+    (-1, +-1, +-1) lie in one plane.  "Not pinned" needs dependent first rows,
+    so it has the second path only; no polytope has a size <= 0 or normals
+    that leave it free, so those cases list facets alone."""
+    rng = random.Random(3001)
+    octahedron = hull([tuple(s * int(i == j) for j in range(3)) for i in range(3) for s in (1, -1)])
+    cube = hull(list(itertools.product((-1, 1), repeat=3)))
+    assert not _first_rows_pin(octahedron) and _first_rows_pin(cube)
+    cases = []
+    for P in (octahedron, cube):
+        t = tuple(rat(rng, 2) for _ in range(3))
+        forms = [(f.normal, f.offset) for f in P.facets]
+        cases += [P, P.translate(t), P.scale(Q(1, 2)), P.translate(t).scale(3),
+                  _facet_list(3, [(n, -b) for n, b in forms]),
+                  _facet_list(3, [(n, b + (i == 5)) for i, (n, b) in enumerate(forms)])]
+    cases += [_facet_list(2, [((1, 0), 1), ((-1, 0), 1)]), _facet_list(1, [((1,), -1), ((-1,), -1)])]
+    for _ in range(40):
+        m = rng.randint(2, 4)
+        P, _nu = random_qgf_polytope(rng, m)
+        cases += [P, P.scale(Q(1, 2)), P.translate(tuple(rat(rng, 1) for _ in range(m)))]
+        cases.append(random_polytope_with_interior_origin(rng, m))
+    seen = set()
+    for P in cases:
+        got, want = qgf_solve(P), oracle.qgf_solve(P)
+        assert _same_qgf(got, want)
+        seen.add((want[1].split(":")[0].split(" is ")[-1], _first_rows_pin(P)))
+    found = {"ok", "no common center", "not positive", "not an integer"}
+    pinned = "facet normals do not pin a unique center and size"
+    assert seen == {(d, True) for d in found} | {(d, False) for d in found | {pinned}}, seen
+
+
+def test_bareiss_keeps_the_first_independent_rows_in_jordan_form():
+    """`_bareiss(rows, n)` keeps the rows independent, in their first n
+    entries, of the rows before them, up to n of them, reads no row after the
+    n-th kept, and leaves each kept row as the Fraction Gauss-Jordan form of
+    those rows alone scaled by one common integer: zero at the other pivots,
+    the same last pivot on its own."""
+    rng = random.Random(3002)
+    short = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) * (rng.random() < 0.6) for _ in range(n + 1))
+                for _ in range(rng.randint(1, n + 4))]
+        chosen = []
+        for i, r in enumerate(rows):
+            if len(chosen) < n and rank([rows[j][:n] for j in chosen] + [r[:n]]) > len(chosen):
+                chosen.append(i)
+        read = []
+        kept = _bareiss((read.append(r) or r for r in rows), n)
+        short += len(kept) < n
+        assert sorted(i for _, i, _ in kept) == chosen
+        assert len(read) == (len(rows) if len(kept) < n else chosen[-1] + 1)
+        reduced, pivots = rref([rows[i] for i in chosen])
+        assert [c for c, *_ in kept] == pivots[:len(chosen)]
+        D = kept[0][2][kept[0][0]] if kept else 1
+        assert all(row[c] == D and [Q(x, D) for x in row] == red for (c, _, row), red in zip(kept, reduced))
+    assert short >= 50
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -374,6 +374,75 @@ def test_certificate_builds_its_dual_once_on_first_read(dual_calls):
         assert hash(cert) == before and cert == qgf_solve(P)[0]
 
 
+@pytest.fixture
+def normal_views(monkeypatch):
+    """The half-spaces whose `normal` view is built, recorded by wrapping the view's function."""
+    calls, real = [], polytopes.HalfSpace.normal.func
+    monkeypatch.setattr(polytopes.HalfSpace.normal, "func", lambda h: calls.append(h) or real(h))
+    return calls
+
+
+def _fresh(P):
+    """P with new half-spaces on the same rows, so no view of them is built yet."""
+    return polytopes.RationalPolytope(P.hverts, P.ambient_dim, P.dim, [polytopes._facet(f.row) for f in P.facets])
+
+
+def test_qgf_checks_build_no_normal_view(normal_views):
+    """`qgf_solve` and `qgf_preservation_check`, accepting or refusing, build
+    no `normal` view; `dual_vertices` is the sorted normals, built on first
+    read and cached."""
+    rng = random.Random(640)
+    outcomes = {}
+    certs = []
+    for P in _moved_qgf_polytopes(rng, 10) + [random_polytope_with_interior_origin(rng, 3) for _ in range(5)]:
+        P = _fresh(P)
+        cert = qgf_solve(P)[0]
+        certs.append((cert, P))
+        if cert is None:
+            continue
+        eps = random_exchange(rng, n_mut=P.ambient_dim, n_frozen=0)
+        centred = P.translate(tuple(-x for x in cert.center))  # a fixed center
+        for k in eps.mutable:
+            try:
+                qgf_preservation_check(eps, k, centred)
+                which = "accepted"
+            except PreconditionError as err:
+                which = err.which
+            outcomes[which] = outcomes.get(which, 0) + 1
+    assert normal_views == []
+    assert {"accepted", "convex_image"} <= set(outcomes), outcomes
+    for cert, P in certs:
+        if cert is not None:
+            assert cert.dual_vertices == tuple(sorted(f.normal for f in P.facets))
+            assert cert.dual_vertices is cert.dual_vertices
+    assert len(normal_views) == sum(len(P.facets) for cert, P in certs if cert is not None)
+
+
+def test_certificate_equality_follows_center_size_and_normals():
+    """Certificates are equal, and hash alike, exactly when their centers,
+    sizes and dual vertices are: the same polytope reached by other routes
+    gives an equal certificate; a moved center, another size or other
+    normals a different one.  The repr shows the center and the size."""
+    rng = random.Random(650)
+    certs = []
+    for P in _moved_qgf_polytopes(rng, 6):
+        t = tuple(Q(rng.randint(-3, 3), 2) for _ in range(P.ambient_dim))
+        same = [P.translate(t).translate(tuple(-x for x in t)), P.scale(3).scale(Q(1, 3)), hull(P.vertices[::-1])]
+        certs += [qgf_solve(R)[0] for R in [P, *same, P.translate(t), P.scale(2)]]
+    certs.append(qgf_solve(hull([(1, 0), (0, 1), (-1, -1)]))[0])  # the next two: center 0 and size 1 alike
+    certs.append(qgf_solve(hull([(1, 1), (1, -1), (-1, 1), (-1, -1)]))[0])
+    pairs = equal = 0
+    for a in certs:
+        for b in certs:
+            key_equal = (a.center, a.size, a.dual_vertices) == (b.center, b.size, b.dual_vertices)
+            assert (a == b) == key_equal
+            assert not key_equal or hash(a) == hash(b)
+            pairs, equal = pairs + 1, equal + key_equal
+    assert equal > len(certs) and pairs > equal
+    assert len(set(certs)) == len({(c.center, c.size, c.dual_vertices) for c in certs})
+    assert repr(certs[0]) == f"QGFCertificate(center={certs[0].center!r}, size={certs[0].size!r})"
+
+
 # ---------------------------------------------------------------------------
 # Tropical images build their half-spaces and polytopes only when read
 
@@ -441,25 +510,50 @@ def _gls_gelfand_tsetlin(n):
     return gls_exchange_matrix(cartan_matrix("A", n - 1), word), P
 
 
-def test_refusals_compute_no_crossings(crossing_calls, builds, monkeypatch):
+@pytest.fixture
+def incidence(monkeypatch):
+    """What the side rule reads: the point lists of every `polytopes._tight_sets` call, and the
+    (polytope, vertex indices, tight sets) of every `_held` call, through each module's binding."""
+    calls = {"_tight_sets": [], "_held": []}
+    for name in calls:
+        real = getattr(polytopes, name)
+        for module in (polytopes, tropical):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls[name].append(a) or real(*a))
+    return calls
+
+
+def test_refusals_compute_no_crossings(crossing_calls, builds, incidence, monkeypatch):
     """A refusal reads only P's vertices off the wall: refusing SQUARE, GT(2 rho)
-    of Fl(4) in its 3 GLS directions and the images a preservation check
-    meets computes no crossing and builds no half-space, not even the wall.
-    The first piece read computes the crossings once, and so does a convex
-    image cut in two."""
+    of Fl(4) and Fl(5) in their GLS directions and the images a preservation
+    check meets computes no crossing and builds no half-space, not even the
+    wall.  It evaluates facet rows only at P's vertices strictly on the plus
+    side, one `_held` read of those alone, and never the full incidence.  The
+    first piece read computes the crossings once, and so does a convex image
+    cut in two."""
     eps4, gt4 = _gls_gelfand_tsetlin(4)
+    eps5, gt5 = _gls_gelfand_tsetlin(5)
     P = hull([(1, 1), (1, -1), (-1, 1), (-1, -1)]).translate((0, 1))
     real = polytopes._facet
     monkeypatch.setattr(polytopes, "_facet", lambda *a: builds.append("polytopes._facet") or real(*a))
     builds.clear()
-    assert [trop_mutate_polytope(eps4, k, gt4).convex for k in eps4.mutable] == [False] * 3
+    incidence["_tight_sets"].clear()
+    for eps, gt in ((eps4, gt4), (eps5, gt5)):
+        for k in eps.mutable:
+            incidence["_held"].clear()
+            assert not trop_mutate_polytope(eps, k, gt).convex
+            ki = eps.col_index(k)
+            assert [(R, ix, t) for R, ix, *t in incidence["_held"]] == [
+                (gt, [i for i, hp in enumerate(gt.hverts) if hp[ki] > 0], [])
+            ]
     img = trop_mutate_polytope(EPS, 1, SQUARE)
     for row in ([0, -2], [0, 2], [0, -1]):
         with pytest.raises(PreconditionError, match="convex_image"):
             qgf_preservation_check(eps_row(row), 1, P)
-    assert crossing_calls == [] and builds == []
+    assert crossing_calls == [] and builds == [] and incidence["_tight_sets"] == []
+    assert all(ix == [i for i, hp in enumerate(R.hverts) if hp[0] > 0] for R, ix, *_ in incidence["_held"][-4:])
     assert img.plus_image.dim == 2
-    assert len(crossing_calls) == 1
+    assert len(crossing_calls) == 1 and len(incidence["_tight_sets"]) == 1
     crossing_calls.clear()
     assert trop_mutate_polytope(EPS, 1, hull([(0, 0), (-1, 2), (1, 0), (1, 2)])).convex
     assert len(crossing_calls) == 1
