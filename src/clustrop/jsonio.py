@@ -59,10 +59,14 @@ def rat_to_str(x) -> str:
 
 def rat_from_str(s) -> Q:
     """A JSON integer (not a bool) or a -?[0-9]+(/[0-9]+)? string with a
-    nonzero denominator; a float such as 1.5 is refused, not read as 3/2."""
+    nonzero denominator; a float such as 1.5 is refused, not read as 3/2.
+    A matched string is read by int(), not by Fraction's own string parser."""
     try:
-        if type(s) is int or isinstance(s, str) and _NUMERAL.fullmatch(s):
+        if type(s) is int:
             return Q(s)
+        if isinstance(s, str) and _NUMERAL.fullmatch(s):
+            num, _, den = s.partition("/")
+            return Q(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError):  # a zero denominator, or more digits than int() reads
         pass
     raise FormatError(f"cannot parse rational {s!r}")

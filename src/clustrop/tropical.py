@@ -11,7 +11,11 @@ here.  Facets map as integer rows (`_map_facet`) and go to the polytope as
 they are.  Convexity reads only the vertices off the wall, and the facet rows
 only at those on one side; a non-convex image's crossings, half-spaces and
 piece polytopes are made when a caller first reads them (`TropImage`), so a
-caller that stops at the convexity flag makes none.
+caller that stops at the convexity flag makes none.  The test u_s >= 0 on
+an image, in the certificate and in the supporting-half-space lemma, reads
+one accessor (`TropImage.in_halfspace`): on a non-convex image it maps P's
+vertices and builds no piece, and it computes the crossings only where P
+itself leaves u_s >= 0.
 """
 
 from __future__ import annotations
@@ -101,7 +105,8 @@ class TropImage:
     are returned so callers can refuse explicitly.  A non-convex image made
     by `trop_mutate_polytope` builds its pieces when one is first read
     (directly, by equality, hash or repr), then keeps them, so a caller that
-    stops at `convex` builds nothing; its `polytope` is None at once."""
+    stops at `convex` builds nothing; its `polytope` is None at once.
+    `in_halfspace` tests a coordinate's sign on the image with no piece built."""
 
     convex: bool
     polytope: RationalPolytope | None
@@ -112,10 +117,11 @@ class TropImage:
         self.__dict__.update(convex=convex, polytope=polytope, plus_image=plus_image, minus_image=minus_image)
 
     @classmethod
-    def _deferred(cls, build) -> TropImage:
-        """A non-convex image whose pieces build() = (plus_image, minus_image) makes on first read."""
+    def _deferred(cls, build, within) -> TropImage:
+        """A non-convex image whose pieces build() = (plus_image, minus_image) makes on first read,
+        and whose `in_halfspace(ci)` is within(ci)."""
         img = cls.__new__(cls)
-        img.__dict__.update(convex=False, polytope=None, _build=build)
+        img.__dict__.update(convex=False, polytope=None, _build=build, _within=within)
         return img
 
     def __getattr__(self, name):
@@ -127,8 +133,15 @@ class TropImage:
         del self.__dict__["_build"]
         return self.__dict__[name]
 
-    def _parts(self) -> tuple[RationalPolytope, ...]:
-        return (self.polytope,) if self.convex else (self.plus_image, self.minus_image)
+    def in_halfspace(self, ci: int) -> bool:
+        """True iff the image lies in u_c >= 0, c the column of index ci: iff entry ci is >= 0 on
+        integer homogeneous rows (t u, t) that generate it.  A non-convex image made by
+        `trop_mutate_polytope` reads them with no piece built."""
+        within = self.__dict__.get("_within")
+        if within:
+            return within(ci)
+        parts = (self.polytope,) if self.convex else (self.plus_image, self.minus_image)
+        return all(hp[ci] >= 0 for part in parts for hp in part.hverts)
 
 
 def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytope) -> TropImage:
@@ -185,7 +198,14 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
         return [RationalPolytope([img[i] for i in idx], m, m, [_facet(r) for r in rs + [w]])
                 for (idx, _), rs, w in zip(pieces, rows, walls)]
 
-    return TropImage._deferred(build)
+    def within(ci):
+        # each piece's image is the hull of its side's vertices of P, mapped, and the crossings, points
+        # of P that both maps fix: where P lies in u_c >= 0, the mapped vertices decide alone
+        if any(hp[ci] < 0 for hp in P.hverts):
+            return all(hp[ci] >= 0 for hp in cut()[0])
+        return all(_trop(p[1 if v >= 0 else -1], ki, hp)[ci] >= 0 for hp, v in zip(P.hverts, vals))
+
+    return TropImage._deferred(build, within)
 
 
 def _map_facet(row, p, ki: int) -> tuple[int, ...]:
@@ -282,7 +302,7 @@ def supporting_halfspace_lemma(
     if entry > 0:
         raise PreconditionError("entry_sign", f"eps_({r},{s}) = {entry} > 0")
     image = trop_mutate_polytope(eps, r, P)
-    if not all(hp[si] >= 0 for part in image._parts() for hp in part.hverts):
+    if not image.in_halfspace(si):
         raise PreconditionError("image_halfspace", f"mutated polytope not contained in u_{s} >= 0")
     support = [int(i == si) - entry * int(i == ri) for i in range(n)] + [0]  # the row of u_s - entry u_r >= 0
     vals = [sum(map(mul, support, hp)) for hp in P.hverts]
@@ -480,7 +500,7 @@ def _certify_stage(
     if st.r not in images:
         images[st.r] = trop_mutate_polytope(eps, st.r, P)
     img = images[st.r]
-    cond3 = all(hp[si] >= 0 for part in img._parts() for hp in part.hverts)
+    cond3 = img.in_halfspace(si)
     if not cond2:
         notes.append(f"polytope leaves the half-space u_{st.s} >= 0")
     if not cond3:

@@ -1,9 +1,14 @@
-"""Seeded random generators shared by the property and acceptance suites."""
+"""Seeded random generators shared by the property and acceptance suites,
+the paper-scale polytopes they gate on, and a log of `lattice_points` walks."""
 
+import contextlib
+import sys
 from fractions import Fraction as Q
 
+from clustrop import polytopes
 from clustrop.mutation import exchange_matrix
 from clustrop.polytopes import DegenerateError, PolytopeError, halfspace, hull, polar_dual, vertices_from_facets
+from clustrop.rootsys import cartan_matrix
 
 
 def random_exchange(rng, n_mut=None, n_frozen=None, span=3, unit_d=False):
@@ -88,3 +93,61 @@ def gelfand_tsetlin(n):
         for (a, b), (c, d) in ((entry(k + 1, i), entry(k, i)), (entry(k, i), entry(k + 1, i + 1))):
             halves.append(halfspace(tuple(x - y for x, y in zip(a, c)), b - d))
     return hull(vertices_from_facets(halves, m), m)
+
+
+def string_polytope_A(n, lam):
+    """The string polytope of type A_n for the word (1; 2, 1; 3, 2, 1; ...) at
+    the weight with <lam, h_i> = lam[i - 1]: Littelmann's cone, a_1 >= a_2 >= ...
+    >= a_j >= 0 in block j, cut by the lambda-inequalities a_k <= <lam, h_(i_k)>
+    - sum over l > k of a_l <alpha_(i_l), h_(i_k)> (Littelmann 1998;
+    Berenstein-Zelevinsky 2001)."""
+    word = [i for j in range(1, n + 1) for i in range(j, 0, -1)]
+    N, C = len(word), cartan_matrix("A", n)
+    halves, start = [], 0
+    for j in range(1, n + 1):
+        block = range(start, start + j)
+        for k in block:  # a_k >= a_(k+1) inside the block, and the block's last entry >= 0
+            halves.append(halfspace(tuple(int(t == k) - int(t == k + 1 and k + 1 in block) for t in range(N)), 0))
+        start += j
+    for k, i in enumerate(word):
+        normal = tuple(-1 if t == k else -C.a[i - 1][word[t] - 1] if t > k else 0 for t in range(N))
+        halves.append(halfspace(normal, lam[i - 1]))
+    return hull(vertices_from_facets(halves, N), N)
+
+
+# Delta_212121(2 rho) of G2, written <n, u> >= -b as (n, b): six facets at b = 2, six at b = 0
+G2_DELTA_FACETS = (
+    ((-1, 0, -1, 0, -1, 0), 2), ((0, -1, 0, -1, 0, -1), 2), ((0, 0, -1, 0, -1, 0), 2),
+    ((0, 0, 0, -1, 0, -1), 2), ((0, 0, 0, 0, -1, 0), 2), ((0, 0, 0, 0, 0, -1), 2),
+    ((0, 0, 0, 0, 0, 1), 0), ((0, 0, 0, 0, 1, 0), 0), ((0, 0, 0, 1, 1, 0), 0),
+    ((0, 0, 2, 1, 1, 0), 0), ((0, 1, 2, 1, 1, 0), 0), ((1, 1, 2, 1, 1, 0), 0),
+)
+
+
+def g2_delta():
+    """Delta_212121(2 rho) of G2 from its 12 facets."""
+    return hull(vertices_from_facets([halfspace(n, b) for n, b in G2_DELTA_FACETS], 6), 6)
+
+
+@contextlib.contextmanager
+def walk_log():
+    """Log every `lattice_points` walk run inside the block: one [order, nodes]
+    per call, the coordinate order read off its frame and the walk nodes, the
+    calls of its inner `walk`, each one prefix visited.  Counted by
+    `sys.setprofile`, so the count is exact and takes no clock."""
+    walk = next(c for c in polytopes.lattice_points.__code__.co_consts if getattr(c, "co_name", "") == "walk")
+    log = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is walk:
+            if frame.f_back.f_code is walk:
+                log[-1][1] += 1
+            else:
+                log.append([list(frame.f_back.f_locals["order"]), 1])
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield log
+    finally:
+        sys.setprofile(previous)

@@ -1,5 +1,6 @@
 import argparse
 import json
+from fractions import Fraction as Q
 from importlib import resources
 from pathlib import Path
 
@@ -569,6 +570,23 @@ def test_rational_parse_rejects_garbage():
         jsonio.rat_from_str("1/0")
     with pytest.raises(jsonio.FormatError):
         jsonio.rat_from_str("pi")
+
+
+def _short(s):
+    return s if len(s) < 12 else f"{len(s)}-chars"
+
+
+@pytest.mark.parametrize("s", ["0", "-0", "7", "-12", "4/6", "-3/4", "0/5", "-0/3", "10/1", "0012/0008", "9" * 4000], ids=_short)
+def test_rational_parse_equals_fraction(s):
+    """A string the integer rule accepts reads as Fraction(s) does."""
+    got = jsonio.rat_from_str(s)
+    assert type(got) is Q and got == Q(s)
+
+
+@pytest.mark.parametrize("s", ["1/0", "-5/0", "0/00", "9" * 5000, "1/" + "9" * 5000], ids=_short)
+def test_rational_parse_refuses_zero_denominators_and_overlong_digits(s):
+    with pytest.raises(jsonio.FormatError, match="cannot parse rational"):
+        jsonio.rat_from_str(s)
 
 
 SQUARE = {"vertices": [["2", "2"], ["2", "-2"], ["-2", "2"], ["-2", "-2"]]}

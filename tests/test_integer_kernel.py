@@ -1,7 +1,7 @@
 """Differential tests of the integer polytope kernel against the Fraction
 oracle in fraction_oracle.py: double description, Bareiss rank, solve, rref
-and inverse, lattice enumeration pruned at every depth, the edge and
-affine-basis rules of `crossing_points` and `hull_any`, the integer rows of
+and inverse, lattice enumeration pruned at every depth of a reordered walk,
+the edge and affine-basis rules of `crossing_points` and `hull_any`, the integer rows of
 flat hulls against the Fraction affine chart, hull facets read off the dual
 cone's integer rays, tropical mutation of polytopes by one point map, the
 sign tests, crossings, hull input and `qgf_solve` on integer rows, moves and
@@ -46,7 +46,7 @@ from clustrop.polytopes import (
 )
 from clustrop.rootsys import cartan_matrix
 from clustrop.tropical import CenterReport, center_fixedness, trop_mutate_point, trop_mutate_polytope
-from genutil import gelfand_tsetlin, random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
+from genutil import gelfand_tsetlin, random_exchange, random_polytope_with_interior_origin, random_qgf_polytope, walk_log
 
 
 def rat(rng, span=4, dens=(1, 2, 3)):
@@ -218,7 +218,19 @@ def test_rref_and_mat_inverse_match_fraction_oracle():
 
 
 # ---------------------------------------------------------------------------
-# (c) lattice points, pruned at every depth
+# (c) lattice points, pruned at every depth, walked in an order read off the polytope
+
+
+def _walked(P, q, orders):
+    """lattice_points(P, q), with the coordinate order of its walk appended to orders."""
+    with walk_log() as log:
+        got = lattice_points(P, q)
+    orders += [order for order, _ in log]
+    return got
+
+
+def _reordered(orders) -> bool:
+    return any(order != sorted(order) for order in orders)
 
 
 def _thin_polytope(rng, m):
@@ -244,18 +256,19 @@ def _cloud(rng, m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_fiber_lattice_points_match_box_scan(m):
     rng = random.Random(430 + m)
-    thin_gaps = 0
+    thin_gaps, orders = 0, []
     for case in range(24 if m < 4 else 9 if m == 4 else 6):
         thin = case % 3 == 2 and m > 1
         P = _thin_polytope(rng, m) if thin else _cloud(rng, m)
         # the oracle scans every cell of the box: up to 61740 at m = 6, q = 3
         for q in (1, 2, 3) if m < 6 else (1, 2):
-            got = lattice_points(P, q)
+            got = _walked(P, q, orders)
             assert got == oracle.lattice_points(P, q)
             if thin:
                 box = math.prod(math.floor(hi * q) - math.ceil(lo * q) + 1 for lo, hi in P.bounding_box()[:-1])
                 thin_gaps += len({p[:-1] for p in got}) < box
     assert thin_gaps > 0 or m == 1
+    assert _reordered(orders) or m == 1
 
 
 def _sparse_polytope(rng, m):
@@ -277,14 +290,14 @@ def _sparse_polytope(rng, m):
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_lattice_points_of_sparse_polytopes_match_box_scan(m):
     rng = random.Random(470 + m)
-    inner_signs = set()
+    inner_signs, orders = set(), []
     for _ in range(8 if m < 5 else 4):
         P = _sparse_polytope(rng, m)
         n = [f.normal for f in P.facets]
         inner_signs |= {(a > 0) - (a < 0) for v in n for j, a in enumerate(v[:-1]) if any(v[j + 1:])}
         for q in (1, 2, 3) if m < 5 else (1, 2):
-            assert lattice_points(P, q) == oracle.lattice_points(P, q)
-    assert inner_signs == {-1, 0, 1}
+            assert _walked(P, q, orders) == oracle.lattice_points(P, q)
+    assert inner_signs == {-1, 0, 1} and _reordered(orders)
 
 
 def test_gelfand_tsetlin_lattice_points_are_the_weyl_dimension():
@@ -293,9 +306,11 @@ def test_gelfand_tsetlin_lattice_points_are_the_weyl_dimension():
         P = gelfand_tsetlin(n)
         assert P.ambient_dim == n * (n - 1) // 2
         assert len(lattice_points(P)) == count
-    P = gelfand_tsetlin(3)
-    for q in (1, 2):
-        assert lattice_points(P, q) == oracle.lattice_points(P, q)
+    orders = []
+    for n, q in ((3, 1), (3, 2), (4, 1)):
+        P = gelfand_tsetlin(n)
+        assert _walked(P, q, orders) == oracle.lattice_points(P, q)
+    assert _reordered(orders)
 
 
 def test_lattice_points_prune_inner_depths_on_a_diagonal_segment():
@@ -314,9 +329,11 @@ def test_lattice_points_of_lower_dimensional_polytopes_match_box_scan():
         hull_any([(1, Q(1, 2))], 2),
         hull_any([], 2),
     ]
+    orders = []
     for P in cases:
         for q in (1, 2, 3):
-            assert lattice_points(P, q) == oracle.lattice_points(P, q)
+            assert _walked(P, q, orders) == oracle.lattice_points(P, q)
+    assert _reordered(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +442,7 @@ def test_flat_polytopes_match_fraction_chart(m):
     membership and lattice points against the oracle's affine chart, and
     translate and scale move the facets to those of the moved hull."""
     rng = random.Random(455 + m)
-    dims = set()
+    dims, orders = set(), []
     for case in range(24 if m < 4 else 12):
         k = case % m
         pts = _affine_cloud(rng, m, k) if k else [tuple(rat(rng) for _ in range(m))]
@@ -435,11 +452,12 @@ def test_flat_polytopes_match_fraction_chart(m):
         for p in _probes(rng, P, m) + pts:
             assert P.contains(p) == oracle.contains(P, p)
         for q in (1, 2) if m < 4 else (1,):
-            assert lattice_points(P, q) == oracle.lattice_points(P, q)
+            assert _walked(P, q, orders) == oracle.lattice_points(P, q)
         t, c = tuple(rat(rng, 3, (1, 2, 5)) for _ in range(m)), Q(rng.randint(1, 9), rng.choice((1, 2, 3)))
         assert _same(P.translate(t), hull_any([vadd(v, t) for v in P.vertices], m))
         assert _same(P.scale(c), hull_any([tuple(c * x for x in v) for v in P.vertices], m))
     assert dims == set(range(m)), dims
+    assert _reordered(orders)
 
 
 # ---------------------------------------------------------------------------

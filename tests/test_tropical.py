@@ -1,14 +1,16 @@
+import json
 import math
 import random
 import re
 from fractions import Fraction as Q
+from importlib import resources
 from operator import mul
 
 import fraction_oracle as oracle
 import pytest
 from genutil import gelfand_tsetlin, random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
 
-from clustrop import polytopes, tropical
+from clustrop import jsonio, polytopes, tropical
 from clustrop.glsseed import gls_exchange_matrix
 from clustrop.mutation import FrozenIndexError, exchange_matrix
 from clustrop.polytopes import halfspace, hull, hull_any, qgf_certificate, qgf_solve, slice_polytope
@@ -606,6 +608,73 @@ def test_deferred_image_equals_the_image_made_from_its_parts():
     img = trop_mutate_polytope(EPS, 1, SQUARE)
     assert repr(img) == repr(TropImage(False, None, img.plus_image, img.minus_image))
     assert img == TropImage(False, None, img.plus_image, img.minus_image)
+
+
+def test_certificate_tests_its_image_with_no_piece_built(monkeypatch, crossing_calls):
+    """On `family_2stage` stage (1,) meets a non-convex image in direction 2.
+    Its test u_3 >= 0 (`TropImage.in_halfspace`) maps the stage polytope's
+    vertices, which all lie in u_3 >= 0, so the certificate builds no piece
+    polytope and computes no crossing beyond the one cut of the convex image
+    the replay takes in direction 1; its records stay as they were."""
+    deferred, built = [], []
+    real = TropImage._deferred.__func__
+
+    def wrapped(cls, build, within):
+        deferred.append(build)
+        return real(cls, lambda: built.append(build) or build(), within)
+
+    monkeypatch.setattr(TropImage, "_deferred", classmethod(wrapped))
+    fam = json.loads((resources.files("clustrop") / "fixtures" / "family_2stage.json").read_text())["family"]
+    cert = distinguish_certificate(jsonio.family_from_obj(fam))
+    assert len(deferred) == 1 and built == [] and len(crossing_calls) == 1
+    assert [(st.cond_image, st.dual_count, st.valid) for st in cert.stages] == [(True, 21, True), (True, 23, True)]
+
+
+def _pieces(img):
+    return (img.polytope,) if img.convex else (img.plus_image, img.minus_image)
+
+
+def test_image_halfspace_test_gives_the_piece_verdicts(crossing_calls):
+    """`cond_image` and the lemma's `image_halfspace` test u_s >= 0 on the
+    image by `TropImage.in_halfspace`.  Over seeded images, convex or not, of
+    polytopes inside u_s >= 0 or not, both equal the test read off the
+    image's own pieces, built after it, and off the Fraction oracle's pieces.
+    A non-convex image of a polytope inside u_s >= 0 is tested with no
+    crossing computed."""
+    rng = random.Random(31)
+    seen = set()
+    for case in range(120):
+        dim = rng.randint(2, 4)
+        n_mut = rng.randint(1, dim)
+        eps = random_exchange(rng, n_mut=n_mut, n_frozen=dim - n_mut)
+        r, s = rng.choice(eps.mutable), rng.choice(eps.cols)
+        si, inside = eps.col_index(s), case % 2 == 0
+        pts = [tuple(rng.randint(0 if inside and i == si else -3, 3) for i in range(dim)) for _ in range(dim + 3)]
+        try:
+            P = hull(pts + [(0,) * dim], dim)  # 0 in P
+        except polytopes.DegenerateError:
+            continue
+        ref = oracle.trop_mutate_polytope(eps, r, P)
+        want = all(v[si] >= 0 for part in _pieces(ref) for v in part.vertices)
+        assert ref.in_halfspace(si) == want
+        rec = tropical._certify_stage(Stage((), r, s), eps, P, None, None, {})
+        assert rec.cond_image == want
+        if eps.entry(r, s) <= 0:
+            try:
+                supporting_halfspace_lemma(eps, r, s, P)
+            except PreconditionError as err:
+                assert err.which == ("image_halfspace" if rec.cond_polytope else "halfspace")
+                assert not (rec.cond_polytope and want)
+            else:
+                assert rec.cond_polytope and want
+        img = trop_mutate_polytope(eps, r, P)
+        crossing_calls.clear()
+        assert img.in_halfspace(si) == want
+        assert len(crossing_calls) == (0 if img.convex or rec.cond_polytope else 1)
+        assert all(v[si] >= 0 for part in _pieces(img) for v in part.vertices) == want
+        seen.add((rec.cond_polytope, img.convex, want))
+    assert {(convex, w) for _, convex, w in seen} == {(True, True), (True, False), (False, True), (False, False)}
+    assert {inside for inside, convex, _ in seen if not convex} == {True, False}
 
 
 def test_supporting_halfspace_lemma_2d_instance():
