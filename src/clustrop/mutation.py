@@ -59,9 +59,9 @@ def _mutated_rows(lab: _Labels, frozen: frozenset[int], rows: tuple, k: int) -> 
     """The one mutation kernel: the rows of mu_k of the matrix with label record lab and these
     rows.  Mutation keeps skew-symmetrizability with the same d, so valid rows give valid rows.
     eps_rs + sgn(eps_ks)[eps_rk eps_ks]_+ is eps_rs + eps_rk [±eps_ks]_+ with the sign of
-    eps_rk; -2 at k in both vectors negates column k; row k changes sign.  A row is one map
-    into an exact-size list: tuple(map(...)) over-allocates and shrinks, so freed rows are
-    not reused and peak memory grows, for no speed-up."""
+    eps_rk, each vector [±row_k]_+ built for the first row that reads it; -2 at k in both
+    negates column k; row k changes sign.  A row is one map into an exact-size list: tuple(map(..))
+    over-allocates and shrinks, so freed rows are not reused and peak memory grows, for no gain."""
     kr = lab.ri.get(k)
     if kr is None:
         if k in frozen:
@@ -69,20 +69,22 @@ def _mutated_rows(lab: _Labels, frozen: frozenset[int], rows: tuple, k: int) -> 
         raise MutationError(f"unknown label {k}")
     ki = lab.mcols[kr]
     krow = rows[kr]
-    kpos = [x if x > 0 else 0 for x in krow]
-    kneg = [-x if x < 0 else 0 for x in krow]
-    kpos[ki] = kneg[ki] = -2
+    kpos = kneg = None
     new_rows = []
     for row in rows:
         e_rk = row[ki]
         if not e_rk:
             new_rows.append(row)  # eps_rk == 0 leaves the row as it is (and eps_kk == 0: row k is set below)
-        elif e_rk == 1:
-            new_rows.append(tuple([*map(add, row, kpos)]))
-        elif e_rk == -1:
-            new_rows.append(tuple([*map(sub, row, kneg)]))
+        elif e_rk > 0:
+            if kpos is None:
+                kpos = [x if x > 0 else 0 for x in krow]
+                kpos[ki] = -2
+            new_rows.append(tuple([*map(add, row, kpos if e_rk == 1 else map(mul, kpos, repeat(e_rk)))]))
         else:
-            new_rows.append(tuple([*map(add, row, map(mul, kpos if e_rk > 0 else kneg, repeat(e_rk)))]))
+            if kneg is None:
+                kneg = [-x if x < 0 else 0 for x in krow]
+                kneg[ki] = -2
+            new_rows.append(tuple([*map(sub, row, kneg if e_rk == -1 else map(mul, kneg, repeat(-e_rk)))]))
     new_rows[kr] = tuple([*map(neg, krow)])
     return tuple(new_rows)
 
@@ -478,18 +480,24 @@ def mutation_class_bfs(eps: ExtendedExchangeMatrix, node_cap: int, entry_cap: in
     entry_exceeded  first trace reaching |entry| > entry_cap
     cap_exhausted   node_cap hit first (no claim either way)
 
-    The BFS (`_bfs`) never mutates a node back along the label it was reached by.
-    A child mu_k(parent) is capped on its rows with a nonzero entry in column k:
-    mu_k keeps the other rows but row k, which it negates, and the parent is within the cap.
+    The BFS (`_bfs`) never mutates a node back along the label it was reached by.  mu_k moves
+    an entry by |eps_rk eps_ks| <= M^2, M the parent's largest |entry|, so no child of a parent
+    with M + M^2 <= entry_cap passes the cap and none is read.  Each matrix's M is read once: in
+    full at its admission when its parent fails that bound (the root's always), else at its first child.
     """
     if not all(type(c) is int and c > 0 for c in (node_cap, entry_cap)):
         raise MutationError("caps must be positive integers")
-    if eps.max_abs_entry() > entry_cap:
+    ms = {eps: eps.max_abs_entry()}  # M of each matrix read when it was admitted, until it is expanded
+    if ms[eps] > entry_cap:
         return BFSResult("entry_exceeded", 1, (), MutationTrace(eps, (), eps))
     parents = {eps: (None, None)}
+    last = scan = None  # the parent of the last child, and whether M + M^2 > entry_cap for it
     for child in _bfs(eps, parents, eps.mutable):
-        c = eps._lab.ci[parents[child][1]]
-        if max(map(abs, chain.from_iterable(r for r in child.rows if r[c])), default=0) > entry_cap:
+        parent = parents[child][0]
+        if parent is not last:
+            m = ms.pop(parent, None) or parent.max_abs_entry()
+            last, scan = parent, m + m * m > entry_cap
+        if scan and ms.setdefault(child, child.max_abs_entry()) > entry_cap:
             # the class size leaves this child out
             return BFSResult("entry_exceeded", len(parents) - 1, (), MutationTrace(eps, _path(parents, child), child))
         if len(parents) > node_cap:
@@ -574,6 +582,7 @@ def large_entry_search(
     mutating again; its expansions count all the same.  Every state shares
     eps's cols, frozen and d, so the beam mutates, dedups and scores row tuples
     (`_mutated_rows`) and builds, and so validates, a matrix only for a witness.
+    Children are tuples (-max(0, score), seq, rows, best); seqs are unique, so a keyless sort never reads rows.
     """
     if type(target) is not int or target < 1:
         raise MutationError("target must be a positive integer")
@@ -587,13 +596,13 @@ def large_entry_search(
     if hit and hit[0] >= target:
         return LargeEntryWitness(MutationTrace(eps, (), eps), hit[1], hit[2], hit[0])
 
-    beam = [(eps.rows, ())]
+    beam = [(0, (), eps.rows, hit)]
     seen = {eps.rows: ()}
     kids = {}  # rows -> {label: child rows}: a state that re-enters the beam is not mutated again
     expanded = 0
     while beam and expanded < budget:
         children = []
-        for cur, seq in beam:
+        for _, seq, cur, _ in beam:
             last = seq[-1] if seq else None
             memo = kids.setdefault(cur, {})
             for k in lab.mutable:
@@ -604,17 +613,18 @@ def large_entry_search(
                 if child is None:
                     child = memo[k] = _mutated_rows(lab, frozen, cur, k)
                 cseq = seq + (k,)
-                prev = seen.get(child)
-                if prev is not None and prev <= cseq:
-                    continue
-                seen[child] = cseq
-                # one scan of the frozen columns gives both the hit test and the beam key
-                children.append((child, cseq, _best_frozen_drop(lab, child)))
-        hits = [(cseq, child, best) for child, cseq, best in children if best[0] >= target]
+                prev = seen.setdefault(child, cseq)
+                if prev is not cseq:
+                    if prev <= cseq:
+                        continue
+                    seen[child] = cseq
+                best = _best_frozen_drop(lab, child)
+                children.append((-max(0, best[0]), cseq, child, best))
+        hits = [(cseq, child, best) for _, cseq, child, best in children if best[0] >= target]
         if hits:
-            cseq, child, (val, r, s) = min(hits, key=lambda t: t[0])
+            cseq, child, (val, r, s) = min(hits)
             found = ExtendedExchangeMatrix(eps.cols, frozen, eps.d, child)
             return LargeEntryWitness(MutationTrace(eps, cseq, found), r, s, val)
-        children.sort(key=lambda t: (-max(0, t[2][0]), t[1]))
-        beam = [(child, cseq) for child, cseq, _ in children[:beam_width]]
+        children.sort()
+        beam = children[:beam_width]
     return None

@@ -152,6 +152,13 @@ def test_mutation_imports_no_fractions():
     assert not lines, f"mutation.py imports from fractions at lines {lines}"
 
 
+def test_one_mutation_kernel():
+    """Every mutation runs through the one kernel `_mutated_rows`, called only
+    by `mutate` (which validates what it builds) and by the beam search (which
+    keeps row tuples): no search mutates rows its own way."""
+    assert _callers("_mutated_rows") == {"mutation:ExtendedExchangeMatrix.mutate", "mutation:large_entry_search"}
+
+
 def test_one_numeral_rule():
     """What an integer or rational string looks like is one compiled pattern,
     `rootsys._NUMERAL`, read by the CLI's integer flags and the JSON reader:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from importlib import resources
 
@@ -250,21 +251,33 @@ def differential_start_matrices(rng):
 
 
 def test_mutate_matches_sign_rule_oracle():
+    """The kernel builds the shear vector [±row_k]_+ of a sign only for a row
+    with that sign of eps_rk, so the walk covers columns k with eps_rk of one
+    sign only, of each sign, of both, and |eps_rk| >= 2 of each sign (C3, B3
+    and G2 have non-unit d)."""
     rng = random.Random(20250)
     cases = 0
     unit = wide = 0  # rows r != k changed through |eps_rk| == 1 and through |eps_rk| >= 2
+    columns = Counter()
     for eps in differential_start_matrices(rng):
         for _ in range(6):
             k = rng.choice(eps.mutable)
             child = eps.mutate(k)
             assert child.rows == oracle_mutate_rows(eps, k)
-            e_rk = [abs(eps.entry(r, k)) for r in eps.mutable if r != k]
-            unit += e_rk.count(1)
-            wide += sum(e >= 2 for e in e_rk)
+            col = [eps.entry(r, k) for r in eps.mutable if r != k]
+            pos, neg = any(x > 0 for x in col), any(x < 0 for x in col)
+            columns["positive only"] += pos and not neg
+            columns["negative only"] += neg and not pos
+            columns["both signs"] += pos and neg
+            columns["wide positive"] += any(x >= 2 for x in col)
+            columns["wide negative"] += any(x <= -2 for x in col)
+            unit += sum(abs(x) == 1 for x in col)
+            wide += sum(abs(x) >= 2 for x in col)
             eps = child
             cases += 1
     assert cases >= 1000
     assert unit >= 100 and wide >= 100
+    assert len(columns) == 5 and min(columns.values()) >= 100, columns
 
 
 def test_skew_check_reports_the_oracles_first_failing_pair():

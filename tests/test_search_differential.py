@@ -7,10 +7,13 @@ witnesses.  They must also call the mutation kernel `_mutated_rows` (once per
 `mutate`, and directly from the beam) strictly less often once the oracle has
 expanded a node other than the start, since that expansion includes the move
 back to its parent.  The BFS also skips commuting squares, and the beam
-takes a re-entering matrix's children from a memo; both are checked below.
+takes a re-entering matrix's children from a memo; both are checked below,
+as are the class BFS's per-parent entry-cap bound and the beam's order on
+ties at the cut.
 """
 
 import random
+import sys
 from collections import Counter, deque
 from itertools import islice, permutations
 
@@ -122,17 +125,47 @@ def bfs_full_max(eps, node_cap, entry_cap):
     return "finite", len(parents), tuple(sorted(parents, key=lambda m: m.rows)), None
 
 
-def test_class_bfs_entry_cap_on_changed_rows_matches_max_abs_entry():
-    """The class BFS tests a child's cap only on the rows its mutation changed."""
+def test_class_bfs_entry_cap_matches_max_abs_entry(monkeypatch):
+    """The class BFS gives what a read of every child's entries gives, though a
+    parent with M + M^2 <= entry_cap (M its largest |entry|) has no child past
+    the cap, so none of its children is read; a parent past that bound has each
+    child's M read in full and kept for the child's own expansion, so no matrix
+    has its M read twice (logged from `max_abs_entry` with the BFS's `parent`
+    at each call).  Caps run near the root's M, just under, at and over its
+    M + M^2, and at 10^6, and both branches run many times.  The bound is
+    tight: on the acyclic triangle r -> s, r -> k, k -> s with every
+    |entry| = M, mu_k takes eps_rs to M + M^2."""
+    top = ExtendedExchangeMatrix.max_abs_entry
+    code = mutation.mutation_class_bfs.__code__
+    log = []
+
+    def logged(self):
+        caller = sys._getframe(1)
+        if caller.f_code is code:
+            log.append((self, caller.f_locals.get("parent")))
+        return top(self)
+
+    monkeypatch.setattr(ExtendedExchangeMatrix, "max_abs_entry", logged)
     rng = random.Random(20265)
+    held = failed = 0
     statuses = Counter()
-    for eps in (eps for name in GLS_SEEDS for eps in restrictions(rng, name, 8, (2, 5))):
-        top = eps.max_abs_entry()
-        caps = [(2000, top), (2000, top + 1), (2000, top + 3), (30, top + 3), (500, max(1, top - 1))]
+    tight = [exchange_matrix([1, 2, 3], [3], [1, 1, 1], [[0, m, m], [-m, 0, m]]) for m in (1, 2, 3)]
+    for eps in tight + [eps for name in GLS_SEEDS for eps in restrictions(rng, name, 8, (2, 5))]:
+        m = top(eps)
+        caps = [(2000, m), (2000, m + 1), (2000, m + 3), (30, m + 3), (500, max(1, m - 1))]
+        caps += [(300, cap) for cap in (m + m * m - 1, m + m * m, m + m * m + 1, 10**6)]
         for node_cap, entry_cap in caps:
+            del log[:]
             got = mutation.mutation_class_bfs(eps, node_cap, entry_cap)
             assert bfs_view(got) == bfs_full_max(eps, node_cap, entry_cap)
             statuses[got.status] += 1
+            assert set(Counter(x for x, _ in log).values()) == {1}, log
+            # log[0] is the root's own cap test; a child is read only when its parent failed the bound
+            read_parents = {parent for x, parent in log[1:] if x is not parent}
+            assert all(top(p) + top(p) ** 2 > entry_cap for p in read_parents)
+            held += sum(top(x) + top(x) ** 2 <= entry_cap for x, parent in log[1:] if x is parent)
+            failed += len(read_parents)
+    assert held >= 5000 and failed >= 5000, (held, failed)
     assert set(statuses) == {"finite", "entry_exceeded", "cap_exhausted"} and min(statuses.values()) >= 5, statuses
 
 
@@ -155,6 +188,39 @@ def test_large_entry_search_matches_oracle(calls):
             missed += new is None
             strict += check_fewer_calls(n_new, n_old, len(eps.mutable))
     assert found >= 10 and missed >= 10 and strict >= 40
+
+
+def test_large_entry_search_ties_at_the_cut_match_oracle(calls):
+    """At beam widths 1 to 3 children often tie on score at the cut; the beam,
+    which sorts plain tuples (-max(0, score), seq, rows, best) with no key,
+    expands the oracle's states, so witnesses and expanded states agree.  Ties are
+    read off the sorted children at each `sort` return (`sys.setprofile`)."""
+    code = mutation.large_entry_search.__code__
+    ties = cuts = 0
+
+    def hook(frame, event, arg):
+        nonlocal ties, cuts
+        if event == "c_return" and frame.f_code is code and getattr(arg, "__name__", "") == "sort":
+            children, width = frame.f_locals["children"], frame.f_locals["beam_width"]
+            if len(children) > width:
+                cuts += 1
+                ties += children[width - 1][0] == children[width][0]
+
+    rng = random.Random(20267)
+    for eps in (eps for name in GLS_SEEDS for eps in restrictions(rng, name, 4, (2, 5))):
+        for target, budget in [(4, 200), (8, 600), (30, 300)]:
+            for width in (1, 2, 3):
+                previous = sys.getprofile()
+                sys.setprofile(hook)
+                try:
+                    new, n_new = counted(calls, mutation.large_entry_search, eps, target, budget, width)
+                finally:
+                    sys.setprofile(previous)
+                expanded = {rows for rows, _ in calls}
+                old, n_old = counted(calls, oracle.large_entry_search, eps, target, budget, width)
+                assert witness_view(new) == witness_view(old)
+                assert n_new <= n_old and expanded == {rows for rows, _ in calls}
+    assert ties >= 200 and cuts > ties, (ties, cuts)
 
 
 def test_large_entry_search_mutates_each_matrix_label_pair_once(calls):
