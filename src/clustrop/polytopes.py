@@ -17,11 +17,11 @@ and the points on it off an integer ray of the polar dual about the centroid
 (`facets_from_points`): the 3^9 points of {0, 1, 2}^9 take 2.2-2.5 s (Python
 3.11, one core of a Xeon), the cube's 512 vertices among them.  The polar and
 QGF duals are read off the face lattice with no hull (`_dual`); `qgf_solve`
-eliminates only the facet rows that pin its solution (`_bareiss`).  One cut rule
-(`_cut`) gives the crossings and both pieces of a polytope cut by a hyperplane,
-in two steps: the sides (`_sides`), then the crossings (`_crossings`).  One
-rule gives a side's facets (`_held`), and a refused tropical image reads it at
-one side's vertices alone.  Every non-empty polytope carries integer facet
+eliminates only the facet rows that pin its solution (`_bareiss`).  One
+function (`_cut`) cuts a polytope by the hyperplane of an integer row: it gives
+the crossings and both pieces, each piece's facets read off the tight sets it
+computes.  A refused tropical image reads a side's facets off the rows at that
+side's vertices alone (`_held`).  Every non-empty polytope carries integer facet
 rows, whatever its dimension (`hull_any`), so one sign test decides membership.
 `lattice_points` walks the coordinates in an order read off the polytope,
 narrowest integer box first, and returns its points in lexicographic order.
@@ -95,6 +95,8 @@ class HalfSpace:
         return f"HalfSpace(normal={self.normal!r}, offset={self.offset!r})"
 
     def value(self, p) -> Q:
+        if len(p) != len(self.row) - 1:
+            raise PolytopeError(f"point has {len(p)} coordinates, expected {len(self.row) - 1}")
         return dot(p, self.normal) + self.offset
 
     def contains(self, p) -> bool:
@@ -442,6 +444,8 @@ def polar_dual(P: RationalPolytope) -> RationalPolytope:
 
 def is_supporting(h: HalfSpace, P: RationalPolytope) -> bool:
     """True iff P lies in the half-space and touches its boundary hyperplane."""
+    if len(h.row) != P.ambient_dim + 1:
+        raise PolytopeError(f"half-space normal has {len(h.row) - 1} entries, polytope is in R^{P.ambient_dim}")
     vals = [sum(map(mul, h.row, hp)) for hp in P.hverts]
     return bool(vals) and min(vals) == 0
 
@@ -584,49 +588,27 @@ class SliceResult:
     minus: RationalPolytope
 
 
-def _cut(P: RationalPolytope, h: HalfSpace):
-    """The one cut rule, in two steps (`_sides`, then `_crossings`): P's vertices, then the
-    crossings, integer homogeneous over one t; their rows against h (0 at a crossing); the pieces.
+def _cut(P: RationalPolytope, row: tuple[int, ...]):
+    """The one cut of P by the hyperplane of an integer row (a, num): P's vertices, then the
+    crossings, integer homogeneous over one t; their values against the row (0 at a crossing);
+    the pieces, None unless P is full-dimensional with vertices strictly on both sides.
 
     A crossing is where the hyperplane meets a true edge (`_adjacent`), or for
     lower-dimensional P any segment, between vertices strictly on opposite
-    sides.  If P is full-dimensional with vertices strictly on both sides,
-    piece s = 1, -1 is the points with s row >= 0 and the facets tight at a
-    vertex strictly on side s: with h facing side s, exactly that half's.
+    sides.  Piece s = 1, -1 is the points with s value >= 0 and the facets
+    tight at a vertex strictly on side s, read off P's tight sets: with the
+    row facing side s, exactly that half's.
     """
-    m = P.ambient_dim
-    if len(h.row) != m + 1:
-        raise PolytopeError(f"hyperplane normal has {len(h.row) - 1} entries, polytope is in R^{m}")
-    vals = [sum(map(mul, h.row, hp)) for hp in P.hverts]
-    tight, sides = _sides(P, vals)
-    return _crossings(P, vals, tight, sides) if sides else (list(P.hverts), vals, None)
-
-
-def _sides(P: RationalPolytope, vals: list[int]):
-    """The sides step of `_cut`, on the values of P's vertex rows: (None, None) unless P has
-    vertices strictly on both sides, else their tight sets (None unless P is full-dimensional) and
-    for s = 1, -1 the indices i with s vals[i] > 0 and the facets tight at one of them."""
-    if not (vals and min(vals) < 0 < max(vals)):
-        return None, None
-    tight = _tight_sets(P.facets, P.hverts) if P.is_full_dim else None
-    idx = [[i for i, v in enumerate(vals) if s * v > 0] for s in (1, -1)]
-    return tight, [(ix, list(_held(P, ix, tight)) if tight else []) for ix in idx]
-
-
-def _held(P: RationalPolytope, ix: list[int], tight: list[int] | None = None):
-    """The facets of P tight at one of its vertices ix, lazily, in order: read off P's tight sets
-    if given, else off the rows at those vertices alone, a facet at a time."""
-    bits = functools.reduce(or_, [tight[i] for i in ix]) if tight else 0
-    hps = [] if tight else [P.hverts[i] for i in ix]
-    return (f for j, f in enumerate(P.facets) if bits >> j & 1 or any(sum(map(mul, f.row, hp)) == 0 for hp in hps))
-
-
-def _crossings(P: RationalPolytope, vals: list[int], tight, sides):
-    """The crossings step of `_cut`, from a two-sided sides step: P's rows, then the crossings
-    of the plus x minus vertex pairs (i < j, in order), over one t; the values with them; the pieces."""
     m, hpts = P.ambient_dim, list(P.hverts)
+    if len(row) != m + 1:
+        raise PolytopeError(f"hyperplane normal has {len(row) - 1} entries, polytope is in R^{m}")
+    vals = [sum(map(mul, row, hp)) for hp in hpts]
+    if not (vals and min(vals) < 0 < max(vals)):
+        return hpts, vals, None
+    tight = _tight_sets(P.facets, hpts) if P.is_full_dim else None
+    sides = [[i for i, v in enumerate(vals) if s * v > 0] for s in (1, -1)]
     crossings = []
-    for i, j in sorted((min(a, b), max(a, b)) for a in sides[0][0] for b in sides[1][0]):
+    for i, j in sorted((min(a, b), max(a, b)) for a in sides[0] for b in sides[1]):
         # an edge lies on at least m - 1 facets, as in the double description's adjacency test
         if tight and ((tight[i] & tight[j]).bit_count() < m - 1 or not _adjacent(tight, i, j)):
             continue
@@ -637,23 +619,33 @@ def _crossings(P: RationalPolytope, vals: list[int], tight, sides):
     T, t = hpts[0][m], math.lcm(hpts[0][m], *(c[m] for c in crossings))
     vals = [t // T * v for v in vals] + [0] * len(crossings)
     hpts = [tuple(t // p[m] * x for x in p) for p in hpts + crossings]
-    pieces = [([i for i, v in enumerate(vals) if s * v >= 0], fs) for s, (_, fs) in zip((1, -1), sides)]
-    return hpts, vals, pieces if tight else None
+    if not tight:
+        return hpts, vals, None
+    held = [functools.reduce(or_, [tight[i] for i in ix]) for ix in sides]  # bit j: facet j is tight on that side
+    fs = [[f for j, f in enumerate(P.facets) if bits >> j & 1] for bits in held]
+    return hpts, vals, [([i for i, v in enumerate(vals) if s * v >= 0], f) for s, f in zip((1, -1), fs)]
+
+
+def _held(P: RationalPolytope, ix: list[int]):
+    """The facets of P tight at one of its vertices ix, lazily, in order, read off the rows at those
+    vertices alone, a facet at a time: a refused tropical image reads no other incidence."""
+    hps = [P.hverts[i] for i in ix]
+    return (f for f in P.facets if any(sum(map(mul, f.row, hp)) == 0 for hp in hps))
 
 
 def crossing_points(P: RationalPolytope, h: HalfSpace) -> list[Point]:
-    """The crossings of `_cut(P, h)` as Fraction points; P may be lower-dimensional."""
-    return _fractions(_cut(P, h)[0][len(P.hverts):], P.ambient_dim)
+    """The crossings of `_cut(P, h.row)` as Fraction points; P may be lower-dimensional."""
+    return _fractions(_cut(P, h.row)[0][len(P.hverts):], P.ambient_dim)
 
 
 def slice_polytope(P: RationalPolytope, h: HalfSpace) -> SliceResult:
-    """The full-dimensional P cut by h (`_cut`).  The section is the hull of
+    """The full-dimensional P cut by h's row (`_cut`).  The section is the hull of
     the points on the hyperplane, the only hull here.  A P on one side is
     that half, and the section the other; otherwise each half is its piece
     with h facing that side as the wall."""
     m = P.ambient_dim
     P.require_full_dim()
-    hpts, vals, pieces = _cut(P, h)
+    hpts, vals, pieces = _cut(P, h.row)
     section = _hull_any(sorted({hp for hp, v in zip(hpts, vals) if v == 0}), m)
     if pieces is None:
         return SliceResult(section, P, section) if max(vals) > 0 else SliceResult(section, section, P)

@@ -4,22 +4,24 @@ distinguishing-certificate pipeline built on them.
 The tropical map in direction k fixes the hyperplane u_k = 0 and acts by one
 unimodular integer map on each side.  One point map (`_trop`) serves points
 and polytopes' integer vertex rows (`RationalPolytope.hverts`), whose images
-go straight to the constructor.  A polytope's image is read off its cut by the
-wall (`polytopes._cut`); its convexity, and each condition u_s >= 0, is
-decided by sign tests on integer rows, so no hull or double description runs
-here.  Facets map as integer rows (`_map_facet`) and go to the polytope as
-they are.  Convexity reads only the vertices off the wall, and the facet rows
-only at those on one side; a non-convex image's crossings, half-spaces and
-piece polytopes are made when a caller first reads them (`TropImage`), so a
-caller that stops at the convexity flag makes none.  The test u_s >= 0 on
-an image, in the certificate and in the supporting-half-space lemma, reads
-one accessor (`TropImage.in_halfspace`): on a non-convex image it maps P's
-vertices and builds no piece, and it computes the crossings only where P
-itself leaves u_s >= 0.
+go straight to the constructor.  A polytope's image is read off its cut by
+the wall's integer row e_k (`polytopes._cut`); its convexity, and each
+condition u_s >= 0, is decided by sign tests on integer rows, so no hull or
+double description runs here.  Facets map as integer rows (`_map_facet`) and
+go to the polytope as they are.  Convexity reads only the vertices off the
+wall, and the facet rows only at those on one side; a non-convex image's
+crossings, half-spaces and piece polytopes are made when a caller first
+reads them (`TropImage`), so a caller that stops at the convexity flag makes
+none.  The test u_s >= 0 on an image, in the certificate and in the
+supporting-half-space lemma, reads one accessor (`TropImage.in_halfspace`):
+on a non-convex image it maps P's vertices and builds no piece, and it
+computes the crossings only where P itself leaves u_s >= 0.  The certificate
+makes each image and each QGF solve once per run, through one cache of each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -32,12 +34,11 @@ from .polytopes import (
     Point,
     QGFCertificate,
     RationalPolytope,
-    _crossings,
+    _cut,
     _facet,
     _held,
     _homog,
     _keep,
-    _sides,
     _tight_sets,
     crossing_points,  # noqa: F401  unused here; bench/spans.py wraps tropical.crossing_points by name
     hull,  # noqa: F401  unused here; bench/spans.py wraps tropical.hull by name
@@ -147,7 +148,7 @@ class TropImage:
 def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytope) -> TropImage:
     """Image of P under the tropical map in direction k, one unimodular integer
     map on each closed half s u_k >= 0 (s = ±1): P maps whole, or each piece
-    of `_cut(P, wall)` maps with its facet rows (`_map_facet`) and the wall.
+    of `_cut(P, e_k)` maps with its facet rows (`_map_facet`) and the wall.
 
     The two piece images A (of s = 1) and B meet exactly in the section of P
     by the wall, which both maps fix.  Their union is convex iff B lies in
@@ -163,7 +164,7 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     (`_held`, read off those vertices alone), one at a time and reads them at
     the images of P's vertices strictly on side -1.  A refusal computes no
     incidence at any other vertex and no crossing; a convex image computes
-    both (`_sides`, `_crossings`) at once, a non-convex one on first read."""
+    both (`_cut`) at once, a non-convex one on first read."""
     _check_direction(eps, k)
     P.require_full_dim()
     m = P.ambient_dim
@@ -181,7 +182,7 @@ def trop_mutate_polytope(eps: ExtendedExchangeMatrix, k: int, P: RationalPolytop
     vb = [_trop(p[-1], ki, P.hverts[i]) for i in ib]
 
     def cut():  # the rows of P and the crossings, which the maps fix, mapped; the pieces; their facet rows mapped
-        hpts, cvals, pieces = _crossings(P, vals, *_sides(P, vals))
+        hpts, cvals, pieces = _cut(P, tuple(int(i == ki) for i in range(m)) + (0,))  # the wall's row e_k
         rows = [[_map_facet(f.row, p[s], ki) for f in fs] for s, (_, fs) in zip((1, -1), pieces)]
         return [_trop(p[1 if v >= 0 else -1], ki, hp) for hp, v in zip(hpts, cvals)], pieces, rows
 
@@ -415,14 +416,15 @@ def distinguish_certificate(family: FamilySpec) -> DistinguishCertificate:
 
     Stages are replayed by tropical mutation of the polytope; a non-convex
     image blocks that stage and every later one.  Each reached stage is
-    certified by `_certify_stage`, which reuses the initial QGF solve and
-    the replay's images where the polytope is the same.
+    certified by `_certify_stage`.  One cache of `trop_mutate_polytope` and
+    one of `qgf_solve` serve the whole run, so no image or solve repeats.
     """
     eps = family.matrix
     P = family.polytope
+    mutate, solve = functools.cache(trop_mutate_polytope), functools.cache(qgf_solve)
     notes: list[str] = []
     origin_ok = P.contains(tuple(Q(0) for _ in eps.cols))
-    cert, msg = qgf_solve(P)
+    cert, msg = solve(P)
     initial_qgf = cert is not None
     center = cert.center if cert else None
     size = cert.size if cert else None
@@ -437,23 +439,20 @@ def distinguish_certificate(family: FamilySpec) -> DistinguishCertificate:
 
     records: list[StageRecord] = []
     cur_eps, cur_P = eps, P
-    images: dict[int, TropImage] = {}  # direction -> image of cur_P under cur_eps
     done: tuple[int, ...] = ()
     blocked: str | None = None
     for st in family.stages:
         if blocked is None:
             for k in st.seq[len(done):]:
-                img = images[k] if k in images else trop_mutate_polytope(cur_eps, k, cur_P)
+                img = mutate(cur_eps, k, cur_P)
                 if not img.convex:
                     blocked = f"non-convex tropical image at direction {k} after {done}"
                     break
                 cur_P = img.polytope
                 cur_eps = cur_eps.mutate(k)
                 done = done + (k,)
-                images = {}
         if blocked is None:
-            solved = (cert, msg) if cur_P is P else None
-            records.append(_certify_stage(st, cur_eps, cur_P, cert, solved, images, origin_ok and center_fixed))
+            records.append(_certify_stage(st, cur_eps, cur_P, cert, mutate, solve, origin_ok and center_fixed))
         else:
             records.append(StageRecord(st.seq, st.r, st.s, notes=(f"replay blocked: {blocked}",)))
 
@@ -477,11 +476,11 @@ def distinguish_certificate(family: FamilySpec) -> DistinguishCertificate:
 
 def _certify_stage(
     st: Stage, eps: ExtendedExchangeMatrix, P: RationalPolytope, cert: QGFCertificate | None,
-    solved: tuple | None, images: dict[int, TropImage], premises: bool = True,
+    mutate, solve, premises: bool = True,
 ) -> StageRecord:
     """Certify one replayed stage: eps and P are the matrix and polytope after
     st.seq, cert the initial polytope's QGF certificate (None if it has none),
-    solved qgf_solve(P) if known, images a direction -> image memo for (eps, P),
+    mutate and solve `trop_mutate_polytope` and `qgf_solve` or the run's caches of them,
     premises whether 0 lies in the initial polytope and its center is tropical-fixed.
 
     Records eps_{r,s}, checks both half-space conditions, computes q from
@@ -497,16 +496,13 @@ def _certify_stage(
         notes.append(f"entry {entry} is positive; lower bound not applicable")
     si = eps.col_index(st.s)
     cond2 = all(hp[si] >= 0 for hp in P.hverts)
-    if st.r not in images:
-        images[st.r] = trop_mutate_polytope(eps, st.r, P)
-    img = images[st.r]
-    cond3 = img.in_halfspace(si)
+    cond3 = mutate(eps, st.r, P).in_halfspace(si)
     if not cond2:
         notes.append(f"polytope leaves the half-space u_{st.s} >= 0")
     if not cond3:
         notes.append(f"mutated polytope leaves the half-space u_{st.s} >= 0")
 
-    scert, smsg = solved or qgf_solve(P)
+    scert, smsg = solve(P)
     qgf_ok = scert is not None
     size_ok = bool(scert and cert and scert.size == cert.size)
     center_ok = bool(scert and cert and scert.center == cert.center)

@@ -4,18 +4,22 @@ vertex format (caller points are cleared to integer rows only in `hull` and
 `hull_any`, and rows become Fractions only in the Fraction-returning
 `vertices`, `vertices_from_facets` and `crossing_points`), one facet format
 (a half-space stores its integer row, and only `halfspace` normalises caller
-data to one), a kernel that reads facet rows and not the `normal` view, no
-`fractions` import in `mutation`, one call into `re` (the numeral rule in
-`rootsys`), `cli` writes its output only from `main`, no unused package
-import that the benchmark tracer does not wrap, every name in
-`clustrop.__all__` resolves, every module attribute the tracer wraps still
-exists, and the benchmark's self-checks pass.
+data to one), a kernel that reads facet rows and not the `normal` view, one
+cut of a polytope by a hyperplane (`_cut`), no `fractions` import in
+`mutation`, one call into `re` (the numeral rule in `rootsys`), modules that
+parse with the grammar of the oldest supported Python, `cli` writes its
+output only from `main`, no unused package import that the benchmark tracer
+does not wrap, every name in `clustrop.__all__` resolves, every module
+attribute the tracer wraps still exists, and the benchmark's self-checks
+pass.
 
 `python -O` strips `assert`, so invariants the package checks at run time
 raise AssertionError explicitly instead."""
 
 import ast
 import dataclasses
+import inspect
+import re
 import subprocess
 import sys
 import types
@@ -150,6 +154,28 @@ def test_mutation_imports_no_fractions():
         or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
     ]
     assert not lines, f"mutation.py imports from fractions at lines {lines}"
+
+
+def test_one_cut():
+    """One function cuts a polytope by a hyperplane's integer row (`_cut`):
+    the slice, the crossings and a built tropical image read it, and no
+    cut step is shared out.  A refused tropical image reads a side's facets
+    off the rows at that side's vertices by its own rule (`_held`), which
+    takes no tight sets."""
+    assert _callers("_cut") == {
+        "polytopes:crossing_points", "polytopes:slice_polytope", "tropical:trop_mutate_polytope.cut"
+    }
+    assert _callers("_held") == {"tropical:trop_mutate_polytope"}
+    assert list(inspect.signature(polytopes._held).parameters) == ["P", "ix"]
+    assert not hasattr(polytopes, "_sides") and not hasattr(polytopes, "_crossings")
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_parses_at_the_oldest_supported_python(path):
+    """`pyproject.toml` declares the oldest Python the package supports; every
+    module parses with that version's grammar."""
+    oldest = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    ast.parse(path.read_text(), filename=str(path), feature_version=tuple(map(int, oldest.groups())))
 
 
 def test_one_mutation_kernel():

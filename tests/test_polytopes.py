@@ -119,6 +119,24 @@ def test_is_supporting():
     assert not is_supporting(halfspace((1, 0), -3), P)  # cuts the square
 
 
+def test_is_supporting_checks_the_dimension():
+    """A half-space of R^2 against a polytope of R^3 raises, where zipping the
+    rows used to read only the first two coordinates and answer True."""
+    P = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(PolytopeError, match="half-space normal has 2 entries, polytope is in R\\^3"):
+        is_supporting(halfspace((1, 0), 0), P)
+
+
+def test_value_checks_the_dimension():
+    """`HalfSpace.value` refuses a point of the wrong length, as `contains`
+    does, where zipping used to drop coordinates and read (1, 2, 3) as 1."""
+    h = halfspace((1, 0), 0)
+    for p in ((1, 2, 3), (1,)):
+        with pytest.raises(PolytopeError, match=f"^point has {len(p)} coordinates, expected 2$"):
+            h.value(p)
+    assert h.value((1, 2)) == 1
+
+
 def test_lattice_points_counts():
     assert len(lattice_points(square(), 1)) == 9
     diamond_half = hull([(Q(1, 2), 0), (0, Q(1, 2)), (Q(-1, 2), 0), (0, Q(-1, 2))])
@@ -363,7 +381,7 @@ def test_cut_pieces_divide_out_the_common_t():
     (0, ±1/3)), but the plus piece needs only 3: the constructor divides the
     content out, as it does for a tropical piece cut over t = 2 that needs 1."""
     P, h = hull([(Q(-1, 2), 0), (1, 1), (1, -1)]), halfspace((1, 0), 0)
-    assert {hp[-1] for hp in polytopes._cut(P, h)[0]} == {6}
+    assert {hp[-1] for hp in polytopes._cut(P, h.row)[0]} == {6}
     res = slice_polytope(P, h)
     assert res.plus.hverts == ((0, -1, 3), (0, 1, 3), (3, -3, 3), (3, 3, 3))
     assert res.minus.hverts == ((-3, 0, 6), (0, -2, 6), (0, 2, 6))
@@ -371,7 +389,7 @@ def test_cut_pieces_divide_out_the_common_t():
     for R in (res.plus, res.minus, res.section):
         assert_canonical(R)
     Pt = hull([(2, 2), (2, -2), (Q(-1, 2), 2), (Q(-1, 2), -2)])
-    assert {hp[-1] for hp in polytopes._cut(Pt, h)[0]} == {2}
+    assert {hp[-1] for hp in polytopes._cut(Pt, h.row)[0]} == {2}
     assert tropical.trop_mutate_polytope(EPS, 1, Pt).plus_image.hverts[0][-1] == 1
 
 

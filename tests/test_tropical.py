@@ -8,7 +8,7 @@ from operator import mul
 
 import fraction_oracle as oracle
 import pytest
-from genutil import gelfand_tsetlin, random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
+from genutil import g2_delta, gelfand_tsetlin, random_exchange, random_polytope_with_interior_origin, random_qgf_polytope
 
 from clustrop import jsonio, polytopes, tropical
 from clustrop.glsseed import gls_exchange_matrix
@@ -196,12 +196,13 @@ def _convexity_both_ways(eps, k, P):
     P's vertices off the wall lie in A's mapped facet half-spaces, and whether
     A's lie in B's; None for P on one side."""
     ki = eps.col_index(k)
-    sides = polytopes._sides(P, [hp[ki] for hp in P.hverts])[1]
-    if sides is None:
+    vals = [hp[ki] for hp in P.hverts]
+    sides = [[i for i, v in enumerate(vals) if s * v > 0] for s in (1, -1)]
+    if not all(sides):
         return None
     maps = [tropical._side(eps.row(k), s) + (0,) for s in (1, -1)]
-    rows = [[tropical._map_facet(f.row, p, ki) for f in fs] for (_, fs), p in zip(sides, maps)]
-    images = [[tropical._trop(p, ki, P.hverts[i]) for i in idx] for (idx, _), p in zip(sides, maps)]
+    rows = [[tropical._map_facet(f.row, p, ki) for f in polytopes._held(P, idx)] for idx, p in zip(sides, maps)]
+    images = [[tropical._trop(p, ki, P.hverts[i]) for i in idx] for idx, p in zip(sides, maps)]
     return [all(sum(map(mul, r, u)) >= 0 for r in rows[a] for u in images[1 - a]) for a in (0, 1)]
 
 
@@ -495,11 +496,11 @@ def test_certificate_builds_nothing_for_a_blocking_image(builds):
 
 @pytest.fixture
 def crossing_calls(monkeypatch):
-    """The argument tuples of every call of the cut's crossings step
-    (`polytopes._crossings`), recorded through each module's binding of it."""
-    calls, real = [], polytopes._crossings
+    """The argument tuples of every call of the cut (`polytopes._cut`),
+    recorded through each module's binding of it."""
+    calls, real = [], polytopes._cut
     for module in (polytopes, tropical):
-        monkeypatch.setattr(module, "_crossings", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(module, "_cut", lambda *a: calls.append(a) or real(*a))
     return calls
 
 
@@ -515,7 +516,7 @@ def _gls_gelfand_tsetlin(n):
 @pytest.fixture
 def incidence(monkeypatch):
     """What the side rule reads: the point lists of every `polytopes._tight_sets` call, and the
-    (polytope, vertex indices, tight sets) of every `_held` call, through each module's binding."""
+    (polytope, vertex indices) of every `_held` call, through each module's binding."""
     calls = {"_tight_sets": [], "_held": []}
     for name in calls:
         real = getattr(polytopes, name)
@@ -545,15 +546,13 @@ def test_refusals_compute_no_crossings(crossing_calls, builds, incidence, monkey
             incidence["_held"].clear()
             assert not trop_mutate_polytope(eps, k, gt).convex
             ki = eps.col_index(k)
-            assert [(R, ix, t) for R, ix, *t in incidence["_held"]] == [
-                (gt, [i for i, hp in enumerate(gt.hverts) if hp[ki] > 0], [])
-            ]
+            assert incidence["_held"] == [(gt, [i for i, hp in enumerate(gt.hverts) if hp[ki] > 0])]
     img = trop_mutate_polytope(EPS, 1, SQUARE)
     for row in ([0, -2], [0, 2], [0, -1]):
         with pytest.raises(PreconditionError, match="convex_image"):
             qgf_preservation_check(eps_row(row), 1, P)
     assert crossing_calls == [] and builds == [] and incidence["_tight_sets"] == []
-    assert all(ix == [i for i, hp in enumerate(R.hverts) if hp[0] > 0] for R, ix, *_ in incidence["_held"][-4:])
+    assert all(ix == [i for i, hp in enumerate(R.hverts) if hp[0] > 0] for R, ix in incidence["_held"][-4:])
     assert img.plus_image.dim == 2
     assert len(crossing_calls) == 1 and len(incidence["_tight_sets"]) == 1
     crossing_calls.clear()
@@ -630,6 +629,29 @@ def test_certificate_tests_its_image_with_no_piece_built(monkeypatch, crossing_c
     assert [(st.cond_image, st.dual_count, st.valid) for st in cert.stages] == [(True, 21, True), (True, 23, True)]
 
 
+def test_certificate_solves_and_mutates_each_polytope_once(monkeypatch):
+    """Over one run `distinguish_certificate` calls `qgf_solve` once per
+    distinct polytope and `trop_mutate_polytope` once per distinct (matrix,
+    direction, polytope), counted through the `tropical` bindings: 2 and 2 on
+    `family_2stage`, 5 and 11 on Delta_212121(2 rho) of G2 with stages
+    (2) + (1, 3)^n, n = 0..3, and pair (3, 5)."""
+    calls = {"qgf_solve": [], "trop_mutate_polytope": []}
+    for name, log in calls.items():
+        real = getattr(tropical, name)
+        monkeypatch.setattr(tropical, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
+    fam = json.loads((resources.files("clustrop") / "fixtures" / "family_2stage.json").read_text())["family"]
+    g2 = FamilySpec(
+        gls_exchange_matrix(cartan_matrix("G", 2), (2, 1, 2, 1, 2, 1)), g2_delta(),
+        tuple(Stage((2,) + (1, 3) * n, 3, 5) for n in range(4)),
+    )
+    for family, want in ((jsonio.family_from_obj(fam), (2, 2)), (g2, (5, 11))):
+        for log in calls.values():
+            log.clear()
+        distinguish_certificate(family)
+        assert (len(calls["qgf_solve"]), len(calls["trop_mutate_polytope"])) == want
+        assert all(len(set(log)) == len(log) for log in calls.values())
+
+
 def _pieces(img):
     return (img.polytope,) if img.convex else (img.plus_image, img.minus_image)
 
@@ -657,7 +679,7 @@ def test_image_halfspace_test_gives_the_piece_verdicts(crossing_calls):
         ref = oracle.trop_mutate_polytope(eps, r, P)
         want = all(v[si] >= 0 for part in _pieces(ref) for v in part.vertices)
         assert ref.in_halfspace(si) == want
-        rec = tropical._certify_stage(Stage((), r, s), eps, P, None, None, {})
+        rec = tropical._certify_stage(Stage((), r, s), eps, P, None, trop_mutate_polytope, qgf_solve)
         assert rec.cond_image == want
         if eps.entry(r, s) <= 0:
             try:
@@ -797,14 +819,14 @@ def test_certify_stage_names_changed_qgf_data():
     eps = exchange_matrix([1, 2], [2], [1, 1], [[0, -1]])
     P = hull([(1, 1), (1, -1), (-1, 1), (-1, -1)]).translate((0, 1))  # size 1, center (0, 1)
     other, _ = qgf_solve(hull([(0, 0), (4, 0), (0, 4), (4, 4)]))  # size 2, center (2, 2)
-    rec = tropical._certify_stage(Stage((), 1, 2), eps, P, other, None, {})
+    rec = tropical._certify_stage(Stage((), 1, 2), eps, P, other, trop_mutate_polytope, qgf_solve)
     assert rec.qgf_ok and not rec.size_ok and not rec.center_ok and not rec.valid
     assert rec.notes[1:3] == (
         "size changed: 2 -> 1",
         "center moved: (Fraction(2, 1), Fraction(2, 1)) -> (Fraction(0, 1), Fraction(1, 1))",
     )
     assert (rec.a_s, rec.q, rec.dual_count) == (2, 1, 5)
-    rec = tropical._certify_stage(Stage((), 1, 2), eps, P, None, None, {})
+    rec = tropical._certify_stage(Stage((), 1, 2), eps, P, None, trop_mutate_polytope, qgf_solve)
     assert rec.qgf_ok and not rec.size_ok and not rec.center_ok and not rec.valid
     assert (rec.a_s, rec.q, rec.segment_count, rec.dual_count) == (None, None, None, None)
     assert rec.notes == ("mutated polytope leaves the half-space u_2 >= 0",)
@@ -842,8 +864,8 @@ def test_segment_count_matches_fraction_points(monkeypatch):
         n_mut = rng.randint(1, dim)
         eps = random_exchange(rng, n_mut=n_mut, n_frozen=dim - n_mut)
         r, s = rng.choice(eps.mutable), rng.choice(eps.cols)
-        cert, msg = qgf_solve(P)
-        rec = tropical._certify_stage(Stage((), r, s), eps, P, cert, (cert, msg), {})
+        cert, _ = qgf_solve(P)
+        rec = tropical._certify_stage(Stage((), r, s), eps, P, cert, trop_mutate_polytope, qgf_solve)
         si, ri = eps.col_index(s), eps.col_index(r)
         frac = Q(cert.size) / cert.center[si]
         sign = 1 if frac > 0 else -1
