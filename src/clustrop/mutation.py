@@ -436,6 +436,8 @@ def ft_infinite_witness(eps: ExtendedExchangeMatrix, budget: int = 4096) -> FTWi
     preferred: the search keeps scanning for one and only falls back to the
     first other qualifying witness when the budget ends without it.  The BFS
     (`_bfs`) never mutates a node back along the label it was reached by."""
+    if type(budget) is not int or budget <= 0:
+        raise MutationError("budget must be a positive integer")
     if len(eps.frozen) != 1:
         raise MutationError("criterion needs exactly one frozen column")
     if not eps.is_skew_symmetric():
@@ -522,6 +524,8 @@ def mutable_finiteness(eps: ExtendedExchangeMatrix, node_cap: int = 4096) -> str
     certificate (a 2-vertex component only changes sign); entry growth past
     a generous cap is reported as unknown rather than coerced.
     """
+    if type(node_cap) is not int or node_cap <= 0:
+        raise MutationError("node_cap must be a positive integer")
     part = eps.mutable_part()
     skew = part.is_skew_symmetric()
     wide = [r for r, row in zip(part.mutable, part.rows) if max(map(abs, row), default=0) >= 3]

@@ -6,12 +6,12 @@ vertex format (caller points are cleared to integer rows only in `hull` and
 (a half-space stores its integer row, and only `halfspace` normalises caller
 data to one), a kernel that reads facet rows and not the `normal` view, one
 cut of a polytope by a hyperplane (`_cut`), no `fractions` import in
-`mutation`, one call into `re` (the numeral rule in `rootsys`), modules that
-parse with the grammar of the oldest supported Python, `cli` writes its
-output only from `main`, no unused package import that the benchmark tracer
-does not wrap, every name in `clustrop.__all__` resolves, every module
-attribute the tracer wraps still exists, and the benchmark's self-checks
-pass.
+`mutation`, one call into `re` (the numeral rule in `rootsys`), no class
+that hooks attribute lookup, modules that parse with the grammar of the
+oldest supported Python, `cli` writes its output only from `main`, no
+unused package import that the benchmark tracer does not wrap, every name
+in `clustrop.__all__` resolves, every module attribute the tracer wraps
+still exists, and the benchmark's self-checks pass.
 
 `python -O` strips `assert`, so invariants the package checks at run time
 raise AssertionError explicitly instead."""
@@ -168,6 +168,21 @@ def test_one_cut():
     assert _callers("_held") == {"tropical:trop_mutate_polytope"}
     assert list(inspect.signature(polytopes._held).parameters) == ["P", "ix"]
     assert not hasattr(polytopes, "_sides") and not hasattr(polytopes, "_crossings")
+
+
+def test_lazy_attributes_are_cached_properties():
+    """No class in the package hooks attribute lookup (`__getattr__`,
+    `__getattribute__`): an attribute made on first read is a
+    `functools.cached_property`, as `TropImage`'s pieces are."""
+    hooks = [
+        f"{path.stem}:{node.name}.{f.name}"
+        for path in SRC
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        for f in node.body
+        if isinstance(f, ast.FunctionDef) and f.name in ("__getattr__", "__getattribute__")
+    ]
+    assert not hooks, f"classes hook attribute lookup: {hooks}"
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)

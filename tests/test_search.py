@@ -58,6 +58,28 @@ def test_bfs_caps_must_be_positive_ints():
             mutation_class_bfs(c3_restricted(), **caps)
 
 
+WIDE = exchange_matrix([1, 2, 3, 4], [4], [1, 1, 1, 1], [[0, 3, -1, 1], [-3, 0, 1, 0], [1, -1, 0, 0]])
+
+
+def test_mutable_finiteness_checks_node_cap_first():
+    """A bad node_cap is refused before the wide-entry shortcut, which used to
+    answer "infinite" for it on a matrix with an entry of 3."""
+    assert mutable_finiteness(WIDE) == "infinite"
+    for cap in (-5, 0, 2.5, True):
+        for eps in (WIDE, c3_restricted()):
+            with pytest.raises(MutationError, match="^node_cap must be a positive integer$"):
+                mutable_finiteness(eps, node_cap=cap)
+
+
+def test_ft_infinite_witness_names_its_budget():
+    """A bad budget is refused under its own name, not as a BFS cap."""
+    framed = exchange_matrix([1, 2, 3, 4], [4], [1, 1, 1, 1], [[0, 3, 0, 1], [-3, 0, 0, 0], [0, 0, 0, 1]])
+    for budget in (0, -1, 1.5, True):
+        for eps in (framed, WIDE):
+            with pytest.raises(MutationError, match="^budget must be a positive integer$"):
+                ft_infinite_witness(eps, budget=budget)
+
+
 def test_mutable_finiteness_three_values():
     assert mutable_finiteness(c3_restricted()) == "finite"  # affine-C mutable part
     # the once-punctured-torus quiver is famously mutation finite despite the 2s

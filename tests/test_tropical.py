@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -478,7 +479,8 @@ def test_preservation_check_builds_no_refused_image(builds):
 def test_certificate_builds_nothing_for_a_blocking_image(builds):
     """The replay takes the convex image in direction 1 and stops at the
     non-convex one in direction 2: the certificate builds exactly what the
-    first image builds."""
+    first image builds.  A later stage replays the same prefix from the root,
+    meets the same image and carries the same note."""
     eps, P = family_fixture()
     assert not trop_mutate_polytope(eps.mutate(1), 2, trop_mutate_polytope(eps, 1, P).polytope).convex
     builds.clear()
@@ -490,8 +492,10 @@ def test_certificate_builds_nothing_for_a_blocking_image(builds):
     assert cert.stages[0].notes == ("replay blocked: non-convex tropical image at direction 2 after (1,)",)
     assert builds == want
     builds.clear()
-    distinguish_certificate(FamilySpec(eps, P, (Stage((1, 2), 1, 3), Stage((1, 2, 1), 2, 3))))
+    cert = distinguish_certificate(FamilySpec(eps, P, (Stage((1, 2), 1, 3), Stage((1, 2, 1), 2, 3))))
     assert builds == want
+    note = ("replay blocked: non-convex tropical image at direction 2 after (1,)",)
+    assert [(rec.seq, rec.notes, rec.valid) for rec in cert.stages] == [((1, 2), note, False), ((1, 2, 1), note, False)]
 
 
 @pytest.fixture
@@ -571,15 +575,18 @@ def test_gelfand_tsetlin_fl5_refusals_compute_no_crossings(crossing_calls):
 
 def test_image_builds_its_pieces_once_on_first_read(builds):
     """A non-convex image builds nothing until a piece is read; the first
-    read builds both pieces, later reads return the same objects, and
-    `TropImage` leaves ordinary attribute lookup alone.  A convex image,
-    which every caller reads, is built by `trop_mutate_polytope` once."""
+    read builds both pieces and drops the builder, later reads return the same
+    objects, and the pieces are cached properties, so `TropImage` leaves
+    ordinary attribute lookup alone.  A convex image, which every caller
+    reads, is built by `trop_mutate_polytope` once."""
     assert "__getattribute__" not in vars(TropImage)
+    assert all(isinstance(vars(TropImage)[name], functools.cached_property) for name in ("plus_image", "minus_image"))
     img = trop_mutate_polytope(EPS, 1, SQUARE)
     assert not img.convex and img.polytope is None and builds == []
     plus = img.plus_image
     minus = img.minus_image
     assert builds.count("RationalPolytope") == 2 and 0 < builds.count("_facet") <= len(plus.facets + minus.facets)
+    assert "_build" not in img.__dict__
     built = len(builds)
     assert img.plus_image is plus and img.minus_image is minus and img.polytope is None
     assert len(builds) == built
